@@ -28,7 +28,7 @@ for col in cols:
     offdiag = {f"{u}->{v}": x for (u, v), x in rank.entries if u != v and x}
     print(f"  dim {dim}  vectors {col.faces[0].vectors}  nonzero ranks {offdiag}")
 
-tops = adm.top_strata(quiver, r)
+tops = adm.top_strata(cols, quiver)
 print(f"\ntop strata (irreducible components): {len(tops)}, each of dimension "
       f"{adm.stratum_dimension(tops[0].faces[0], r)}")
 

@@ -69,28 +69,32 @@ def admissible_faces(simplex: Sequence[Vertex], r: int) -> list[AdmissibleFace]:
         for ones in itertools.combinations(range(d), r)
     ]
     out = []
-    for eps in itertools.product(increments, repeat=len(chain)):
-        vectors = tuple(
-            tuple(x + e for x, e in zip(rep, inc)) for rep, inc in zip(chain, eps)
-        )
-        ok = all(
-            all(a <= b <= a + 1 for a, b in zip(vectors[k], vectors[k + 1]))
-            for k in range(len(chain) - 1)
-        )
-        if ok and len(chain) > 1:
-            ok = all(b <= a + 1 for a, b in zip(vectors[0], vectors[-1]))
-        if not ok:
-            continue
-        coset = _solve_face_map(chain, vectors, d)
-        assert coset is not None, f"no Weyl element maps {chain} to {vectors}"
-        out.append(AdmissibleFace(chain, vectors, coset))
+
+    def extend(vectors: tuple[Vec, ...]) -> None:
+        # depth-first in product order, pruning on a <= b <= a + 1 between
+        # consecutive vectors and b <= a + 1 from the first to the last
+        if len(vectors) == len(chain):
+            coset = _solve_face_map(chain, vectors, d)
+            assert coset is not None, f"no Weyl element maps {chain} to {vectors}"
+            out.append(AdmissibleFace(chain, vectors, coset))
+            return
+        rep = chain[len(vectors)]
+        last = len(vectors) == len(chain) - 1
+        for inc in increments:
+            vec = tuple(x + e for x, e in zip(rep, inc))
+            if vectors and not all(a <= b <= a + 1 for a, b in zip(vectors[-1], vec)):
+                continue
+            if last and vectors and not all(b <= a + 1 for a, b in zip(vectors[0], vec)):
+                continue
+            extend(vectors + (vec,))
+
+    extend(())
     return out
 
 
 def enumerate_admissible_alcoves(r: int, d: int) -> list[tuple[Vec, ...]]:
     """Admissible perturbations of the standard alcove, as vector arrays."""
-    omega = tuple(tuple(1 if k < i else 0 for k in range(d)) for i in range(d))
-    return [face.vectors for face in admissible_faces(omega, r)]
+    return [face.vectors for face in admissible_faces(standard_alcove(d), r)]
 
 
 def standard_alcove(d: int) -> tuple[Vertex, ...]:
@@ -110,16 +114,13 @@ def admissibility_equivalence_check(
         weyl.translation(tuple(perm))
         for perm in sorted(set(itertools.permutations([1] * r + [0] * (d - r))))
     ]
-    cap = max(length_cap, r * (d - r)) + 1
     exponents = sorted(
         set(range(-iota_range, d + iota_range)) | {r - d, r, r + d}
     )
     for w in weyl.wa_elements(d, length_cap):
         for s in exponents:
             g = weyl.compose(w, weyl.iota_pow(d, s))
-            bruhat_side = any(
-                weyl.bruhat_leq(g, t, cap=cap) for t in mu_translations
-            )
+            bruhat_side = any(weyl.bruhat_leq(g, t) for t in mu_translations)
             images = [weyl.act(g, om) for om in omega]
             coord_side = all(
                 all(o <= x <= o + 1 for o, x in zip(om, img))
@@ -142,14 +143,10 @@ class AdmissibleCollection:
     keys: tuple[weyl.WeylElement, ...]  # canonical double-coset key per simplex
 
 
-def _simplex_stabilizer(simplex: Sequence[Vertex]) -> weyl.ParahoricGroup:
-    return weyl.face_stabilizer(simplex)
-
-
 def enumerate_admissible_collections(quiver: Quiver, r: int) -> list[AdmissibleCollection]:
     """Tuples of per-simplex admissible classes glued over shared faces."""
     simplices = [chain_order(s) for s in quiver.simplices]
-    stabilizers = [_simplex_stabilizer(s) for s in simplices]
+    stabilizers = [weyl.face_stabilizer(s) for s in simplices]
 
     per_simplex: list[list[tuple[weyl.WeylElement, AdmissibleFace]]] = []
     for simplex, stab in zip(simplices, stabilizers):
@@ -264,10 +261,7 @@ def _to_standard_position(
 
 
 def generalized_bruhat_leq(
-    x: AdmissibleCollection,
-    y: AdmissibleCollection,
-    quiver: Quiver,
-    cap: int = weyl.DEFAULT_LEN_CAP,
+    x: AdmissibleCollection, y: AdmissibleCollection, quiver: Quiver
 ) -> bool:
     """Componentwise double-coset order over the maximal simplices.
 
@@ -286,14 +280,15 @@ def generalized_bruhat_leq(
         w2 = weyl.face_stabilizer(shifted)
         gx = weyl.compose(hx, shift)
         gy = weyl.compose(hy, shift)
-        if not weyl.double_coset_leq(gx, gy, w1, w2, cap):
+        if not weyl.double_coset_leq(gx, gy, w1, w2):
             return False
     return True
 
 
-def top_strata(quiver: Quiver, r: int) -> list[AdmissibleCollection]:
-    """Maximal collections under the generalized Bruhat order."""
-    collections = enumerate_admissible_collections(quiver, r)
+def top_strata(
+    collections: Sequence[AdmissibleCollection], quiver: Quiver
+) -> list[AdmissibleCollection]:
+    """Maximal collections, among the given ones, under the generalized Bruhat order."""
     out = []
     for x in collections:
         if not any(
@@ -304,15 +299,15 @@ def top_strata(quiver: Quiver, r: int) -> list[AdmissibleCollection]:
     return out
 
 
-def stratum_dimension(face: AdmissibleFace, r: int, cap: int = weyl.DEFAULT_LEN_CAP) -> int:
+def stratum_dimension(face: AdmissibleFace, r: int) -> int:
     """Dimension of a one-simplex stratum from the minmax representative length."""
     d = len(face.simplex[0])
     omega_i, _, h_std = _to_standard_position(face)
     w1 = weyl.face_stabilizer(omega_i)
     shifted = [weyl.act_class(weyl.iota_pow(d, r), om) for om in omega_i]
     w2 = weyl.face_stabilizer(shifted)
-    rep = weyl.minmax_rep(weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2, cap)
-    return weyl.length(rep, cap)
+    rep = weyl.minmax_rep(weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2)
+    return weyl.length(rep)
 
 
 def all_summand_types(quiver: Quiver) -> list:

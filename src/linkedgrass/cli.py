@@ -1,9 +1,12 @@
 """Batch front end: analyze configurations, enumerate strata, run suites.
 
 Subcommands: analyze, quiver, admissible, strata, verify, multidegree.
-Exit codes: 0 success, 1 verification failure, 2 input or usage error.
-Reports are deterministic for a fixed invocation (one seeded generator,
-sorted JSON keys).
+Exit codes: 0 success, 1 verification failure, 2 input or usage error,
+3 internal error (any other uncaught exception, reported on stderr by its
+traceback and a last line `internal error: ...`).  Reports are
+deterministic for a fixed invocation (one seeded generator, sorted JSON
+keys); `verify` prints its per-suite timings to stderr, never into the
+report.
 """
 
 from __future__ import annotations
@@ -11,9 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+import traceback
 from pathlib import Path
 
 from . import admissible as adm
+from . import gf
 from . import independence as ind
 from . import multidegree as md
 from . import quiver as qv
@@ -90,7 +96,7 @@ def cmd_quiver(args) -> int:
     return 0
 
 
-def _hasse_dot(cols, ranks, quiver) -> str:
+def _hasse_dot(cols, ranks) -> str:
     lines = ["digraph hasse {"]
     n = len(cols)
     for i in range(n):
@@ -124,18 +130,18 @@ def cmd_admissible(args) -> int:
             "ranks": {f"{u}->{v}": val for (u, v), val in rank.entries if u != v},
         }
         if len(quiver.simplices) == 1:
-            entry["dimension"] = adm.stratum_dimension(col.faces[0], args.r, cap=args.len_cap)
+            entry["dimension"] = adm.stratum_dimension(col.faces[0], args.r)
         if realizable is not None:
             entry["realizable"] = realizable[idx]
         strata.append(entry)
-    tops = adm.top_strata(quiver, args.r)
+    tops = adm.top_strata(cols, quiver)
     report = {
         "r": args.r,
         "strata": strata,
         "count": len(cols),
         "top_count": len(tops),
     }
-    _emit(report, args.format, _hasse_dot(cols, ranks, quiver))
+    _emit(report, args.format, _hasse_dot(cols, ranks) if args.format == "dot" else None)
     return 0
 
 
@@ -153,6 +159,7 @@ def cmd_strata(args) -> int:
         adm.stratum_rank_vector(c, quiver)
         for c in adm.enumerate_admissible_collections(quiver, args.r)
     }
+    ok_wi, _ = ind.weakly_independent(quiver)
     strata = []
     for rank, members in sorted(classes.items(), key=lambda kv: kv[0].entries):
         entry = {
@@ -160,7 +167,6 @@ def cmd_strata(args) -> int:
             "points": len(members),
             "is_stratum_label": rank in labels,
         }
-        ok_wi, _ = ind.weakly_independent(quiver)
         if ok_wi:
             summands = qv.decompose(members[0], quiver, check_independent=False)
             entry["summand_types"] = [
@@ -200,11 +206,15 @@ def cmd_verify(args) -> int:
     if any(name not in vf.SUITES for name in names):
         print(f"error: unknown suite {args.suite!r}; available: {sorted(vf.SUITES)} or 'all'", file=sys.stderr)
         return 2
-    reports = [vf.run_suite(name, **kwargs) for name in names]
-    for report in reports:
+    passed = True
+    for name in names:
+        start = time.perf_counter()
+        report = vf.run_suite(name, **kwargs)
+        print(f"suite {name}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
         report["seed"] = args.seed
         _emit(report, args.format)
-    return 0 if all(r["passed"] for r in reports) else 1
+        passed = passed and report["passed"]
+    return 0 if passed else 1
 
 
 def cmd_multidegree(args) -> int:
@@ -252,6 +262,13 @@ def cmd_multidegree(args) -> int:
     return 0
 
 
+def prime(text: str) -> int:
+    """argparse type of --p; its ValueError reads "invalid prime value"."""
+    p = int(text)
+    gf.check_prime(p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkedgrass",
@@ -263,10 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "dot", "text"], default="json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=10_000_000)
-        p.add_argument("--len-cap", type=int, default=24, dest="len_cap")
         if with_rp:
             p.add_argument("--r", type=int, default=1)
-            p.add_argument("--p", type=int, default=2)
+            p.add_argument("--p", type=prime, default=2)
 
     p_analyze = sub.add_parser("analyze", help="convexity, simplices, quiver, independence")
     p_analyze.add_argument("config")
@@ -293,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d", type=int, default=None)
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--p", type=int, default=None)
+    p_verify.add_argument("--p", type=prime, default=None)
     p_verify.add_argument("--format", choices=["json", "dot", "text"], default="json")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=None)
@@ -317,6 +333,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,11 +10,18 @@ made to be clever.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 Basis = tuple[Vec, ...]
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime, the order of a field F_p."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 def vec(entries: Iterable[int], p: int) -> Vec:

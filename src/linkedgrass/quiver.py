@@ -224,6 +224,7 @@ def is_subrep(M: SubRep, quiver: Quiver) -> tuple[bool, Optional[tuple[Vertex, V
 
 def generated(quiver: Quiver, seeds: Sequence[tuple[Vertex, Vec]], p: int) -> SubRep:
     """Smallest sub-representation containing the seed vectors."""
+    gf.check_prime(p)
     spaces = {v: [] for v in quiver.vertices}
     for v, vector in seeds:
         spaces[v].append(gf.vec(vector, p))
@@ -472,6 +473,7 @@ def enumerate_subreps(
     prune the candidate subspaces; raises BudgetExceeded when more than
     `budget` candidate spaces are inspected.
     """
+    gf.check_prime(p)
     if isinstance(dims, int):
         dim_map = {v: dims for v in quiver.vertices}
     elif isinstance(dims, dict):

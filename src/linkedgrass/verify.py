@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
 from typing import Sequence
 
 from . import admissible as adm
@@ -101,10 +100,12 @@ def suite_admissibility(d: int = 3, length_cap: int = 8) -> dict:
     passed = True
     for dd in range(2, d + 1):
         for r in range(1, dd):
-            ok, witness = adm.admissibility_equivalence_check(r, dd, length_cap=length_cap)
+            ok, witness = adm.admissibility_equivalence_check(r, dd, length_cap)
             results[f"d{dd}-r{r}"] = True if ok else f"counterexample {witness}"
             passed = passed and ok
-    return _report("admissibility", passed, d=d, length_cap=length_cap, checks=results)
+    report = _report("admissibility", passed, d=d, checks=results)
+    report["length_cap"] = length_cap
+    return report
 
 
 def suite_components(d: int = 4) -> dict:
@@ -114,7 +115,7 @@ def suite_components(d: int = 4) -> dict:
     for dd in range(2, d + 1):
         quiver = _quiver(adm.standard_alcove(dd))
         for r in range(1, dd):
-            tops = adm.top_strata(quiver, r)
+            tops = adm.top_strata(adm.enumerate_admissible_collections(quiver, r), quiver)
             dims = {adm.stratum_dimension(c.faces[0], r) for c in tops}
             ok = len(tops) == math.comb(dd, r) and dims == {r * (dd - r)}
             results[f"d{dd}-r{r}"] = {"tops": len(tops), "dims": sorted(dims), "ok": ok}
@@ -412,10 +413,7 @@ def run_suite(name: str, **kwargs) -> dict:
         for k, v in kwargs.items()
         if v is not None and k in fn.__code__.co_varnames[: fn.__code__.co_argcount]
     }
-    start = time.time()
-    report = fn(**accepted)
-    report["elapsed_s"] = round(time.time() - start, 2)
-    return report
+    return fn(**accepted)
 
 
 def run_all(**kwargs) -> list[dict]:

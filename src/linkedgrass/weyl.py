@@ -9,11 +9,15 @@ The group law is chosen so that `act` is a left action:
 compose(g, h) = (sigma_g sigma_h, v_g + sigma_g . v_h).  The affine Weyl
 group W_a is the subgroup with sum(trans) = 0; its Coxeter generators are
 s_1..s_{d-1} (adjacent swaps) and s_0 = ((1 d), (1, 0, ..., 0, -1)).
-Lengths are word lengths over these generators, computed by breadth-first
-search in the Cayley graph, and the Bruhat order is the downward closure
-along reflection covers.  Every element is uniquely w * iota^k with
-w in W_a and k = sum(trans); the cyclic element iota = ((12...d), (1,0^{d-1}))
-rotates the standard alcove.
+Every element is uniquely w * iota^k with w in W_a and k = sum(trans); the
+cyclic element iota = ((12...d), (1,0^{d-1})) rotates the standard alcove.
+The length of g (that of its W_a-part) is the inversion count
+sum_{i<j} |floor((w(j) - w(i)) / d)| of the window
+w(i) = sigma(i) + d * trans_{sigma(i)} (Shi 1986; Bjorner-Brenti, GTM 231,
+section 8.3), which right multiplication by iota leaves unchanged.  The
+Bruhat order is the downward closure along reflection covers.  Breadth-first
+search in the Cayley graph enumerates W_a by length, gives reduced words
+and is the oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -23,13 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .lattice import canonicalize, classes_adjacent
-
-DEFAULT_LEN_CAP = 24
-
-
-class LengthCapExceeded(Exception):
-    """The requested element lies outside the configured Cayley-ball radius."""
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -95,15 +92,6 @@ def invert(g: WeylElement) -> WeylElement:
     return WeylElement(inv_sigma, trans)
 
 
-def compose_all(elements: Iterable[WeylElement]) -> WeylElement:
-    result = None
-    for g in elements:
-        result = g if result is None else compose(result, g)
-    if result is None:
-        raise ValueError("empty product")
-    return result
-
-
 def simple_reflection(d: int, i: int) -> WeylElement:
     """Coxeter generator s_i of W_a, i in 0..d-1."""
     if not 0 <= i <= d - 1:
@@ -126,11 +114,11 @@ def iota(d: int) -> WeylElement:
 
 
 def iota_pow(d: int, k: int) -> WeylElement:
-    base = iota(d) if k >= 0 else invert(iota(d))
-    result = identity(d)
-    for _ in range(abs(k)):
-        result = compose(result, base)
-    return result
+    """iota^k in closed form: sigma(i) = i + s mod d, trans = (q+1)^s q^(d-s)
+    with q, s = divmod(k, d)."""
+    q, s = divmod(k, d)
+    sigma = tuple((i + s) % d + 1 for i in range(d))
+    return WeylElement(sigma, (q + 1,) * s + (q,) * (d - s))
 
 
 def translation(v: Sequence[int]) -> WeylElement:
@@ -154,7 +142,20 @@ def iota_decompose(g: WeylElement) -> tuple[WeylElement, int]:
 
 
 # ---------------------------------------------------------------------------
-# Cayley-graph lengths and the Bruhat order on W_a
+# Lengths, the Cayley ball of W_a and the Bruhat order
+
+
+def length(g: WeylElement) -> int:
+    """Word length of the W_a-part of g over s_0..s_{d-1} (inversion count)."""
+    d = len(g.sigma)
+    trans = g.trans
+    window = [s + d * trans[s - 1] for s in g.sigma]
+    total = 0
+    for j in range(1, d):
+        wj = window[j]
+        for i in range(j):
+            total += abs((wj - window[i]) // d)
+    return total
 
 
 class _CayleyBall:
@@ -196,22 +197,11 @@ def _ball(d: int) -> _CayleyBall:
     return _BALLS[d]
 
 
-def length(g: WeylElement, cap: int = DEFAULT_LEN_CAP) -> int:
-    """Word length of the W_a-part of g over s_0..s_{d-1}."""
-    w, _ = iota_decompose(g)
-    ball = _ball(g.d)
-    while w not in ball.length and ball.radius < cap and ball.frontier:
-        ball.extend_to(ball.radius + 1)
-    if w not in ball.length:
-        raise LengthCapExceeded(f"element not within length cap {cap}")
-    return ball.length[w]
-
-
-def reduced_word(g: WeylElement, cap: int = DEFAULT_LEN_CAP) -> tuple[int, ...]:
+def reduced_word(g: WeylElement) -> tuple[int, ...]:
     """One reduced word (generator indices) for the W_a-part of g."""
     w, _ = iota_decompose(g)
-    length(w, cap)  # ensure discovered
     ball = _ball(g.d)
+    ball.extend_to(length(w))
     word = []
     while ball.length[w] > 0:
         w, i = ball.parent[w]
@@ -241,37 +231,31 @@ def reflections(d: int, kmax: int) -> list[WeylElement]:
 _DOWNSETS: dict[int, dict[WeylElement, frozenset[WeylElement]]] = {}
 
 
-def _downset(w: WeylElement, cap: int) -> frozenset[WeylElement]:
+def _downset(w: WeylElement) -> frozenset[WeylElement]:
     """All W_a elements below w in Bruhat order, w included."""
     d = w.d
     memo = _DOWNSETS.setdefault(d, {})
     if w in memo:
         return memo[w]
-    lw = length(w, cap)
-    ball = _ball(d)
-    ball.extend_to(lw)
+    lw = length(w)
     down = {w}
     if lw > 0:
         for t in reflections(d, lw + 1):
             u = compose(w, t)
-            if ball.length.get(u) == lw - 1:
-                down |= _downset(u, cap)
+            if length(u) == lw - 1:
+                down |= _downset(u)
     result = frozenset(down)
     memo[w] = result
     return result
 
 
-def bruhat_leq(u: WeylElement, w: WeylElement, cap: int = DEFAULT_LEN_CAP) -> bool:
+def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order on the extended group: equal iota parts, comparable W_a parts."""
-    ua, ku = iota_decompose(u)
-    wa, kw = iota_decompose(w)
-    if ku != kw:
+    if sum(u.trans) != sum(w.trans) or length(u) > length(w):
         return False
-    if length(ua, cap) > length(wa, cap):
-        return False
-    if ua == wa:
+    if u == w:
         return True
-    return ua in _downset(wa, cap)
+    return iota_decompose(u)[0] in _downset(iota_decompose(w)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +345,7 @@ def face_stabilizer(face: Sequence[Sequence[int]]) -> ParahoricGroup:
 _DC_MIN: dict[tuple, WeylElement] = {}
 
 
-def double_coset_min(
-    g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup, cap: int = DEFAULT_LEN_CAP
-) -> WeylElement:
+def double_coset_min(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
     """Unique minimal-length element of the double coset W1 * g * W2."""
     key = (g, w1.face, w2.face)
     if key in _DC_MIN:
@@ -375,7 +357,7 @@ def double_coset_min(
         ag = compose(a, g)
         for b in w2.elements:
             h = compose(ag, b)
-            l = length(h, cap)
+            l = length(h)
             if best_len is None or l < best_len:
                 best, best_len, ties = h, l, 1
             elif l == best_len and h != best:
@@ -385,10 +367,10 @@ def double_coset_min(
     return best
 
 
-def min_coset_rep(g: WeylElement, w2: ParahoricGroup, cap: int = DEFAULT_LEN_CAP) -> WeylElement:
+def min_coset_rep(g: WeylElement, w2: ParahoricGroup) -> WeylElement:
     """Unique minimal-length element of the left coset g * W2."""
     reps = {compose(g, b) for b in w2.elements}
-    lens = {h: length(h, cap) for h in reps}
+    lens = {h: length(h) for h in reps}
     lmin = min(lens.values())
     best = [h for h, l in lens.items() if l == lmin]
     assert len(best) == 1, "minimal coset representative is not unique"
@@ -398,15 +380,13 @@ def min_coset_rep(g: WeylElement, w2: ParahoricGroup, cap: int = DEFAULT_LEN_CAP
 _MINMAX: dict[tuple, WeylElement] = {}
 
 
-def minmax_rep(
-    g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup, cap: int = DEFAULT_LEN_CAP
-) -> WeylElement:
+def minmax_rep(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
     """Element of maximal length among the minimal reps of (v g) W2, v in W1."""
     key = (g, w1.face, w2.face)
     if key in _MINMAX:
         return _MINMAX[key]
-    reps = {min_coset_rep(compose(v, g), w2, cap) for v in w1.elements}
-    lens = {h: length(h, cap) for h in reps}
+    reps = {min_coset_rep(compose(v, g), w2) for v in w1.elements}
+    lens = {h: length(h) for h in reps}
     lmax = max(lens.values())
     best = [h for h, l in lens.items() if l == lmax]
     assert len(best) == 1, "maximal minimal-coset representative is not unique"
@@ -415,19 +395,15 @@ def minmax_rep(
 
 
 def double_coset_leq(
-    g: WeylElement,
-    h: WeylElement,
-    w1: ParahoricGroup,
-    w2: ParahoricGroup,
-    cap: int = DEFAULT_LEN_CAP,
+    g: WeylElement, h: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup
 ) -> bool:
     """Induced Bruhat order on W1 \\ W~ / W2 via minimal representatives."""
-    return bruhat_leq(double_coset_min(g, w1, w2, cap), double_coset_min(h, w1, w2, cap), cap)
+    return bruhat_leq(double_coset_min(g, w1, w2), double_coset_min(h, w1, w2))
 
 
-def bruhat_poset_dot(elements: Iterable[WeylElement], cap: int = DEFAULT_LEN_CAP) -> str:
+def bruhat_poset_dot(elements: Iterable[WeylElement]) -> str:
     """DOT digraph of the covering relations among the given elements."""
-    nodes = sorted(set(elements), key=lambda g: (length(g, cap), g.sigma, g.trans))
+    nodes = sorted(set(elements), key=lambda g: (length(g), g.sigma, g.trans))
     lines = ["digraph bruhat {"]
 
     def label(g: WeylElement) -> str:
@@ -435,10 +411,10 @@ def bruhat_poset_dot(elements: Iterable[WeylElement], cap: int = DEFAULT_LEN_CAP
 
     for u in nodes:
         for w in nodes:
-            if u == w or not bruhat_leq(u, w, cap):
+            if u == w or not bruhat_leq(u, w):
                 continue
             if any(
-                x not in (u, w) and bruhat_leq(u, x, cap) and bruhat_leq(x, w, cap)
+                x not in (u, w) and bruhat_leq(u, x) and bruhat_leq(x, w)
                 for x in nodes
             ):
                 continue

@@ -5,7 +5,7 @@ import pytest
 from linkedgrass import admissible as adm
 from linkedgrass import quiver as qv
 from linkedgrass import weyl
-from linkedgrass.lattice import configuration
+from linkedgrass.lattice import chain_order, configuration
 
 OMEGA = {d: adm.standard_alcove(d) for d in (2, 3, 4)}
 
@@ -49,6 +49,53 @@ def test_alcove_count_matches_bruhat_criterion_oracle():
         if any(weyl.bruhat_leq(g, t) for t in mu_translations):
             arrays.add(tuple(weyl.act(g, om) for om in omega))
     assert arrays == set(adm.enumerate_admissible_alcoves(r, d))
+
+
+def product_filter_faces(chain, r):
+    """Oracle: every product of size-r 0/1 increments, filtered afterwards."""
+    d = len(chain[0])
+    increments = [
+        tuple(1 if i in ones else 0 for i in range(d))
+        for ones in itertools.combinations(range(d), r)
+    ]
+    out = []
+    for eps in itertools.product(increments, repeat=len(chain)):
+        vectors = tuple(tuple(x + e for x, e in zip(rep, inc)) for rep, inc in zip(chain, eps))
+        ok = all(
+            all(a <= b <= a + 1 for a, b in zip(vectors[k], vectors[k + 1]))
+            for k in range(len(chain) - 1)
+        )
+        if len(chain) > 1:
+            ok = ok and all(b <= a + 1 for a, b in zip(vectors[0], vectors[-1]))
+        if ok:
+            out.append(vectors)
+    return out
+
+
+BRANCHED = {
+    4: [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)],
+    5: [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 0, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pruned_faces_match_product_oracle_on_alcoves(d):
+    omega = adm.standard_alcove(d)
+    for r in range(1, d):
+        faces = adm.admissible_faces(omega, r)
+        assert [f.vectors for f in faces] == product_filter_faces(omega, r)
+        for f in faces:
+            assert tuple(weyl.act(f.coset, rep) for rep in f.simplex) == f.vectors
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_pruned_faces_match_product_oracle_on_branched(d):
+    quiver = make_quiver(BRANCHED[d])
+    for simplex in quiver.simplices:
+        chain = chain_order(simplex)
+        for r in range(1, d):
+            got = [f.vectors for f in adm.admissible_faces(simplex, r)]
+            assert got == product_filter_faces(chain, r)
 
 
 @pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (3, 2)])
@@ -131,7 +178,7 @@ def test_generalized_order_reflexive_and_top_translations_incomparable():
     cols = adm.enumerate_admissible_collections(quiver, 1)
     for c in cols:
         assert adm.generalized_bruhat_leq(c, c, quiver)
-    tops = adm.top_strata(quiver, 1)
+    tops = adm.top_strata(cols, quiver)
     assert len(tops) == 3
     for x, y in itertools.combinations(tops, 2):
         assert not adm.generalized_bruhat_leq(x, y, quiver)
@@ -142,7 +189,7 @@ def test_single_vertex_configuration_has_one_stratum():
     quiver = make_quiver([(0, 0, 0)])
     cols = adm.enumerate_admissible_collections(quiver, 1)
     assert len(cols) == 1
-    assert len(adm.top_strata(quiver, 1)) == 1
+    assert len(adm.top_strata(cols, quiver)) == 1
 
 
 def test_stratum_dimensions_monotone_and_extreme():
@@ -160,7 +207,7 @@ def test_stratum_dimensions_monotone_and_extreme():
 def test_top_dimension_attained_exactly_on_top_strata(d, r):
     quiver = make_quiver(OMEGA[d])
     cols = adm.enumerate_admissible_collections(quiver, r)
-    tops = set(adm.top_strata(quiver, r))
+    tops = set(adm.top_strata(cols, quiver))
     for c in cols:
         dim = adm.stratum_dimension(c.faces[0], r)
         assert dim <= r * (d - r)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -126,3 +127,43 @@ def test_multidegree_kn_missing_n_exits_2(capsys):
     code = cli.main(["multidegree", "kn"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_admissible_dot_is_the_hasse_diagram(tmp_path, capsys):
+    # strata s0, s2 are the two top strata; s1 lies below both
+    path = write_config(tmp_path, "omega.json", 2, [[0, 0], [1, 0]])
+    code, out = run(capsys, ["admissible", path, "--r", "1", "--format", "dot"])
+    assert code == 0
+    assert out.splitlines() == ["digraph hasse {", '  "s1" -> "s0";', '  "s1" -> "s2";', "}"]
+
+
+@pytest.mark.parametrize("p", ["4", "1", "0"])
+def test_strata_non_prime_p_exits_2(tmp_path, capsys, p):
+    path = write_config(tmp_path, "tri.json", 3, [[0, 0, 0], [1, 0, 0], [1, 1, 0]])
+    with pytest.raises(SystemExit) as err:
+        cli.main(["strata", path, "--p", p])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1].endswith(f"argument --p: invalid prime value: '{p}'")
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    path = write_config(tmp_path, "omega.json", 2, [[0, 0], [1, 0]])
+    code = cli.main(["analyze", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.endswith("\ninternal error: AssertionError: invariant broken\n")
+    assert captured.out == ""
+
+
+def test_verify_timing_goes_to_stderr(capsys):
+    code = cli.main(["verify", "weyl", "--d", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "elapsed_s" not in json.loads(captured.out)
+    assert re.fullmatch(r"suite weyl: \d+\.\d\d s\n", captured.err)

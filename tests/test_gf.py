@@ -74,3 +74,11 @@ def test_left_kernel_and_preimage():
         img = (x[0] % p, x[2] % p)
         assert gf.contains(target, img, p)
     assert len(pre) == 2
+
+
+def test_check_prime():
+    for p in (2, 3, 5, 7, 11, 13):
+        gf.check_prime(p)
+    for p in (-3, 0, 1, 4, 6, 9, 15, 25):
+        with pytest.raises(ValueError):
+            gf.check_prime(p)

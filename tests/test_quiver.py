@@ -144,6 +144,15 @@ def test_generated():
     assert qv.is_subrep(one, quiver) == (True, None)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6])
+def test_entry_points_reject_non_prime_p(p):
+    quiver = make_quiver(OMEGA3)
+    with pytest.raises(ValueError):
+        qv.generated(quiver, [((0, 0, 0), (1, 0, 0))], p)
+    with pytest.raises(ValueError):
+        next(qv.enumerate_subreps(quiver, 1, p))
+
+
 def test_support_of_generated():
     quiver = make_quiver(SEGMENT)
     p = 2

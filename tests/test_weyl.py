@@ -2,6 +2,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkedgrass import weyl
 from linkedgrass.admissible import standard_alcove
@@ -74,9 +76,56 @@ def test_lengths():
             assert weyl.length(weyl.translation(tuple([1] * r + [0] * (d - r)))) == r * (d - r)
 
 
-def test_length_cap_exceeded():
-    with pytest.raises(weyl.LengthCapExceeded):
-        weyl.length(weyl.translation((3, 0, 0, 0, 0, -3)), cap=8)
+def bfs_lengths(d, radius):
+    """Oracle: word lengths from the breadth-first Cayley ball of W_a."""
+    ball = weyl._CayleyBall(d)
+    ball.extend_to(radius)
+    return ball.length
+
+
+def test_length_of_long_translation():
+    # a translation's length is sum_{i<j} |lambda_i - lambda_j|
+    assert weyl.length(weyl.translation((3, 0, 0, 0, 0, -3))) == 30
+    for d in (2, 3, 4):
+        for w, lw in bfs_lengths(d, 7).items():
+            if w.sigma == tuple(range(1, d + 1)):
+                lam = w.trans
+                assert lw == sum(abs(a - b) for i, a in enumerate(lam) for b in lam[i + 1 :])
+
+
+@pytest.mark.parametrize("d,radius", [(2, 7), (3, 7), (4, 7), (5, 6)])
+def test_length_matches_cayley_ball(d, radius):
+    for w, lw in bfs_lengths(d, radius).items():
+        for k in range(-d - 1, d + 2):
+            assert weyl.length(weyl.compose(w, weyl.iota_pow(d, k))) == lw, (w, k)
+
+
+def test_iota_pow_matches_repeated_compose():
+    for d in range(2, 7):
+        for k in range(-20, 21):
+            base = weyl.iota(d) if k >= 0 else weyl.invert(weyl.iota(d))
+            power = weyl.identity(d)
+            for _ in range(abs(k)):
+                power = weyl.compose(power, base)
+            assert weyl.iota_pow(d, k) == power, (d, k)
+
+
+@st.composite
+def extended_elements(draw):
+    d = draw(st.integers(2, 6))
+    sigma = draw(st.permutations(range(1, d + 1)))
+    trans = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    return weyl.WeylElement(tuple(sigma), tuple(trans))
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(extended_elements(), st.integers(0, 5), st.integers(-8, 8))
+def test_length_properties(g, i, k):
+    d = g.d
+    lg = weyl.length(g)
+    assert abs(weyl.length(weyl.compose(g, weyl.simple_reflection(d, i % d))) - lg) == 1
+    assert weyl.length(weyl.invert(g)) == lg
+    assert weyl.length(weyl.compose(g, weyl.iota_pow(d, k))) == lg
 
 
 def test_coxeter_parity():
@@ -127,7 +176,7 @@ def test_bruhat_cover_lifting():
             u
             for t in weyl.reflections(3, lw + 1)
             for u in [weyl.compose(w, t)]
-            if weyl.length(u, cap=40) == lw - 1 and weyl.bruhat_leq(u, w)
+            if weyl.length(u) == lw - 1 and weyl.bruhat_leq(u, w)
         ]
         assert covers, f"no covers below {w}"
 
