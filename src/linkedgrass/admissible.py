@@ -15,9 +15,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import gf, weyl
-from .lattice import Vertex, canonicalize, chain_order, convex_hull_pair
-from .quiver import Quiver, RankVector, SubRep, generated, rank_vector
+from . import gf, independence, weyl
+from .lattice import Vertex, canonicalize, chain_order, classes_adjacent, convex_hull_pair
+from .quiver import (
+    Quiver,
+    RankVector,
+    SubRep,
+    SummandType,
+    _hang_positions,
+    enumerate_subreps,
+    generated,
+    multiplicities_from_rank,
+    rank_vector,
+)
 
 Vec = tuple[int, ...]
 
@@ -313,8 +323,6 @@ def stratum_dimension(face: AdmissibleFace, r: int) -> int:
 def all_summand_types(quiver: Quiver) -> list:
     """Every single-generator summand type: projective per root, plus one
     type per (root, cycle, death index) with a vector dying exactly there."""
-    from .quiver import SummandType, _hang_positions
-
     types = []
     everything = frozenset(quiver.vertices)
     for v in quiver.vertices:
@@ -340,9 +348,6 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
     and the full rank vector.  Only valid over locally weakly independent
     configurations, where the decomposition theory applies.
     """
-    from . import independence
-    from .quiver import multiplicities_from_rank
-
     ok, _ = independence.weakly_independent(quiver)
     if not ok:
         raise ValueError("realizability formulas need a locally weakly independent configuration")
@@ -488,8 +493,6 @@ def r1_face_of(M: SubRep, quiver: Quiver) -> tuple[frozenset[Vertex], dict[Verte
     for a in maximal:
         for b in maximal:
             if a != b:
-                from .lattice import classes_adjacent
-
                 assert classes_adjacent(a, b), "maximal vertices must form a simplex"
     covering = {
         u: frozenset(
@@ -506,13 +509,7 @@ def _j_sets(quiver: Quiver, face: Sequence[Vertex]) -> dict[Vertex, list[Vertex]
     """Partition of the vertices by the unique face vertex every map factors through."""
     out: dict[Vertex, list[Vertex]] = {u: [] for u in face}
     for w in quiver.vertices:
-        hits = [
-            u
-            for u in face
-            if all(quiver.factors_through(x, u, w) for x in face)
-        ]
-        assert len(hits) == 1, f"no unique factoring face vertex for {w}"
-        out[hits[0]].append(w)
+        out[quiver.entry_vertex(w, tuple(face))].append(w)
     return out
 
 
@@ -522,8 +519,6 @@ def r1_order_check(quiver: Quiver, p: int = 2) -> dict:
     Checks that the maximal-vertex faces biject with the faces of the
     complex, and that the rank order is the reverse of face containment.
     """
-    from .quiver import enumerate_subreps, rank_vector
-
     faces = {frozenset(f) for f in complex_faces(quiver)}
     face_phi: dict[frozenset, set] = {}
     for M in enumerate_subreps(quiver, 1, p):

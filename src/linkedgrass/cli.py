@@ -1,11 +1,12 @@
 """Batch front end: analyze configurations, enumerate strata, run suites.
 
 Subcommands: analyze, quiver, admissible, strata, verify, multidegree.
-Exit codes: 0 success, 1 verification failure, 2 input or usage error,
-3 internal error (any other uncaught exception, reported on stderr by its
-traceback and a last line `internal error: ...`).  Reports are
-deterministic for a fixed invocation (one seeded generator, sorted JSON
-keys); `verify` prints its per-suite timings to stderr, never into the
+Exit codes: 0 success, 1 verification failure, 2 input or usage error
+(malformed configuration, non-prime --p, --r outside 0 < r < d), 3 internal
+error (any other uncaught exception, reported on stderr by its traceback and
+a last line `internal error: ...`).  Reports are deterministic for a fixed
+invocation (sorted JSON keys; `verify --seed` seeds the only random
+generator); `verify` prints its per-suite timings to stderr, never into the
 report.
 """
 
@@ -32,6 +33,12 @@ def _load_config(path: str) -> Configuration:
         return Configuration.from_json(Path(path).read_text())
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot read configuration {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _check_r(r: int, config: Configuration) -> None:
+    if not 0 < r < config.d:
+        print(f"error: --r must satisfy 0 < r < d = {config.d}, got {r}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -115,6 +122,7 @@ def _hasse_dot(cols, ranks) -> str:
 
 def cmd_admissible(args) -> int:
     config = _load_config(args.config)
+    _check_r(args.r, config)
     quiver = qv.Quiver(config)
     cols = adm.enumerate_admissible_collections(quiver, args.r)
     ranks = [adm.stratum_rank_vector(c, quiver) for c in cols]
@@ -147,6 +155,7 @@ def cmd_admissible(args) -> int:
 
 def cmd_strata(args) -> int:
     config = _load_config(args.config)
+    _check_r(args.r, config)
     quiver = qv.Quiver(config)
     try:
         classes: dict = {}
@@ -276,13 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_rp=False):
+    def common(p):
         p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10_000_000)
-        if with_rp:
-            p.add_argument("--r", type=int, default=1)
-            p.add_argument("--p", type=prime, default=2)
 
     p_analyze = sub.add_parser("analyze", help="convexity, simplices, quiver, independence")
     p_analyze.add_argument("config")
@@ -296,12 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adm = sub.add_parser("admissible", help="admissible collections, ranks, dimensions")
     p_adm.add_argument("config")
-    common(p_adm, with_rp=True)
+    common(p_adm)
+    p_adm.add_argument("--r", type=int, default=1)
     p_adm.set_defaults(func=cmd_admissible)
 
     p_strata = sub.add_parser("strata", help="brute-force rank strata over F_p")
     p_strata.add_argument("config")
-    common(p_strata, with_rp=True)
+    common(p_strata)
+    p_strata.add_argument("--r", type=int, default=1)
+    p_strata.add_argument("--p", type=prime, default=2)
+    p_strata.add_argument("--budget", type=int, default=10_000_000)
     p_strata.set_defaults(func=cmd_strata)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")

@@ -70,14 +70,6 @@ def rref(rows: Iterable[Vec], p: int) -> Basis:
     return tuple(tuple(x % p for x in row) for row in work[:rank])
 
 
-def span(vectors: Iterable[Vec], p: int) -> Basis:
-    return rref(vectors, p)
-
-
-def dim(basis: Basis) -> int:
-    return len(basis)
-
-
 def pivot_columns(basis: Basis) -> tuple[int, ...]:
     return tuple(next(i for i, x in enumerate(row) if x) for row in basis)
 
@@ -100,10 +92,6 @@ def contains(basis: Basis, v: Vec, p: int) -> bool:
 def is_subspace(a: Basis, b: Basis, p: int) -> bool:
     """True iff span(a) is contained in span(b)."""
     return all(contains(b, row, p) for row in a)
-
-
-def sum_spaces(a: Basis, b: Basis, p: int) -> Basis:
-    return rref(list(a) + list(b), p)
 
 
 def left_kernel(rows: Sequence[Vec], p: int) -> Basis:
@@ -143,17 +131,19 @@ def intersect(a: Basis, b: Basis, p: int) -> Basis:
     return rref(vecs, p)
 
 
-def complement(inner: Basis, outer: Basis, p: int) -> Basis:
-    """Greedy complement C with outer = inner (+) C, preferring earlier outer rows."""
-    cur = list(inner)
+def complement(inner: Sequence[Vec], outer: Iterable[Vec], p: int) -> Basis:
+    """Greedy complement C with span(inner) + span(outer) = span(inner) (+) C.
+
+    C is the subsequence of `outer` whose rows lie outside the span of
+    `inner` and the rows kept before them; so any prefix of C extends
+    `inner` independently, and len(C) = dim(inner + outer) - dim(inner).
+    """
+    cur = rref(inner, p)
     comp = []
-    r = len(rref(cur, p))
     for row in outer:
-        cand = rref(cur + [row], p)
-        if len(cand) > r:
+        if not contains(cur, row, p):
             comp.append(row)
-            cur.append(row)
-            r = len(cand)
+            cur = rref(cur + (row,), p)
     return tuple(comp)
 
 

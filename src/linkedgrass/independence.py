@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .lattice import Vertex, classes_adjacent
-from .quiver import Quiver
+
+if TYPE_CHECKING:  # quiver imports this module; Quiver is needed only in annotations
+    from .quiver import Quiver
 
 
 @dataclass

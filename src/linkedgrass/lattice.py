@@ -33,10 +33,6 @@ def classes_adjacent(u: Sequence[int], v: Sequence[int]) -> bool:
     return max(x - m for x in diff) == 1
 
 
-# `is_adjacent` is the configuration-level name; same predicate.
-is_adjacent = classes_adjacent
-
-
 @dataclass(frozen=True)
 class TransitionData:
     """Shift and support of the reduction map between two classes.
@@ -165,11 +161,3 @@ def chain_order(simplex: Sequence[Vertex]) -> tuple[Vertex, ...]:
     if not all(y <= x + 1 for x, y in zip(first, last)):
         raise ValueError("chain does not close up under pi^-1")
     return ordered
-
-
-def lattice_quiver_representatives(config: Configuration) -> dict[Vertex, Vertex]:
-    """Canonical representatives; per maximal simplex they order into a chain."""
-    reps = {v: v for v in config.vertices}
-    for simplex in maximal_simplices(config):
-        chain_order(simplex)  # raises if the canonical choice fails
-    return reps

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from . import gf
+from . import gf, independence
 from .gf import Basis, Vec
 from .lattice import (
     Configuration,
@@ -49,6 +49,10 @@ class Quiver:
         self.config = config
         self.d = config.d
         self.vertices: tuple[Vertex, ...] = config.vertices
+        # standard basis of F_p^d, its own rref over every p
+        self.unit: Basis = tuple(
+            tuple(int(i == k) for i in range(self.d)) for k in range(self.d)
+        )
         self.trans: dict[tuple[Vertex, Vertex], TransitionData] = {}
         for u in self.vertices:
             for v in self.vertices:
@@ -57,7 +61,8 @@ class Quiver:
             (u, v)
             for u in self.vertices
             for v in self.vertices
-            if u != v and not self._factors_two_step(u, v)
+            if u != v
+            and not any(self.factors_through(u, k, v) for k in self.vertices if k not in (u, v))
         )
         self.in_arrows: dict[Vertex, tuple[Vertex, ...]] = {
             v: tuple(u for (u, w) in self.arrows if w == v) for v in self.vertices
@@ -69,17 +74,6 @@ class Quiver:
         self._entry_cache: dict[tuple[Vertex, tuple[Vertex, ...]], Vertex] = {}
 
     # -- structure ---------------------------------------------------------
-
-    def _factors_two_step(self, u: Vertex, v: Vertex) -> bool:
-        target = self.trans[(u, v)]
-        for k in self.vertices:
-            if k in (u, v):
-                continue
-            first = self.trans[(u, k)]
-            second = self.trans[(k, v)]
-            if first.n + second.n == target.n and (first.support & second.support) == target.support:
-                return True
-        return False
 
     def factors_through(self, u: Vertex, k: Vertex, v: Vertex) -> bool:
         """Whether the map u -> v equals the composite through k."""
@@ -130,17 +124,11 @@ class Quiver:
         return tuple(x % p if (k + 1) in support else 0 for k, x in enumerate(vector))
 
     def map_image(self, u: Vertex, v: Vertex, basis: Basis, p: int) -> Basis:
-        return gf.span([self.apply_map(u, v, row, p) for row in basis], p)
+        return gf.rref([self.apply_map(u, v, row, p) for row in basis], p)
 
     def map_kernel_ambient(self, u: Vertex, v: Vertex, p: int) -> Basis:
         support = self.trans[(u, v)].support
-        rows = []
-        for k in range(self.d):
-            if (k + 1) not in support:
-                row = [0] * self.d
-                row[k] = 1
-                rows.append(tuple(row))
-        return tuple(rows)
+        return tuple(e for k, e in enumerate(self.unit) if k + 1 not in support)
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]
@@ -150,10 +138,6 @@ class Quiver:
             lines.append(f'  "{u}" -> "{v}" [label="n={t.n} supp={{{supp}}}"];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def build_quiver(config: Configuration) -> Quiver:
-    return Quiver(config)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +187,7 @@ class SubRep:
 
 
 def ambient(quiver: Quiver, p: int) -> SubRep:
-    full = tuple(
-        tuple(1 if i == k else 0 for i in range(quiver.d)) for k in range(quiver.d)
-    )
-    return SubRep(p, {v: full for v in quiver.vertices})
+    return SubRep(p, {v: quiver.unit for v in quiver.vertices})
 
 
 def zero_rep(quiver: Quiver, p: int) -> SubRep:
@@ -223,23 +204,22 @@ def is_subrep(M: SubRep, quiver: Quiver) -> tuple[bool, Optional[tuple[Vertex, V
 
 
 def generated(quiver: Quiver, seeds: Sequence[tuple[Vertex, Vec]], p: int) -> SubRep:
-    """Smallest sub-representation containing the seed vectors."""
+    """Smallest sub-representation containing the seed vectors.
+
+    Worklist closure: a vector outside the space at its vertex joins it and
+    is pushed along every arrow out of that vertex; by linearity the images
+    of the joined vectors span the images of the whole space.
+    """
     gf.check_prime(p)
-    spaces = {v: [] for v in quiver.vertices}
-    for v, vector in seeds:
-        spaces[v].append(gf.vec(vector, p))
-    changed = True
-    while changed:
-        changed = False
-        for u, v in quiver.arrows:
-            basis_v = gf.span(spaces[v], p)
-            for row in gf.span(spaces[u], p):
-                img = quiver.apply_map(u, v, row, p)
-                if not gf.is_zero(img) and not gf.contains(basis_v, img, p):
-                    spaces[v].append(img)
-                    basis_v = gf.span(spaces[v], p)
-                    changed = True
-    return SubRep(p, {v: gf.span(rows, p) for v, rows in spaces.items()})
+    spaces: dict[Vertex, Basis] = {v: () for v in quiver.vertices}
+    work = [(v, gf.vec(vector, p)) for v, vector in seeds]
+    while work:
+        v, x = work.pop()
+        if gf.contains(spaces[v], x, p):
+            continue
+        spaces[v] = gf.rref(spaces[v] + (x,), p)
+        work.extend((w, quiver.apply_map(v, w, x, p)) for w in quiver.out_arrows[v])
+    return SubRep(p, spaces)
 
 
 @dataclass(frozen=True)
@@ -311,7 +291,7 @@ def _split_single_generators(quiver: Quiver, v: Vertex, space: Basis, p: int) ->
     """Split span(space) at v into vectors each generating one summand."""
     gens: list[Vec] = []
     work = space
-    while gf.dim(work) > 0:
+    while work:
         found = None
         for cycle in quiver.cycles_at(v):
             n = len(cycle) - 1
@@ -340,14 +320,8 @@ def _split_single_generators(quiver: Quiver, v: Vertex, space: Basis, p: int) ->
         big.extend(quiver.map_kernel_ambient(v, cycle[m - 1], p) if m > 1 else ())
         keep = gf.intersect(work, gf.rref(big, p), p)
         assert not gf.contains(keep, eps, p), "split vector landed in the kept kernel sum"
-        base = list(keep)
-        blocked = gf.rref(base + [eps], p)
-        for row in work:
-            if not gf.contains(blocked, row, p):
-                base.append(row)
-                blocked = gf.rref(base + [eps], p)
-        new_work = gf.rref(base, p)
-        assert gf.dim(new_work) == gf.dim(work) - 1
+        new_work = gf.rref(keep + gf.complement(keep + (eps,), work, p), p)
+        assert len(new_work) == len(work) - 1
         gens.append(eps)
         work = new_work
     return gens
@@ -361,8 +335,6 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
     (dimension count at every vertex).
     """
     if check_independent:
-        from . import independence
-
         ok, cert = independence.weakly_independent(quiver)
         if not ok:
             raise ValueError(f"configuration is not locally weakly independent: {cert}")
@@ -386,7 +358,7 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
                 kernel = quiver.map_kernel_ambient(v, cycle[i], p)
                 a_i = gf.intersect(images[u], kernel, p)
                 b_i = gf.intersect(space, kernel, p)
-                c_i = gf.complement(gf.sum_spaces(a_i, b_prev, p), b_i, p)
+                c_i = gf.complement(a_i + b_prev, b_i, p)
                 c_rows.extend(c_i)
                 a_prev, b_prev = a_i, b_i
             parts.append(gf.rref(c_rows, p))
@@ -395,7 +367,7 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
             inner_rows.extend(images[u])
         for part in parts:
             inner_rows.extend(part)
-        u_prime = gf.complement(gf.rref(inner_rows, p), space, p)
+        u_prime = gf.complement(inner_rows, space, p)
         seed_rows = list(u_prime)
         for part in parts:
             seed_rows.extend(part)
@@ -762,8 +734,6 @@ def extend_partial(
     Returns None exactly when some pullback space has dimension below r.
     """
     if check_independent:
-        from . import independence
-
         ok, cert = independence.weakly_independent(quiver)
         if not ok:
             raise ValueError(f"configuration is not locally weakly independent: {cert}")
@@ -772,17 +742,14 @@ def extend_partial(
     for v, basis in partial.items():
         if len(basis) != r:
             raise ValueError(f"partial space at {v} must have dimension {r}")
-    unit = tuple(
-        tuple(1 if i == k else 0 for i in range(quiver.d)) for k in range(quiver.d)
-    )
     pulled: dict[Vertex, Basis] = {}
     for u in quiver.vertices:
-        space = unit
+        space = quiver.unit
         for v, basis in partial.items():
             if u == v:
                 space = gf.intersect(space, basis, p)
             else:
-                images = [quiver.apply_map(u, v, e, p) for e in unit]
+                images = [quiver.apply_map(u, v, e, p) for e in quiver.unit]
                 space = gf.intersect(space, gf.preimage(images, basis, p), p)
         if len(space) < r:
             return None
@@ -808,13 +775,8 @@ def extend_partial(
                 w_rows.append(quiver.apply_map(u, u2, row, p))
         w_space = gf.rref(w_rows, p)
         assert len(w_space) <= r, "incoming image space exceeded the target dimension"
-        completed = list(w_space)
-        for row in pulled[u2]:
-            if len(completed) == r:
-                break
-            if not gf.contains(gf.rref(completed, p), row, p):
-                completed.append(row)
-        pulled[u2] = gf.rref(completed, p)
+        extra = gf.complement(w_space, pulled[u2], p)[: r - len(w_space)]
+        pulled[u2] = gf.rref(w_space + extra, p)
 
     result = SubRep(p, pulled)
     ok, witness = is_subrep(result, quiver)

@@ -167,3 +167,23 @@ def test_verify_timing_goes_to_stderr(capsys):
     assert code == 0
     assert "elapsed_s" not in json.loads(captured.out)
     assert re.fullmatch(r"suite weyl: \d+\.\d\d s\n", captured.err)
+
+
+@pytest.mark.parametrize("command", ["admissible", "strata"])
+@pytest.mark.parametrize("r", ["0", "3"])
+def test_r_out_of_range_exits_2(tmp_path, capsys, command, r):
+    path = write_config(tmp_path, "tri.json", 3, [[0, 0, 0], [1, 0, 0], [1, 1, 0]])
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, path, "--r", r])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --r must satisfy 0 < r < d = 3, got {r}\n"
+
+
+def test_admissible_has_no_p_option(tmp_path, capsys):
+    path = write_config(tmp_path, "omega.json", 2, [[0, 0], [1, 0]])
+    with pytest.raises(SystemExit) as err:
+        cli.main(["admissible", path, "--p", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --p 2" in capsys.readouterr().err

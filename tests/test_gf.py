@@ -51,9 +51,9 @@ def test_intersection_and_complement(p):
         for row in cap:
             assert gf.contains(a, row, p) and gf.contains(b, row, p)
         # dim formula
-        assert len(cap) == len(a) + len(b) - len(gf.sum_spaces(a, b, p))
+        assert len(cap) == len(a) + len(b) - len(gf.rref(a + b, p))
         comp = gf.complement(cap, a, p)
-        assert gf.sum_spaces(cap, comp, p) == a
+        assert gf.rref(cap + comp, p) == a
         assert len(cap) + len(comp) == len(a)
 
 
@@ -82,3 +82,34 @@ def test_check_prime():
     for p in (-3, 0, 1, 4, 6, 9, 15, 25):
         with pytest.raises(ValueError):
             gf.check_prime(p)
+
+
+def rank_increase_complement(inner, outer, p):
+    """The greedy `complement` replaced: keep a row iff it raises the rank of rref(kept + row)."""
+    cur = list(inner)
+    comp = []
+    r = len(gf.rref(cur, p))
+    for row in outer:
+        cand = gf.rref(cur + [row], p)
+        if len(cand) > r:
+            comp.append(row)
+            cur.append(row)
+            r = len(cand)
+    return tuple(comp)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_complement_is_the_greedy_subsequence(p):
+    rng = random.Random(101 * p)
+    for _ in range(300):
+        inner = random_rows(rng, 5, rng.randint(0, 3), p)
+        outer = random_rows(rng, 5, rng.randint(0, 6), p)
+        comp = gf.complement(inner, outer, p)
+        # a subsequence of outer
+        rest = iter(outer)
+        assert all(any(row == x for x in rest) for row in comp)
+        assert comp == rank_increase_complement(inner, outer, p)
+        assert len(comp) == len(gf.rref(inner + outer, p)) - len(gf.rref(inner, p))
+        # every prefix extends inner independently
+        for k in range(len(comp) + 1):
+            assert len(gf.rref(inner + list(comp[:k]), p)) == len(gf.rref(inner, p)) + k

@@ -1,0 +1,21 @@
+import ast
+from pathlib import Path
+
+import linkedgrass
+
+SOURCES = sorted(Path(linkedgrass.__file__).parent.glob("*.py"))
+
+
+def test_no_function_local_imports():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno} in {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert len(SOURCES) >= 10
+    assert found == []

@@ -11,11 +11,11 @@ def test_canonicalize():
 
 
 def test_adjacency():
-    assert lat.is_adjacent((0, 0, 0, 0, 0), (1, 1, 0, 0, 0))
-    assert not lat.is_adjacent((0, 0), (2, 0))
-    assert not lat.is_adjacent((0, 0, 0), (0, 0, 0))
-    assert not lat.is_adjacent((0, 0), (1, 1))  # same class after shift
-    assert lat.is_adjacent((2, 3, 1), (3, 3, 1))
+    assert lat.classes_adjacent((0, 0, 0, 0, 0), (1, 1, 0, 0, 0))
+    assert not lat.classes_adjacent((0, 0), (2, 0))
+    assert not lat.classes_adjacent((0, 0, 0), (0, 0, 0))
+    assert not lat.classes_adjacent((0, 0), (1, 1))  # same class after shift
+    assert lat.classes_adjacent((2, 3, 1), (3, 3, 1))
 
 
 def test_convex_hull_pair_chain_example():
@@ -24,7 +24,7 @@ def test_convex_hull_pair_chain_example():
     assert chain[-1] == (1, 2, 0, 0, 0)
     assert chain[1:-1] == [(0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (1, 1, 0, 0, 0)]
     for a, b in zip(chain, chain[1:]):
-        assert lat.is_adjacent(a, b)
+        assert lat.classes_adjacent(a, b)
 
 
 def test_convex_hull_pair_degenerate_and_reverse():
@@ -114,16 +114,17 @@ def test_maximal_simplices():
 
 
 def test_lattice_quiver_representatives():
-    omega = lat.configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
-    reps = lat.lattice_quiver_representatives(omega)
-    assert reps == {v: v for v in omega.vertices}
-    single = lat.configuration([(5, 3, 4)])
-    assert lat.lattice_quiver_representatives(single) == {(2, 0, 1): (2, 0, 1)}
-    figure = lat.configuration(
-        [(0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 2, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 2, 0)]
-    )
-    reps = lat.lattice_quiver_representatives(figure)
-    assert all(reps[v] == v for v in figure.vertices)
+    # the canonical representatives order into a chain on every maximal simplex
+    configs = [
+        lat.configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)]),
+        lat.configuration([(5, 3, 4)]),
+        lat.configuration(
+            [(0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 2, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 2, 0)]
+        ),
+    ]
+    for config in configs:
+        for simplex in lat.maximal_simplices(config):
+            assert lat.chain_order(simplex) == simplex
 
 
 def test_chain_order_rejects_bad_input():

@@ -6,6 +6,7 @@ import pytest
 from linkedgrass import gf
 from linkedgrass import quiver as qv
 from linkedgrass.lattice import configuration
+from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
 
 
 def make_quiver(vertices):
@@ -142,6 +143,45 @@ def test_generated():
     one = qv.generated(quiver, [((0, 0, 0), (1, 1, 1))], p)
     assert all(len(b) <= 1 for b in one.spaces.values())
     assert qv.is_subrep(one, quiver) == (True, None)
+
+
+def generated_fixed_point(quiver, seeds, p):
+    """The closure `generated` replaced: sweep every arrow until nothing changes."""
+    spaces = {v: [] for v in quiver.vertices}
+    for v, vector in seeds:
+        spaces[v].append(gf.vec(vector, p))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in quiver.arrows:
+            basis_v = gf.rref(spaces[v], p)
+            for row in gf.rref(spaces[u], p):
+                img = quiver.apply_map(u, v, row, p)
+                if not gf.is_zero(img) and not gf.contains(basis_v, img, p):
+                    spaces[v].append(img)
+                    basis_v = gf.rref(spaces[v], p)
+                    changed = True
+    return qv.SubRep(p, {v: gf.rref(rows, p) for v, rows in spaces.items()})
+
+
+GENERATED_INSTANCES = {
+    name: verts for name, (verts, _) in WEAKLY_INDEPENDENT_INSTANCES.items()
+} | {"shared-edge-triangles": SHARED_EDGE_TRIANGLES}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_INSTANCES))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generated_matches_fixed_point_oracle(name, p):
+    quiver = make_quiver(GENERATED_INSTANCES[name])
+    rng = random.Random(f"{name}/{p}")
+    for _ in range(60):
+        seeds = [
+            (rng.choice(quiver.vertices), tuple(rng.randrange(p) for _ in range(quiver.d)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        M = qv.generated(quiver, seeds, p)
+        assert M == generated_fixed_point(quiver, seeds, p)
+        assert qv.is_subrep(M, quiver) == (True, None)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 6])
@@ -376,6 +416,26 @@ def test_extend_partial_existence_oracle():
             assert (ext is not None) == exists
             if ext is not None:
                 assert ext.spaces[verts[0]] == s0 and ext.spaces[verts[2]] == s2
+                assert qv.is_subrep(ext, quiver) == (True, None)
+
+
+@pytest.mark.parametrize("name", ["alcove-d4-r2", "branched-d4-r2"])
+def test_extend_partial_r2_existence_oracle(name):
+    # at r = 2 the greedy completion is cut short of the full complement
+    vertices, r = WEAKLY_INDEPENDENT_INSTANCES[name]
+    quiver = make_quiver(vertices)
+    p = 2
+    verts = quiver.vertices
+    reps = list(qv.enumerate_subreps(quiver, r, p))
+    for idx in [(0,), (1,), (2,), (3,), (0, 2)]:
+        realized = {tuple(M.spaces[verts[i]] for i in idx) for M in reps}
+        for spaces in itertools.product(gf.subspaces(quiver.d, r, p), repeat=len(idx)):
+            partial = {verts[i]: s for i, s in zip(idx, spaces)}
+            ext = qv.extend_partial(quiver, partial, r, p)
+            assert (ext is not None) == (spaces in realized)
+            if ext is not None:
+                assert ext.dims() == {v: r for v in verts}
+                assert all(ext.spaces[v] == s for v, s in partial.items())
                 assert qv.is_subrep(ext, quiver) == (True, None)
 
 
