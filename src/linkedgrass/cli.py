@@ -25,7 +25,8 @@ from . import independence as ind
 from . import multidegree as md
 from . import quiver as qv
 from . import verify as vf
-from .lattice import Configuration, is_convex, maximal_simplices
+from .lattice import Configuration, is_convex
+from .weyl import hasse_dot
 
 
 def _load_config(path: str) -> Configuration:
@@ -103,23 +104,6 @@ def cmd_quiver(args) -> int:
     return 0
 
 
-def _hasse_dot(cols, ranks) -> str:
-    lines = ["digraph hasse {"]
-    n = len(cols)
-    for i in range(n):
-        for j in range(n):
-            if i == j or not ranks[i].leq(ranks[j]):
-                continue
-            if any(
-                k != i and k != j and ranks[i].leq(ranks[k]) and ranks[k].leq(ranks[j])
-                for k in range(n)
-            ):
-                continue
-            lines.append(f'  "s{i}" -> "s{j}";')
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def cmd_admissible(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
@@ -149,7 +133,10 @@ def cmd_admissible(args) -> int:
         "count": len(cols),
         "top_count": len(tops),
     }
-    _emit(report, args.format, _hasse_dot(cols, ranks) if args.format == "dot" else None)
+    dot = None
+    if args.format == "dot":
+        dot = hasse_dot("hasse", ranks, [f"s{i}" for i in range(len(ranks))], qv.RankVector.leq)
+    _emit(report, args.format, dot)
     return 0
 
 

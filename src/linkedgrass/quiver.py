@@ -4,7 +4,9 @@ The quiver Q(Gamma) has the configuration's classes as vertices; the arrow
 (u, v) survives exactly when the reduction map u -> v admits no two-step
 factorization with matching shift and support.  In apartment coordinates
 every map is a 0/1 diagonal projection, so a representation datum is just a
-subspace of F_p^d per vertex, stored as a reduced-echelon basis.
+subspace of F_p^d per vertex, stored as a reduced-echelon basis.  Rank
+vectors are read off those bases: rows pivoting inside a map's support count
+one each, and only the other rows meeting it are eliminated.
 
 Sub-representations over locally weakly independent configurations split
 into summands generated by a single vector; `decompose` implements the
@@ -39,6 +41,10 @@ class DeformationError(Exception):
     """No validating deformation was found for a non-projective point."""
 
 
+class InvariantError(AssertionError):
+    """A postcondition failed; raised even under `python -O`."""
+
+
 class Quiver:
     """Q(Gamma) plus the transition data of every ordered pair."""
 
@@ -57,6 +63,13 @@ class Quiver:
         for u in self.vertices:
             for v in self.vertices:
                 self.trans[(u, v)] = transition(u, v)
+        # support of each map as sorted 0-based coordinates and as a bitmask
+        self.coords: dict[tuple[Vertex, Vertex], tuple[int, ...]] = {
+            pair: tuple(sorted(k - 1 for k in t.support)) for pair, t in self.trans.items()
+        }
+        self.masks: dict[tuple[Vertex, Vertex], int] = {
+            pair: sum(1 << k for k in coords) for pair, coords in self.coords.items()
+        }
         self.arrows: tuple[tuple[Vertex, Vertex], ...] = tuple(
             (u, v)
             for u in self.vertices
@@ -120,8 +133,10 @@ class Quiver:
     # -- linear data -------------------------------------------------------
 
     def apply_map(self, u: Vertex, v: Vertex, vector: Vec, p: int) -> Vec:
-        support = self.trans[(u, v)].support
-        return tuple(x % p if (k + 1) in support else 0 for k, x in enumerate(vector))
+        out = [0] * self.d
+        for k in self.coords[(u, v)]:
+            out[k] = vector[k] % p
+        return tuple(out)
 
     def map_image(self, u: Vertex, v: Vertex, basis: Basis, p: int) -> Basis:
         return gf.rref([self.apply_map(u, v, row, p) for row in basis], p)
@@ -145,7 +160,11 @@ class Quiver:
 
 
 class SubRep:
-    """Subspace of F_p^d per vertex, closed under all transition maps."""
+    """Subspace of F_p^d per vertex, closed under all transition maps.
+
+    Every space is its reduced row echelon basis: equality is equality of
+    bases, and `rank_vector` reads ranks off the pivots.
+    """
 
     __slots__ = ("p", "spaces", "_key")
 
@@ -243,13 +262,29 @@ class RankVector:
 
 
 def rank_vector(M: SubRep, quiver: Quiver) -> RankVector:
+    """Rank of every map u -> v on M, read off the rref basis at u.
+
+    The map projects onto the coordinates S of its support.  Rows pivoting
+    in S stay independent, since every other row is zero at their pivots;
+    the other rows meeting S add the rank of their S-columns, which needs an
+    elimination only when two or more of them do.
+    """
     data = {}
     for u in quiver.vertices:
+        rows = [(row, sum(1 << k for k, x in enumerate(row) if x)) for row in M.spaces[u]]
         for v in quiver.vertices:
-            if u == v:
-                data[(u, v)] = len(M.spaces[u])
-            else:
-                data[(u, v)] = len(quiver.map_image(u, v, M.spaces[u], M.p))
+            support = quiver.masks[(u, v)]  # all coordinates when u == v
+            rank = 0
+            rest = []
+            for row, nonzero in rows:
+                if nonzero & -nonzero & support:  # the pivot, the lowest set bit, is in S
+                    rank += 1
+                elif nonzero & support:
+                    rest.append(row)
+            if len(rest) > 1:
+                coords = quiver.coords[(u, v)]
+                rest = gf.rref([tuple(row[k] for k in coords) for row in rest], M.p)
+            data[(u, v)] = rank + len(rest)
     return RankVector.from_dict(data)
 
 
@@ -332,7 +367,7 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
 
     The per-vertex seed spaces are carved out by the chain-complement
     construction; the result is validated to reassemble M as a direct sum
-    (dimension count at every vertex).
+    (dimension count at every vertex), raising InvariantError otherwise.
     """
     if check_independent:
         ok, cert = independence.weakly_independent(quiver)
@@ -374,14 +409,15 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
         seed_space = gf.rref(seed_rows, p)
         for eps in _split_single_generators(quiver, v, seed_space, p):
             summands.append(Summand(v, eps))
-    reassembled = reassemble(summands, quiver, p)
-    assert reassembled == M, "decomposition failed to reassemble the representation"
+    if reassemble(summands, quiver, p) != M:
+        raise InvariantError("decomposition failed to reassemble the representation")
+    # a single-vector summand has dimension 1 exactly on its support
     total = {v: 0 for v in quiver.vertices}
     for s in summands:
-        rep = generated(quiver, [(s.root, s.vector)], p)
-        for v in quiver.vertices:
-            total[v] += len(rep.spaces[v])
-    assert total == M.dims(), "decomposition summands are not independent"
+        for v in support_of_generated(quiver, s.root, s.vector, p):
+            total[v] += 1
+    if total != M.dims():
+        raise InvariantError("decomposition summands are not independent")
     return summands
 
 
@@ -657,15 +693,9 @@ def deform_step(
         if gf.is_zero(donor_vec_at_entry):
             continue
         # eta with f_{root -> donor_entry}(eta) = donor_vec_at_entry
-        support = quiver.trans[(root, donor_entry)].support
-        if any(
-            donor_vec_at_entry[k] % p != 0 and (k + 1) not in support
-            for k in range(quiver.d)
-        ):
+        base_eta = quiver.apply_map(root, donor_entry, donor_vec_at_entry, p)
+        if base_eta != gf.vec(donor_vec_at_entry, p):
             continue
-        base_eta = tuple(
-            donor_vec_at_entry[k] % p if (k + 1) in support else 0 for k in range(quiver.d)
-        )
         kernel = quiver.map_kernel_ambient(root, donor_entry, p)
         repl_vec_at_root = repl.vector
         predicted = _predict_increment(

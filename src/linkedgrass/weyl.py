@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lattice import canonicalize, classes_adjacent
 
@@ -401,23 +401,21 @@ def double_coset_leq(
     return bruhat_leq(double_coset_min(g, w1, w2), double_coset_min(h, w1, w2))
 
 
+def hasse_dot(name: str, nodes: Sequence, labels: Sequence[str], leq: Callable) -> str:
+    """DOT digraph `name` with an edge for every cover a < b of `leq` among the nodes."""
+    lines = [f"digraph {name} {{"]
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if i == j or not leq(a, b):
+                continue
+            if any(k not in (i, j) and leq(a, c) and leq(c, b) for k, c in enumerate(nodes)):
+                continue
+            lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def bruhat_poset_dot(elements: Iterable[WeylElement]) -> str:
     """DOT digraph of the covering relations among the given elements."""
     nodes = sorted(set(elements), key=lambda g: (length(g), g.sigma, g.trans))
-    lines = ["digraph bruhat {"]
-
-    def label(g: WeylElement) -> str:
-        return f"{g.sigma}|{g.trans}"
-
-    for u in nodes:
-        for w in nodes:
-            if u == w or not bruhat_leq(u, w):
-                continue
-            if any(
-                x not in (u, w) and bruhat_leq(u, x) and bruhat_leq(x, w)
-                for x in nodes
-            ):
-                continue
-            lines.append(f'  "{label(u)}" -> "{label(w)}";')
-    lines.append("}")
-    return "\n".join(lines)
+    return hasse_dot("bruhat", nodes, [f"{g.sigma}|{g.trans}" for g in nodes], bruhat_leq)

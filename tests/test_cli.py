@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +189,21 @@ def test_admissible_has_no_p_option(tmp_path, capsys):
         cli.main(["admissible", path, "--p", "2"])
     assert err.value.code == 2
     assert "unrecognized arguments: --p 2" in capsys.readouterr().err
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+# sha256 of the stdout of `strata CFG --r R --p P`, recorded before rank
+# vectors were read off the echelon bases
+STRATA_DIGESTS = {
+    ("alcove-d4", 2, 3): "414970cf27cb1edb0fd072e803d676d64cf135b2874d12026933334a53a4816f",
+    ("branched-d4", 2, 5): "5e05da8d0f591284fc3d6773a61f661b4bdc13a593d145b168be6ce747b38355",
+    ("shared-edge-triangles", 1, 2): "b6befc032acb9f3d3cead4622d34c0f2945fecf3136c5969b48c0930f0111f40",
+}
+
+
+@pytest.mark.parametrize("name, r, p", sorted(STRATA_DIGESTS))
+def test_strata_report_is_byte_identical(capsys, name, r, p):
+    code, out = run(capsys, ["strata", str(CONFIGS / f"{name}.json"), "--r", str(r), "--p", str(p)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STRATA_DIGESTS[(name, r, p)]

@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from linkedgrass import gf
 from linkedgrass import quiver as qv
-from linkedgrass.lattice import configuration
+from linkedgrass.lattice import Configuration, configuration
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
 
 
@@ -17,6 +22,12 @@ OMEGA3 = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
 SEGMENT = [(0, 0), (1, 0)]
 PATH2 = [(0, 0), (1, 0), (2, 0)]
 BRANCHED = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]
+
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+def config_quiver(name):
+    return qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
 
 
 def test_build_quiver_simplex_cycle():
@@ -452,3 +463,118 @@ def test_subrep_json_roundtrip():
     quiver = make_quiver(SEGMENT)
     M = qv.generated(quiver, [((0, 0), (1, 1))], 3)
     assert qv.SubRep.from_json(M.to_json()) == M
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_single_vector_rep_is_one_dimensional_on_its_support(p):
+    names = sorted(path.stem for path in CONFIGS.glob("*.json"))
+    assert len(names) == 12
+    rng = random.Random(f"single/{p}")
+    for name in names:
+        quiver = config_quiver(name)
+        for _ in range(40):
+            v = rng.choice(quiver.vertices)
+            x = tuple(rng.randrange(p) for _ in range(quiver.d))
+            if gf.is_zero(x):
+                continue
+            support = qv.support_of_generated(quiver, v, x, p)
+            dims = qv.generated(quiver, [(v, x)], p).dims()
+            assert dims == {w: int(w in support) for w in quiver.vertices}, (name, v, x)
+
+
+SABOTAGE = """
+    import sys
+    from linkedgrass import quiver as qv
+    from linkedgrass.lattice import configuration
+
+    assert sys.flags.optimize == 1
+    split = qv._split_single_generators
+    if sys.argv[1] == "drop":
+        qv._split_single_generators = lambda *args: split(*args)[1:]
+    else:
+        qv._split_single_generators = lambda *args: split(*args) * 2
+    quiver = qv.Quiver(configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)]))
+    try:
+        qv.decompose(qv.ambient(quiver, 2), quiver)
+    except AssertionError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [("drop", "failed to reassemble"), ("duplicate", "summands are not independent")],
+)
+def test_decompose_postconditions_survive_python_O(mode, message):
+    src = Path(qv.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(SABOTAGE), mode],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.startswith("InvariantError decomposition ")
+    assert message in result.stdout
+
+
+def rank_vector_oracle(M, quiver):
+    """The per-pair path `rank_vector` replaced: project and re-eliminate."""
+    data = {}
+    for u in quiver.vertices:
+        for v in quiver.vertices:
+            basis = M.spaces[u]
+            data[(u, v)] = len(basis) if u == v else len(quiver.map_image(u, v, basis, M.p))
+    return qv.RankVector.from_dict(data)
+
+
+def elimination_cases(M, quiver):
+    """Pairs where two or more rows pivot outside the support and meet it,
+    split by whether those rows stay independent on the support."""
+    independent = dependent = 0
+    for (u, v), coords in quiver.coords.items():
+        if u == v:
+            continue
+        pivots = gf.pivot_columns(M.spaces[u])
+        rest = [
+            row for row, c in zip(M.spaces[u], pivots)
+            if c not in coords and any(row[k] for k in coords)
+        ]
+        if len(rest) > 1:
+            rank = len(quiver.map_image(u, v, rest, M.p))
+            independent += rank == len(rest)
+            dependent += rank < len(rest)
+    return independent, dependent
+
+
+def test_rank_vector_matches_map_image_on_grassmannian_points():
+    instances = [
+        (name, r) for name in ("alcove-d4", "branched-d4", "triangle-d3") for r in (1, 2)
+    ] + [("shared-edge-triangles", 1)]
+    points = independent = dependent = 0
+    for name, r in instances:
+        quiver = config_quiver(name)
+        for p in (2, 3, 5):
+            for M in qv.enumerate_subreps(quiver, r, p):
+                assert qv.rank_vector(M, quiver) == rank_vector_oracle(M, quiver)
+                i, d = elimination_cases(M, quiver)
+                independent += i
+                dependent += d
+                points += 1
+    assert points == 16_543
+    assert independent > 0 and dependent > 0
+
+
+@pytest.mark.parametrize("name", ["alcove-d5", "branched-d5", "face-d5"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_vector_matches_map_image_on_generated_reps(name, p):
+    quiver = config_quiver(name)
+    rng = random.Random(f"rank/{name}/{p}")
+    dependent = 0
+    for _ in range(80):
+        seeds = [
+            (rng.choice(quiver.vertices), tuple(rng.randrange(p) for _ in range(quiver.d)))
+            for _ in range(rng.randint(0, 5))
+        ]
+        M = qv.generated(quiver, seeds, p)
+        assert qv.rank_vector(M, quiver) == rank_vector_oracle(M, quiver)
+        dependent += elimination_cases(M, quiver)[1]
+    assert dependent > 0

@@ -312,3 +312,19 @@ def test_bruhat_poset_dot():
     assert dot.startswith("digraph bruhat {")
     # identity under both generators, each generator under both length-2 words
     assert dot.count("->") == 6
+
+
+def test_hasse_dot_keeps_only_covers():
+    nodes = [1, 2, 3, 4, 6, 12]
+    dot = weyl.hasse_dot("div", nodes, [str(n) for n in nodes], lambda a, b: b % a == 0)
+    assert dot.splitlines() == [
+        "digraph div {",
+        '  "1" -> "2";',
+        '  "1" -> "3";',
+        '  "2" -> "4";',
+        '  "2" -> "6";',
+        '  "3" -> "6";',
+        '  "4" -> "12";',
+        '  "6" -> "12";',
+        "}",
+    ]
