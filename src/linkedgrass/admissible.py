@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf, independence, weyl
-from .lattice import Vertex, canonicalize, chain_order, classes_adjacent, convex_hull_pair
+from .lattice import InvariantError, Vertex, canonicalize, chain_order, classes_adjacent, convex_hull_pair
 from .quiver import (
     Quiver,
     RankVector,
@@ -270,54 +270,67 @@ def _to_standard_position(
     raise AssertionError("simplex is not a face of any standard type")
 
 
+def _standard_double_coset(
+    face: AdmissibleFace, r: int
+) -> tuple[weyl.WeylElement, weyl.ParahoricGroup, weyl.ParahoricGroup]:
+    """(h_std * iota^-r, W1, W2): the face's double coset in standard position.
+
+    W1 fixes the standard face omega_I the simplex is conjugated onto and W2
+    fixes iota^r . omega_I; there the double-coset order is the closure order
+    of the corresponding Schubert cells.
+    """
+    d = len(face.simplex[0])
+    omega_i, _, h_std = _to_standard_position(face)
+    w1 = weyl.face_stabilizer(omega_i)
+    w2 = weyl.face_stabilizer([weyl.act_class(weyl.iota_pow(d, r), om) for om in omega_i])
+    return weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2
+
+
+def _standard_keys(collection: AdmissibleCollection) -> tuple[weyl.WeylElement, ...]:
+    """Minimal representative of each face's standard-position double coset."""
+    return tuple(
+        weyl.double_coset_min(*_standard_double_coset(face, collection.r))
+        for face in collection.faces
+    )
+
+
+def _check_comparable(x: AdmissibleCollection, y: AdmissibleCollection) -> None:
+    if x.r != y.r:
+        raise InvariantError(f"collections of r = {x.r} and r = {y.r} are not comparable")
+    if [f.simplex for f in x.faces] != [f.simplex for f in y.faces]:
+        raise InvariantError("collections over different simplices are not comparable")
+
+
 def generalized_bruhat_leq(
     x: AdmissibleCollection, y: AdmissibleCollection, quiver: Quiver
 ) -> bool:
-    """Componentwise double-coset order over the maximal simplices.
-
-    Each simplex is conjugated to standard position first; the double-coset
-    order there is the closure order of the corresponding Schubert cells.
-    """
-    assert x.r == y.r
-    d = quiver.d
-    shift = weyl.iota_pow(d, -x.r)
-    for face_x, face_y in zip(x.faces, y.faces):
-        assert face_x.simplex == face_y.simplex
-        omega_i, _, hx = _to_standard_position(face_x)
-        _, _, hy = _to_standard_position(face_y)
-        w1 = weyl.face_stabilizer(omega_i)
-        shifted = [weyl.act_class(weyl.iota_pow(d, x.r), om) for om in omega_i]
-        w2 = weyl.face_stabilizer(shifted)
-        gx = weyl.compose(hx, shift)
-        gy = weyl.compose(hy, shift)
-        if not weyl.double_coset_leq(gx, gy, w1, w2):
-            return False
-    return True
+    """Componentwise double-coset order over the maximal simplices,
+    compared on the standard-position keys of `_standard_keys`."""
+    _check_comparable(x, y)
+    return all(map(weyl.bruhat_leq, _standard_keys(x), _standard_keys(y)))
 
 
 def top_strata(
     collections: Sequence[AdmissibleCollection], quiver: Quiver
 ) -> list[AdmissibleCollection]:
     """Maximal collections, among the given ones, under the generalized Bruhat order."""
-    out = []
-    for x in collections:
-        if not any(
-            y is not x and generalized_bruhat_leq(x, y, quiver) and not generalized_bruhat_leq(y, x, quiver)
-            for y in collections
-        ):
-            out.append(x)
-    return out
+    for c in collections:
+        _check_comparable(collections[0], c)
+    keys = [_standard_keys(c) for c in collections]
+
+    def leq(i: int, j: int) -> bool:
+        return all(map(weyl.bruhat_leq, keys[i], keys[j]))
+
+    return [
+        x
+        for i, x in enumerate(collections)
+        if not any(j != i and leq(i, j) and not leq(j, i) for j in range(len(collections)))
+    ]
 
 
 def stratum_dimension(face: AdmissibleFace, r: int) -> int:
     """Dimension of a one-simplex stratum from the minmax representative length."""
-    d = len(face.simplex[0])
-    omega_i, _, h_std = _to_standard_position(face)
-    w1 = weyl.face_stabilizer(omega_i)
-    shifted = [weyl.act_class(weyl.iota_pow(d, r), om) for om in omega_i]
-    w2 = weyl.face_stabilizer(shifted)
-    rep = weyl.minmax_rep(weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2)
-    return weyl.length(rep)
+    return weyl.length(weyl.minmax_rep(*_standard_double_coset(face, r)))
 
 
 def all_summand_types(quiver: Quiver) -> list:

@@ -75,10 +75,11 @@ def pivot_columns(basis: Basis) -> tuple[int, ...]:
 
 
 def reduce_vec(v: Vec, basis: Basis, p: int) -> Vec:
-    """Residual of v after elimination against an rref basis."""
+    """Residual of v after elimination against an rref basis, whose rows
+    each start with zeros and a 1 at the pivot: `row.index(1)` finds it."""
     out = list(v)
     for row in basis:
-        piv = next(i for i, x in enumerate(row) if x)
+        piv = row.index(1)
         c = out[piv] % p
         if c:
             out = [(x - c * y) % p for x, y in zip(out, row)]
@@ -110,7 +111,7 @@ def left_kernel(rows: Sequence[Vec], p: int) -> Basis:
         lam = [0] * m
         lam[j] = 1
         for row in basis:
-            piv = next(i for i, x in enumerate(row) if x)
+            piv = row.index(1)  # rref: the pivot is the first nonzero entry, a 1
             lam[piv] = (-row[j]) % p
         out.append(tuple(lam))
     return rref(out, p)

@@ -18,6 +18,10 @@ from typing import Iterable, Sequence
 Vertex = tuple[int, ...]
 
 
+class InvariantError(AssertionError):
+    """A postcondition failed; raised even under `python -O`."""
+
+
 def canonicalize(v: Sequence[int]) -> Vertex:
     """Canonical representative of the class: subtract the minimum entry."""
     m = min(v)

@@ -25,6 +25,7 @@ from . import gf, independence
 from .gf import Basis, Vec
 from .lattice import (
     Configuration,
+    InvariantError,
     TransitionData,
     Vertex,
     is_convex,
@@ -39,10 +40,6 @@ class BudgetExceeded(Exception):
 
 class DeformationError(Exception):
     """No validating deformation was found for a non-projective point."""
-
-
-class InvariantError(AssertionError):
-    """A postcondition failed; raised even under `python -O`."""
 
 
 class Quiver:

@@ -17,7 +17,10 @@ w(i) = sigma(i) + d * trans_{sigma(i)} (Shi 1986; Bjorner-Brenti, GTM 231,
 section 8.3), which right multiplication by iota leaves unchanged.  The
 Bruhat order is the downward closure along reflection covers.  Breadth-first
 search in the Cayley graph enumerates W_a by length, gives reduced words
-and is the oracle the closed forms are tested against.
+and is the oracle the closed forms are tested against.  A double coset
+W1 g W2 of finite subgroups is scanned once, as the cosets a g W2 over
+representatives a of W1 / (W1 & g W2 g^-1); descent removal would need W1
+to be standard parabolic, which stabilizers of shared faces need not be.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .lattice import canonicalize, classes_adjacent
+from .lattice import InvariantError, canonicalize, classes_adjacent
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -137,7 +140,8 @@ def iota_decompose(g: WeylElement) -> tuple[WeylElement, int]:
     """
     k = sum(g.trans)
     w = compose(g, iota_pow(g.d, -k))
-    assert in_affine(w)
+    if not in_affine(w):
+        raise InvariantError(f"{w} is not in the affine Weyl group")
     return w, k
 
 
@@ -334,47 +338,55 @@ def face_stabilizer(face: Sequence[Sequence[int]]) -> ParahoricGroup:
                     elements.add(h)
                     nxt.append(h)
         frontier = nxt
-    for g in elements:
-        for x in verts:
-            assert act(g, x) == x, "stabilizer element moved a face vertex"
+    if any(act(g, x) != x for g in elements for x in verts):
+        raise InvariantError("stabilizer element moved a face vertex")
     group = ParahoricGroup(d, tuple(verts), frozenset(elements))
     _STABILIZERS[key] = group
     return group
+
+
+def _coset_heads(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> list[WeylElement]:
+    """One element a * g of each distinct left coset a * g * W2, a in W1.
+
+    a * g * W2 = a' * g * W2 exactly when a^-1 a' lies in K = W1 & g W2 g^-1,
+    so the |W1| / |K| cosets over representatives a of W1 / K partition W1 * g * W2.
+    """
+    g_inv = invert(g)
+    stab = [a for a in w1.elements if compose(compose(g_inv, a), g) in w2.elements]
+    covered: set[WeylElement] = set()
+    heads = []
+    for a in w1.elements:
+        if a not in covered:
+            covered.update(compose(a, k) for k in stab)
+            heads.append(compose(a, g))
+    return heads
+
+
+def _unique_extreme(elements: Iterable[WeylElement], sign: int, what: str) -> WeylElement:
+    """The one element of least sign * length among distinct elements."""
+    scored = [(sign * length(h), h) for h in elements]
+    least = min(l for l, _ in scored)
+    best = [h for l, h in scored if l == least]
+    if len(best) != 1:
+        raise InvariantError(f"{what} is not unique")
+    return best[0]
 
 
 _DC_MIN: dict[tuple, WeylElement] = {}
 
 
 def double_coset_min(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
-    """Unique minimal-length element of the double coset W1 * g * W2."""
+    """Unique minimal-length element of W1 * g * W2, each element scanned once."""
     key = (g, w1.face, w2.face)
-    if key in _DC_MIN:
-        return _DC_MIN[key]
-    best = None
-    best_len = None
-    ties = 0
-    for a in w1.elements:
-        ag = compose(a, g)
-        for b in w2.elements:
-            h = compose(ag, b)
-            l = length(h)
-            if best_len is None or l < best_len:
-                best, best_len, ties = h, l, 1
-            elif l == best_len and h != best:
-                ties += 1
-    assert ties == 1, "minimal double-coset representative is not unique"
-    _DC_MIN[key] = best
-    return best
+    if key not in _DC_MIN:
+        scan = (compose(ag, b) for ag in _coset_heads(g, w1, w2) for b in w2.elements)
+        _DC_MIN[key] = _unique_extreme(scan, 1, "minimal double-coset representative")
+    return _DC_MIN[key]
 
 
 def min_coset_rep(g: WeylElement, w2: ParahoricGroup) -> WeylElement:
     """Unique minimal-length element of the left coset g * W2."""
-    reps = {compose(g, b) for b in w2.elements}
-    lens = {h: length(h) for h in reps}
-    lmin = min(lens.values())
-    best = [h for h, l in lens.items() if l == lmin]
-    assert len(best) == 1, "minimal coset representative is not unique"
-    return best[0]
+    return _unique_extreme((compose(g, b) for b in w2.elements), 1, "minimal coset representative")
 
 
 _MINMAX: dict[tuple, WeylElement] = {}
@@ -383,15 +395,10 @@ _MINMAX: dict[tuple, WeylElement] = {}
 def minmax_rep(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
     """Element of maximal length among the minimal reps of (v g) W2, v in W1."""
     key = (g, w1.face, w2.face)
-    if key in _MINMAX:
-        return _MINMAX[key]
-    reps = {min_coset_rep(compose(v, g), w2) for v in w1.elements}
-    lens = {h: length(h) for h in reps}
-    lmax = max(lens.values())
-    best = [h for h, l in lens.items() if l == lmax]
-    assert len(best) == 1, "maximal minimal-coset representative is not unique"
-    _MINMAX[key] = best[0]
-    return best[0]
+    if key not in _MINMAX:
+        reps = (min_coset_rep(vg, w2) for vg in _coset_heads(g, w1, w2))
+        _MINMAX[key] = _unique_extreme(reps, -1, "maximal minimal-coset representative")
+    return _MINMAX[key]
 
 
 def double_coset_leq(

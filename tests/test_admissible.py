@@ -1,11 +1,12 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from linkedgrass import admissible as adm
 from linkedgrass import quiver as qv
 from linkedgrass import weyl
-from linkedgrass.lattice import chain_order, configuration
+from linkedgrass.lattice import Configuration, InvariantError, chain_order, configuration
 
 OMEGA = {d: adm.standard_alcove(d) for d in (2, 3, 4)}
 
@@ -337,3 +338,34 @@ def test_r1_order_vertex_below_edge():
     for v in quiver.vertices:
         # a larger face means a smaller rank vector
         assert by_face[edge].leq(by_face[frozenset({v})])
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+# the (configuration, r) pairs of the `admissible` jobs in the weyl-strata benchmark
+ADMISSIBLE_JOBS = [(f"alcove-d{d}", r) for d in (3, 4, 5) for r in range(1, d)] + [
+    ("face-d5", 2), ("edge-d5", 2), ("path-d3", 1), ("path-d3", 2),
+    ("branched-d4", 1), ("branched-d4", 2), ("branched-d5", 1),
+]
+
+
+@pytest.mark.parametrize("name, r", ADMISSIBLE_JOBS)
+def test_top_strata_match_pairwise_generalized_order(name, r):
+    quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
+    cols = adm.enumerate_admissible_collections(quiver, r)
+    leq = adm.generalized_bruhat_leq
+    pairwise = [
+        x for x in cols
+        if not any(y is not x and leq(x, y, quiver) and not leq(y, x, quiver) for y in cols)
+    ]
+    assert adm.top_strata(cols, quiver) == pairwise
+
+
+def test_generalized_order_rejects_incomparable_collections():
+    quiver = make_quiver(OMEGA[3])
+    x = adm.enumerate_admissible_collections(quiver, 1)[0]
+    y = adm.enumerate_admissible_collections(quiver, 2)[0]
+    with pytest.raises(InvariantError, match="r = 1 and r = 2"):
+        adm.generalized_bruhat_leq(x, y, quiver)
+    with pytest.raises(InvariantError, match="r = 1 and r = 2"):
+        adm.top_strata([x, y], quiver)

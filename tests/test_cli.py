@@ -207,3 +207,20 @@ def test_strata_report_is_byte_identical(capsys, name, r, p):
     code, out = run(capsys, ["strata", str(CONFIGS / f"{name}.json"), "--r", str(r), "--p", str(p)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STRATA_DIGESTS[(name, r, p)]
+
+
+# sha256 of the stdout of `admissible CFG ARGS...`, recorded before each
+# double coset was scanned once and top strata were ranked on per-collection keys
+ADMISSIBLE_DIGESTS = {
+    ("branched-d5", "--r 1"): "6cc3a8acbae86268505675f0a71761b61e7bc6b0a36007a832db7cf746525b81",
+    ("alcove-d5", "--r 2"): "d855c29a570dbf03d5d41357ca9305c8d6fb415a0a7d7c1a9d43544c7f96c794",
+    ("face-d5", "--r 2"): "efa002a3aea9b9334820acf57b5b8d3e98a9dcced065fbfca5623cab4010795a",
+    ("alcove-d4", "--r 2 --format dot"): "96e740ee014ca24802650823db24637f50166eebbc13f12f01f6a0002a758d83",
+}
+
+
+@pytest.mark.parametrize("name, args", sorted(ADMISSIBLE_DIGESTS))
+def test_admissible_report_is_byte_identical(capsys, name, args):
+    code, out = run(capsys, ["admissible", str(CONFIGS / f"{name}.json"), *args.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ADMISSIBLE_DIGESTS[(name, args)]

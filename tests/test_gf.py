@@ -1,8 +1,12 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from linkedgrass import gf
+from linkedgrass import cli, gf
+from linkedgrass import quiver as qv
+from linkedgrass.lattice import configuration
 
 
 def random_rows(rng, n, k, p):
@@ -113,3 +117,51 @@ def test_complement_is_the_greedy_subsequence(p):
         # every prefix extends inner independently
         for k in range(len(comp) + 1):
             assert len(gf.rref(inner + list(comp[:k]), p)) == len(gf.rref(inner, p)) + k
+
+
+def reduce_vec_oracle(v, basis, p):
+    """`reduce_vec` finding each pivot by scanning for the first nonzero entry."""
+    out = list(v)
+    for row in basis:
+        piv = next(i for i, x in enumerate(row) if x)
+        c = out[piv] % p
+        if c:
+            out = [(x - c * y) % p for x, y in zip(out, row)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduce_vec_matches_pivot_scan_oracle(p):
+    rng = random.Random(p)
+    for n in range(1, 5):
+        vectors = list(itertools.product(range(p), repeat=n))
+        if len(vectors) > 81:
+            vectors = rng.sample(vectors, 81)
+        for k in range(n + 1):
+            for basis in gf.subspaces(n, k, p):
+                assert [row.index(1) for row in basis] == [
+                    next(i for i, x in enumerate(row) if x) for row in basis
+                ]
+                for v in vectors:
+                    assert gf.reduce_vec(v, basis, p) == reduce_vec_oracle(v, basis, p)
+
+
+def test_reduce_vec_is_only_given_rref_bases(monkeypatch, capsys):
+    reduce_vec = gf.reduce_vec
+    calls = []
+
+    def checked(v, basis, p):
+        assert tuple(basis) == gf.rref(basis, p), basis
+        calls.append(basis)
+        return reduce_vec(v, basis, p)
+
+    monkeypatch.setattr(gf, "reduce_vec", checked)
+    configs = Path(__file__).resolve().parents[1] / "bench" / "configs"
+    assert cli.main(["strata", str(configs / "branched-d4.json"), "--r", "2", "--p", "3"]) == 0
+    capsys.readouterr()
+    quiver = qv.Quiver(configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)]))
+    rng = random.Random(20)
+    for _ in range(20):
+        seeds = [(rng.choice(quiver.vertices), (1, rng.randrange(3), rng.randrange(3))) for _ in range(2)]
+        qv.decompose(qv.generated(quiver, seeds, 3), quiver)
+    assert len(calls) > 1000

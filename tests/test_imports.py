@@ -19,3 +19,10 @@ def test_no_function_local_imports():
                 ]
     assert len(SOURCES) >= 10
     assert found == []
+
+
+def test_weyl_has_no_bare_asserts():
+    # `python -O` strips assert statements; weyl's invariants raise InvariantError
+    path = Path(linkedgrass.__file__).parent / "weyl.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

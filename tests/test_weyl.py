@@ -1,5 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +13,8 @@ from hypothesis import strategies as st
 
 from linkedgrass import weyl
 from linkedgrass.admissible import standard_alcove
+from linkedgrass.lattice import Configuration
+from linkedgrass.quiver import Quiver
 
 
 def rand_elem(rng, d, spread=2):
@@ -328,3 +336,96 @@ def test_hasse_dot_keeps_only_covers():
         '  "6" -> "12";',
         "}",
     ]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+def double_coset_min_oracle(g, w1, w2):
+    """The |W1| * |W2| product scan `double_coset_min` replaced."""
+    best, best_len, ties = None, None, 0
+    for a in w1.elements:
+        ag = weyl.compose(a, g)
+        for b in w2.elements:
+            h = weyl.compose(ag, b)
+            l = weyl.length(h)
+            if best_len is None or l < best_len:
+                best, best_len, ties = h, l, 1
+            elif l == best_len and h != best:
+                ties += 1
+    assert ties == 1
+    return best
+
+
+def minmax_rep_oracle(g, w1, w2):
+    """`minmax_rep` over every v in W1, one coset v * g * W2 per v."""
+    reps = {weyl.min_coset_rep(weyl.compose(v, g), w2) for v in w1.elements}
+    lmax = max(weyl.length(h) for h in reps)
+    best = [h for h in reps if weyl.length(h) == lmax]
+    assert len(best) == 1
+    return best[0]
+
+
+def oracle_faces(name):
+    """Every face of the single simplex of an alcove, or every face shared
+    by two maximal simplices of a branched configuration."""
+    quiver = Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
+    simplices = [frozenset(s) for s in quiver.simplices]
+    if len(simplices) == 1:
+        (simplex,) = simplices
+        return quiver.d, [f for k in range(1, len(simplex) + 1) for f in combinations(sorted(simplex), k)]
+    return quiver.d, sorted({tuple(sorted(a & b)) for a, b in combinations(simplices, 2) if a & b})
+
+
+# W2 fixes iota^shift . F: shifted as in the admissible keys on the alcoves,
+# unshifted as in the gluing over the shared faces of branched-d5
+@pytest.mark.parametrize("name, shift", [("alcove-d4", 1), ("alcove-d5", 1), ("branched-d5", 0)])
+def test_double_coset_scans_match_product_oracle(monkeypatch, name, shift):
+    d, faces = oracle_faces(name)
+    elements = [
+        weyl.compose(w, weyl.iota_pow(d, k))
+        for w in sorted(weyl.wa_elements(d, 4), key=str)
+        for k in range(-d, d + 1)
+    ]
+    calls = []
+    length = weyl.length
+    monkeypatch.setattr(weyl, "length", lambda g: calls.append(g) or length(g))
+    monkeypatch.setattr(weyl, "_DC_MIN", {})
+    monkeypatch.setattr(weyl, "_MINMAX", {})
+    rng = random.Random(name)
+    assert max(len(weyl.face_stabilizer(face)) for face in faces) == factorial(d)  # a vertex
+    for face in faces:
+        w1 = weyl.face_stabilizer(face)
+        w2 = weyl.face_stabilizer([weyl.act_class(weyl.iota_pow(d, shift), v) for v in face])
+        # one to eight elements, fewer for larger groups
+        for g in rng.sample(elements, max(1, min(8, 2000 // (len(w1) * len(w2))))):
+            g_inv = weyl.invert(g)
+            k = [a for a in w1.elements if weyl.compose(weyl.compose(g_inv, a), g) in w2.elements]
+            calls.clear()
+            rep = weyl.double_coset_min(g, w1, w2)
+            assert len(calls) == len(w1) * len(w2) // len(k)
+            assert rep == double_coset_min_oracle(g, w1, w2)
+            assert weyl.minmax_rep(g, w1, w2) == minmax_rep_oracle(g, w1, w2)
+
+
+TIE = """
+    import sys
+    from linkedgrass import weyl
+
+    assert sys.flags.optimize == 1
+    weyl.length = lambda g: 0  # every element of the double coset ties
+    w1 = weyl.face_stabilizer([(0, 0, 0)])
+    try:
+        weyl.double_coset_min(weyl.iota(3), w1, w1)
+    except AssertionError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_double_coset_tie_raises_under_python_O():
+    src = Path(weyl.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(TIE)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "InvariantError minimal double-coset representative is not unique\n"
