@@ -57,15 +57,24 @@ class AdmissibleFace:
 def _solve_face_map(
     source: Sequence[Vec], target: Sequence[Vec], d: int
 ) -> Optional[weyl.WeylElement]:
-    """Some extended Weyl element sending the source vectors to the target."""
-    for images in itertools.permutations(range(1, d + 1)):
-        sigma = tuple(images)
-        moved = weyl.perm_apply(sigma, source[0])
-        trans = tuple(t - m for t, m in zip(target[0], moved))
-        g = weyl.WeylElement(sigma, trans)
-        if all(weyl.act(g, s) == tuple(t) for s, t in zip(source, target)):
-            return g
-    return None
+    """The extended Weyl element with lexicographically least sigma sending
+    the source vectors to the target, or None.
+
+    g . s_j = t_j for every j iff column i of the sources and column sigma(i)
+    of the targets differ by a constant, that is have the same profile
+    (x_j[c] - x_0[c])_j; sigma(i) is the least unused matching column.
+    """
+    free: dict[Vec, list[int]] = {}
+    for c in reversed(range(d)):
+        free.setdefault(tuple(t[c] - target[0][c] for t in target), []).append(c + 1)
+    sigma = []
+    for i in range(d):
+        columns = free.get(tuple(s[i] - source[0][i] for s in source))
+        if not columns:
+            return None
+        sigma.append(columns.pop())
+    moved = weyl.perm_apply(sigma, source[0])
+    return weyl.WeylElement(tuple(sigma), tuple(t - m for t, m in zip(target[0], moved)))
 
 
 def admissible_faces(simplex: Sequence[Vertex], r: int) -> list[AdmissibleFace]:
@@ -85,7 +94,8 @@ def admissible_faces(simplex: Sequence[Vertex], r: int) -> list[AdmissibleFace]:
         # consecutive vectors and b <= a + 1 from the first to the last
         if len(vectors) == len(chain):
             coset = _solve_face_map(chain, vectors, d)
-            assert coset is not None, f"no Weyl element maps {chain} to {vectors}"
+            if coset is None:
+                raise InvariantError(f"no Weyl element maps {chain} to {vectors}")
             out.append(AdmissibleFace(chain, vectors, coset))
             return
         rep = chain[len(vectors)]
@@ -100,11 +110,6 @@ def admissible_faces(simplex: Sequence[Vertex], r: int) -> list[AdmissibleFace]:
 
     extend(())
     return out
-
-
-def enumerate_admissible_alcoves(r: int, d: int) -> list[tuple[Vec, ...]]:
-    """Admissible perturbations of the standard alcove, as vector arrays."""
-    return [face.vectors for face in admissible_faces(standard_alcove(d), r)]
 
 
 def standard_alcove(d: int) -> tuple[Vertex, ...]:
@@ -220,10 +225,8 @@ def stratum_rank_vector(collection: AdmissibleCollection, quiver: Quiver) -> Ran
                     continue
                 support = quiver.trans[(u, v)].support
                 value = sum(1 for k in support if eps[a][k - 1] == 1)
-                if (u, v) in data:
-                    assert data[(u, v)] == value, "inconsistent glued rank at shared pair"
-                else:
-                    data[(u, v)] = value
+                if data.setdefault((u, v), value) != value:
+                    raise InvariantError("inconsistent glued rank at shared pair")
     remaining = [
         (u, v)
         for u in quiver.vertices
@@ -238,7 +241,8 @@ def stratum_rank_vector(collection: AdmissibleCollection, quiver: Quiver) -> Ran
                 data[(u, v)] = data[(u, w)]
                 progressed.append((u, v))
         remaining = [pair for pair in remaining if pair not in data]
-        assert progressed, "hull propagation stalled"
+        if not progressed:
+            raise InvariantError("hull propagation stalled")
     return RankVector.from_dict(data)
 
 
@@ -252,22 +256,20 @@ def _to_standard_position(
 
     Lengths and the Bruhat order are based at the standard alcove, so coset
     comparisons and dimensions are read off after moving the simplex onto
-    omega_I by the element g with g . omega_I = simplex.
+    omega_I by the element g with g . omega_I = simplex.  The chain order
+    steps by nested 0/1 vectors, so omega_I has the types sum(v) - sum(v_0).
     """
     if face in _STANDARD_POSITION:
         return _STANDARD_POSITION[face]
     d = len(face.simplex[0])
-    sums = [sum(v) for v in face.simplex]
-    span = sums[-1] - sums[0]
-    for i0 in range(d - span):
-        types = [i0 + s - sums[0] for s in sums]
-        omega_i = [tuple(1 if k < i else 0 for k in range(d)) for i in types]
-        g = _solve_face_map(omega_i, face.simplex, d)
-        if g is not None:
-            h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
-            _STANDARD_POSITION[face] = (omega_i, g, h_std)
-            return omega_i, g, h_std
-    raise AssertionError("simplex is not a face of any standard type")
+    types = [sum(v) - sum(face.simplex[0]) for v in face.simplex]
+    omega_i = [tuple(1 if k < i else 0 for k in range(d)) for i in types]
+    g = _solve_face_map(omega_i, face.simplex, d)
+    if g is None:
+        raise InvariantError(f"no Weyl element maps {omega_i} to {face.simplex}")
+    h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
+    _STANDARD_POSITION[face] = (omega_i, g, h_std)
+    return omega_i, g, h_std
 
 
 def _standard_double_coset(
@@ -415,7 +417,8 @@ def simplex_rank_realizable(
     to vertex j mod n+1, measured along the forward arcs; entries beyond
     winding n are zero by convention.
     """
-    assert len(quiver.simplices) == 1, "realizability test expects a single simplex"
+    if len(quiver.simplices) != 1:
+        raise InvariantError("realizability test expects a single simplex")
     cycle = chain_order(quiver.simplices[0])
     n = len(cycle) - 1
     dims = list(dims)
@@ -450,16 +453,19 @@ def simplex_rank_realizable(
             continue
         nxt = cycle[(j + 1) % (n + 1)]
         free_coords = sorted(quiver.trans[(nxt, cycle[j])].support)
-        assert m_j <= len(free_coords)
+        if m_j > len(free_coords):
+            raise InvariantError(f"{m_j} generators at slot {j} but {len(free_coords)} free coordinates")
         arcs = []
         for k in range(j - n, j + 1):
             a = dd(k, j) + dd(k - 1, j + 1) - dd(k, j + 1) - dd(k - 1, j)
             arcs.extend([k % (n + 1)] * a)
-        assert len(arcs) == m_j
+        if len(arcs) != m_j:
+            raise InvariantError(f"{len(arcs)} arcs for {m_j} generators at slot {j}")
         for coord, start in zip(free_coords, arcs):
             y = tuple(1 if c == coord - 1 else 0 for c in range(d))
             vec = quiver.apply_map(nxt, cycle[start], y, p)
-            assert not gf.is_zero(vec)
+            if gf.is_zero(vec):
+                raise InvariantError(f"generator {y} at {nxt} vanishes at {cycle[start]}")
             seeds.append((cycle[start], vec))
     witness = generated(quiver, seeds, p)
     target = {}
@@ -471,7 +477,8 @@ def simplex_rank_realizable(
             else:
                 target[(u, v)] = dd(a, b)
     achieved = rank_vector(witness, quiver).as_dict()
-    assert achieved == target, f"witness rank vector mismatch: {achieved} != {target}"
+    if achieved != target:
+        raise InvariantError(f"witness rank vector mismatch: {achieved} != {target}")
     return True, witness
 
 
@@ -493,7 +500,8 @@ def r1_face_of(M: SubRep, quiver: Quiver) -> tuple[frozenset[Vertex], dict[Verte
     """Maximal vertices of a dimension-one subrep, plus the covering partition."""
     eps = {}
     for v in quiver.vertices:
-        assert len(M.spaces[v]) == 1, "dimension-one representation expected"
+        if len(M.spaces[v]) != 1:
+            raise InvariantError("dimension-one representation expected")
         eps[v] = M.spaces[v][0]
     maximal = set()
     for u in quiver.vertices:
@@ -505,8 +513,8 @@ def r1_face_of(M: SubRep, quiver: Quiver) -> tuple[frozenset[Vertex], dict[Verte
             maximal.add(u)
     for a in maximal:
         for b in maximal:
-            if a != b:
-                assert classes_adjacent(a, b), "maximal vertices must form a simplex"
+            if a != b and not classes_adjacent(a, b):
+                raise InvariantError("maximal vertices must form a simplex")
     covering = {
         u: frozenset(
             w
@@ -539,9 +547,11 @@ def r1_order_check(quiver: Quiver, p: int = 2) -> dict:
         face_phi.setdefault(delta, set()).add(rank_vector(M, quiver))
         covered = set()
         for part in covering.values():
-            assert not covered & part, "covering sets overlap"
+            if covered & part:
+                raise InvariantError("covering sets overlap")
             covered |= part
-        assert covered == set(quiver.vertices), "covering sets miss a vertex"
+        if covered != set(quiver.vertices):
+            raise InvariantError("covering sets miss a vertex")
     bijective = (
         set(face_phi) == faces
         and all(len(s) == 1 for s in face_phi.values())
@@ -583,7 +593,9 @@ def r1_rep_of_face(quiver: Quiver, face: Sequence[Vertex], p: int) -> SubRep:
             )
         seeds.append((u, eps))
     rep = generated(quiver, seeds, p)
-    assert all(len(b) == 1 for b in rep.spaces.values()), "generated rep is not dimension one"
+    if any(len(b) != 1 for b in rep.spaces.values()):
+        raise InvariantError("generated rep is not dimension one")
     got, _ = r1_face_of(rep, quiver)
-    assert got == frozenset(face), f"realized face {got} differs from {face}"
+    if got != frozenset(face):
+        raise InvariantError(f"realized face {got} differs from {face}")
     return rep

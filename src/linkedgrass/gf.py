@@ -90,11 +90,6 @@ def contains(basis: Basis, v: Vec, p: int) -> bool:
     return is_zero(reduce_vec(v, basis, p))
 
 
-def is_subspace(a: Basis, b: Basis, p: int) -> bool:
-    """True iff span(a) is contained in span(b)."""
-    return all(contains(b, row, p) for row in a)
-
-
 def left_kernel(rows: Sequence[Vec], p: int) -> Basis:
     """Basis of {lam : sum_i lam_i * rows_i = 0}."""
     m = len(rows)

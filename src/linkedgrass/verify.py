@@ -414,7 +414,3 @@ def run_suite(name: str, **kwargs) -> dict:
         if v is not None and k in fn.__code__.co_varnames[: fn.__code__.co_argcount]
     }
     return fn(**accepted)
-
-
-def run_all(**kwargs) -> list[dict]:
-    return [run_suite(name, **kwargs) for name in SUITES]

@@ -15,9 +15,11 @@ The length of g (that of its W_a-part) is the inversion count
 sum_{i<j} |floor((w(j) - w(i)) / d)| of the window
 w(i) = sigma(i) + d * trans_{sigma(i)} (Shi 1986; Bjorner-Brenti, GTM 231,
 section 8.3), which right multiplication by iota leaves unchanged.  The
-Bruhat order is the downward closure along reflection covers.  Breadth-first
-search in the Cayley graph enumerates W_a by length, gives reduced words
-and is the oracle the closed forms are tested against.  A double coset
+Bruhat order follows the lifting property (Bjorner-Brenti, GTM 231, Prop.
+2.2.7): while l(u) < l(w), w steps down by a right descent s, and u by s
+when s is a descent of u too; then u <= w iff u == w.  Breadth-first search
+in the Cayley graph enumerates W_a by length, gives reduced words and is
+the oracle the closed forms are tested against.  A double coset
 W1 g W2 of finite subgroups is scanned once, as the cosets a g W2 over
 representatives a of W1 / (W1 & g W2 g^-1); descent removal would need W1
 to be standard parabolic, which stabilizers of shared faces need not be.
@@ -149,11 +151,16 @@ def iota_decompose(g: WeylElement) -> tuple[WeylElement, int]:
 # Lengths, the Cayley ball of W_a and the Bruhat order
 
 
+def _window(g: WeylElement) -> list[int]:
+    """The window w(i) = sigma(i) + d * trans_{sigma(i)}, i = 1..d."""
+    d = len(g.sigma)
+    return [s + d * g.trans[s - 1] for s in g.sigma]
+
+
 def length(g: WeylElement) -> int:
     """Word length of the W_a-part of g over s_0..s_{d-1} (inversion count)."""
     d = len(g.sigma)
-    trans = g.trans
-    window = [s + d * trans[s - 1] for s in g.sigma]
+    window = _window(g)
     total = 0
     for j in range(1, d):
         wj = window[j]
@@ -218,48 +225,36 @@ def wa_elements(d: int, max_len: int) -> list[WeylElement]:
     return _ball(d).elements_up_to(max_len)
 
 
-def reflections(d: int, kmax: int) -> list[WeylElement]:
-    """Affine reflections ((i j), k(e_i - e_j)) with |k| <= kmax."""
-    out = []
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            sigma = list(range(1, d + 1))
-            sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
-            for k in range(-kmax, kmax + 1):
-                trans = [0] * d
-                trans[i - 1], trans[j - 1] = k, -k
-                out.append(WeylElement(tuple(sigma), tuple(trans)))
-    return out
+def _right_descent(window: list[int], i: int) -> bool:
+    """l(w * s_i) < l(w) for the element w with this window."""
+    if i:
+        return window[i - 1] > window[i]
+    return window[-1] - len(window) > window[0]
 
 
-_DOWNSETS: dict[int, dict[WeylElement, frozenset[WeylElement]]] = {}
-
-
-def _downset(w: WeylElement) -> frozenset[WeylElement]:
-    """All W_a elements below w in Bruhat order, w included."""
-    d = w.d
-    memo = _DOWNSETS.setdefault(d, {})
-    if w in memo:
-        return memo[w]
-    lw = length(w)
-    down = {w}
-    if lw > 0:
-        for t in reflections(d, lw + 1):
-            u = compose(w, t)
-            if length(u) == lw - 1:
-                down |= _downset(u)
-    result = frozenset(down)
-    memo[w] = result
-    return result
+def _times_simple(window: list[int], i: int) -> None:
+    """Replace the window of w by that of w * s_i."""
+    if i:
+        window[i - 1], window[i] = window[i], window[i - 1]
+    else:
+        d = len(window)
+        window[0], window[-1] = window[-1] - d, window[0] + d
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order on the extended group: equal iota parts, comparable W_a parts."""
-    if sum(u.trans) != sum(w.trans) or length(u) > length(w):
+    """Bruhat order on the extended group: equal iota parts, then lifting."""
+    if sum(u.trans) != sum(w.trans):
         return False
-    if u == w:
-        return True
-    return iota_decompose(u)[0] in _downset(iota_decompose(w)[0])
+    lu, lw = length(u), length(w)
+    x, y = _window(u), _window(w)
+    while lu < lw:
+        s = next(i for i in range(len(y)) if _right_descent(y, i))
+        _times_simple(y, s)
+        lw -= 1
+        if _right_descent(x, s):
+            _times_simple(x, s)
+            lu -= 1
+    return lu == lw and x == y
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +394,6 @@ def minmax_rep(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylEl
         reps = (min_coset_rep(vg, w2) for vg in _coset_heads(g, w1, w2))
         _MINMAX[key] = _unique_extreme(reps, -1, "maximal minimal-coset representative")
     return _MINMAX[key]
-
-
-def double_coset_leq(
-    g: WeylElement, h: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup
-) -> bool:
-    """Induced Bruhat order on W1 \\ W~ / W2 via minimal representatives."""
-    return bruhat_leq(double_coset_min(g, w1, w2), double_coset_min(h, w1, w2))
 
 
 def hasse_dot(name: str, nodes: Sequence, labels: Sequence[str], leq: Callable) -> str:

@@ -1,7 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkedgrass import admissible as adm
 from linkedgrass import quiver as qv
@@ -15,8 +21,13 @@ def make_quiver(vertices):
     return qv.Quiver(configuration(vertices))
 
 
+def enumerate_admissible_alcoves(r, d):
+    """Admissible perturbations of the standard alcove, as vector arrays."""
+    return [face.vectors for face in adm.admissible_faces(adm.standard_alcove(d), r)]
+
+
 def test_admissible_alcoves_d2_r1_exact():
-    alcoves = {tuple(a) for a in adm.enumerate_admissible_alcoves(1, 2)}
+    alcoves = {tuple(a) for a in enumerate_admissible_alcoves(1, 2)}
     assert alcoves == {
         ((1, 0), (2, 0)),
         ((1, 0), (1, 1)),
@@ -27,7 +38,7 @@ def test_admissible_alcoves_d2_r1_exact():
 def test_translation_alcoves_always_admissible():
     for d in (2, 3, 4):
         for r in range(1, d):
-            alcoves = set(adm.enumerate_admissible_alcoves(r, d))
+            alcoves = set(enumerate_admissible_alcoves(r, d))
             for ones in itertools.combinations(range(d), r):
                 mu = tuple(1 if i in ones else 0 for i in range(d))
                 translated = tuple(
@@ -49,7 +60,7 @@ def test_alcove_count_matches_bruhat_criterion_oracle():
         g = weyl.compose(w, weyl.iota_pow(d, r))
         if any(weyl.bruhat_leq(g, t) for t in mu_translations):
             arrays.add(tuple(weyl.act(g, om) for om in omega))
-    assert arrays == set(adm.enumerate_admissible_alcoves(r, d))
+    assert arrays == set(enumerate_admissible_alcoves(r, d))
 
 
 def product_filter_faces(chain, r):
@@ -369,3 +380,101 @@ def test_generalized_order_rejects_incomparable_collections():
         adm.generalized_bruhat_leq(x, y, quiver)
     with pytest.raises(InvariantError, match="r = 1 and r = 2"):
         adm.top_strata([x, y], quiver)
+
+
+def solve_face_map_search(source, target, d):
+    """Oracle: the first permutation, in lexicographic order, whose element
+    sends every source vector to its target (the search `_solve_face_map` replaced)."""
+    for sigma in itertools.permutations(range(1, d + 1)):
+        moved = weyl.perm_apply(sigma, source[0])
+        g = weyl.WeylElement(sigma, tuple(t - m for t, m in zip(target[0], moved)))
+        if all(weyl.act(g, s) == tuple(t) for s, t in zip(source, target)):
+            return g
+    return None
+
+
+def standard_types_search(face):
+    """Oracle: the type loop over i0 that `_to_standard_position` replaced."""
+    d = len(face.simplex[0])
+    sums = [sum(v) for v in face.simplex]
+    for i0 in range(d - (sums[-1] - sums[0])):
+        omega_i = [tuple(1 if k < i0 + s - sums[0] else 0 for k in range(d)) for s in sums]
+        if solve_face_map_search(omega_i, face.simplex, d) is not None:
+            return omega_i
+    return None
+
+
+def test_solve_face_map_matches_search_on_configs(monkeypatch):
+    calls = []
+    solve = adm._solve_face_map
+    monkeypatch.setattr(adm, "_solve_face_map", lambda *args: calls.append(args) or solve(*args))
+    monkeypatch.setattr(adm, "_STANDARD_POSITION", {})
+    paths, faces = sorted(CONFIGS.glob("*.json")), []
+    assert len(paths) == 12
+    for path in paths:
+        quiver = qv.Quiver(Configuration.from_json(path.read_text()))
+        for simplex in quiver.simplices:
+            for r in range(1, quiver.d):
+                for face in adm.admissible_faces(simplex, r):
+                    assert adm._to_standard_position(face)[0] == standard_types_search(face)
+                    faces.append(face)
+    # one call per face from admissible_faces, one per distinct face from the memo
+    assert len(faces) == 1006 and len(calls) == len(faces) + len(set(faces))
+    for source, target, d in calls:
+        g = solve(source, target, d)
+        assert g is not None and g == solve_face_map_search(source, target, d)
+
+
+@st.composite
+def face_map_pairs(draw):
+    """Source vectors and a target: half the images under a random extended
+    element, half unrelated vectors, so both outcomes occur."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, d))
+    vectors = st.lists(st.integers(0, 2), min_size=d, max_size=d).map(tuple)
+    source = draw(st.lists(vectors, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        sigma = tuple(draw(st.permutations(range(1, d + 1))))
+        g = weyl.WeylElement(sigma, tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))))
+        target = [weyl.act(g, v) for v in source]
+    else:
+        target = draw(st.lists(vectors, min_size=n, max_size=n))
+    return source, target, d
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(face_map_pairs())
+def test_solve_face_map_matches_search_on_random_pairs(pair):
+    assert adm._solve_face_map(*pair) == solve_face_map_search(*pair)
+
+
+NO_FACE_MAP = """
+    import sys
+    import traceback
+    from pathlib import Path
+    from linkedgrass import admissible
+
+    print("optimize", sys.flags.optimize)
+    face = admissible.admissible_faces(admissible.standard_alcove(3), 1)[0]
+    admissible._solve_face_map = lambda source, target, d: None
+    for call in (lambda: admissible.admissible_faces(face.simplex, 1),
+                 lambda: admissible._to_standard_position(face)):
+        try:
+            call()
+        except AssertionError as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            print(type(exc).__name__, Path(frame.filename).name, frame.name)
+"""
+
+
+def test_missing_face_map_raises_under_python_O():
+    src = Path(adm.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(NO_FACE_MAP)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == (
+        "optimize 1\n"
+        "InvariantError admissible.py extend\n"
+        "InvariantError admissible.py _to_standard_position\n"
+    )

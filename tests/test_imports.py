@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import linkedgrass
 
 SOURCES = sorted(Path(linkedgrass.__file__).parent.glob("*.py"))
@@ -21,8 +23,9 @@ def test_no_function_local_imports():
     assert found == []
 
 
-def test_weyl_has_no_bare_asserts():
-    # `python -O` strips assert statements; weyl's invariants raise InvariantError
-    path = Path(linkedgrass.__file__).parent / "weyl.py"
+@pytest.mark.parametrize("name", ["weyl.py", "admissible.py"])
+def test_no_bare_asserts(name):
+    # `python -O` strips assert statements; these modules raise InvariantError
+    path = Path(linkedgrass.__file__).parent / name
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -174,6 +174,54 @@ def test_bruhat_matches_subword_oracle():
             assert weyl.bruhat_leq(u, w) == subword_leq(u, w, d)
 
 
+def reflections(d, kmax):
+    """Affine reflections ((i j), k(e_i - e_j)) with |k| <= kmax."""
+    out = []
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            sigma = list(range(1, d + 1))
+            sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
+            for k in range(-kmax, kmax + 1):
+                trans = [0] * d
+                trans[i - 1], trans[j - 1] = k, -k
+                out.append(weyl.WeylElement(tuple(sigma), tuple(trans)))
+    return out
+
+
+DOWNSETS = {}
+
+
+def downset(w):
+    """Oracle: all W_a elements below w in Bruhat order, w included, as the
+    downward closure along reflection covers (the search `bruhat_leq` replaced)."""
+    if w not in DOWNSETS:
+        lw = weyl.length(w)
+        down = {w}
+        if lw > 0:
+            for t in reflections(w.d, lw + 1):
+                u = weyl.compose(w, t)
+                if weyl.length(u) == lw - 1:
+                    down |= downset(u)
+        DOWNSETS[w] = frozenset(down)
+    return DOWNSETS[w]
+
+
+def downset_leq(u, w):
+    if sum(u.trans) != sum(w.trans):
+        return False
+    return weyl.iota_decompose(u)[0] in downset(weyl.iota_decompose(w)[0])
+
+
+@pytest.mark.parametrize("d,radius", [(2, 7), (3, 5), (4, 4), (5, 3)])
+def test_bruhat_matches_downset_oracle(d, radius):
+    ball = sorted(weyl.wa_elements(d, radius), key=lambda g: (weyl.length(g), g.sigma, g.trans))
+    for k in (-1, 0, 1, d, 2 * d + 1):
+        elems = [weyl.compose(w, weyl.iota_pow(d, k)) for w in ball]
+        for u in elems:
+            for w in elems:
+                assert weyl.bruhat_leq(u, w) == downset_leq(u, w), (u, w)
+
+
 def test_bruhat_cover_lifting():
     # covering pairs differ in length by exactly one
     for w in weyl.wa_elements(3, 4):
@@ -182,7 +230,7 @@ def test_bruhat_cover_lifting():
             continue
         covers = [
             u
-            for t in weyl.reflections(3, lw + 1)
+            for t in reflections(3, lw + 1)
             for u in [weyl.compose(w, t)]
             if weyl.length(u) == lw - 1 and weyl.bruhat_leq(u, w)
         ]
@@ -243,6 +291,11 @@ def test_double_coset_min_properties():
         assert weyl.double_coset_min(conjugated, w1, w2) == rep
 
 
+def double_coset_leq(g, h, w1, w2):
+    """Induced Bruhat order on W1 \\ W~ / W2 via minimal representatives."""
+    return weyl.bruhat_leq(weyl.double_coset_min(g, w1, w2), weyl.double_coset_min(h, w1, w2))
+
+
 def test_double_coset_with_trivial_parahorics_is_bruhat():
     d = 3
     omega = standard_alcove(d)
@@ -252,7 +305,7 @@ def test_double_coset_with_trivial_parahorics_is_bruhat():
     rng = random.Random(7)
     for _ in range(100):
         g, h = rng.choice(elems), rng.choice(elems)
-        assert weyl.double_coset_leq(g, h, trivial, trivial) == weyl.bruhat_leq(g, h)
+        assert double_coset_leq(g, h, trivial, trivial) == weyl.bruhat_leq(g, h)
 
 
 def test_double_coset_min_of_product_is_identity():
@@ -303,7 +356,7 @@ def test_double_coset_order_matches_minmax_oracle():
     rng = random.Random(9)
     for _ in range(150):
         g, h = rng.choice(elems), rng.choice(elems)
-        via_min = weyl.double_coset_leq(g, h, w1, w2)
+        via_min = double_coset_leq(g, h, w1, w2)
         via_minmax = weyl.bruhat_leq(
             weyl.minmax_rep(g, w1, w2), weyl.minmax_rep(h, w1, w2)
         )
