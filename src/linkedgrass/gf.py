@@ -90,41 +90,38 @@ def contains(basis: Basis, v: Vec, p: int) -> bool:
     return is_zero(reduce_vec(v, basis, p))
 
 
-def left_kernel(rows: Sequence[Vec], p: int) -> Basis:
-    """Basis of {lam : sum_i lam_i * rows_i = 0}."""
-    m = len(rows)
-    if m == 0:
+def vanishing_on(basis: Sequence[Vec], coords: Iterable[int], p: int) -> Basis:
+    """Rref basis of {x in span(basis) : x_k = 0 for every k in coords}.
+
+    One rref with the `coords` columns moved first: a row whose pivot lies
+    past them is zero on them, and the rows pivoting inside them are the
+    only ones with a nonzero there, so the kept rows span the subspace.  The
+    other columns keep their relative order, so once the columns go back in
+    place the kept rows are still reduced, ordered by pivot: the canonical
+    rref, with no second elimination.
+    """
+    if not basis:
         return ()
-    ncols = len(rows[0])
-    # eliminate the transposed system; kernel from free columns
-    transposed = [tuple(rows[i][c] for i in range(m)) for c in range(ncols)]
-    basis = rref(transposed, p)
-    pivots = set(pivot_columns(basis))
-    free = [j for j in range(m) if j not in pivots]
-    out = []
-    for j in free:
-        lam = [0] * m
-        lam[j] = 1
-        for row in basis:
-            piv = row.index(1)  # rref: the pivot is the first nonzero entry, a 1
-            lam[piv] = (-row[j]) % p
-        out.append(tuple(lam))
-    return rref(out, p)
+    first = sorted(set(coords))
+    order = first + [k for k in range(len(basis[0])) if k not in first]
+    back = sorted(range(len(order)), key=order.__getitem__)
+    echelon = rref([tuple(row[k] for k in order) for row in basis], p)
+    return tuple(tuple(row[j] for j in back) for row in echelon if not any(row[: len(first)]))
 
 
 def intersect(a: Basis, b: Basis, p: int) -> Basis:
-    """Basis of span(a) & span(b)."""
+    """Rref basis of span(a) & span(b), by Zassenhaus' algorithm.
+
+    The rows (x, x) for x in a and (y, 0) for y in b span {(x + y, x)}; its
+    members with x + y = 0 are exactly the (0, x) with x in both spaces.
+    The rref rows whose first half vanishes span those members, and their
+    second halves are reduced and ordered by pivot: the canonical rref.
+    """
     if not a or not b:
         return ()
-    residuals = [reduce_vec(row, b, p) for row in a]
-    lam_basis = left_kernel(residuals, p)
-    vecs = []
-    for lam in lam_basis:
-        v = tuple(0 for _ in a[0])
-        for c, row in zip(lam, a):
-            v = vec_add(v, vec_scale(c, row, p), p)
-        vecs.append(v)
-    return rref(vecs, p)
+    zero = (0,) * len(a[0])
+    echelon = rref([row + row for row in a] + [row + zero for row in b], p)
+    return tuple(row[len(zero):] for row in echelon if not any(row[: len(zero)]))
 
 
 def complement(inner: Sequence[Vec], outer: Iterable[Vec], p: int) -> Basis:
@@ -216,9 +213,3 @@ def superspaces(inner: Basis, k: int, n: int, p: int) -> tuple[Basis, ...]:
             lifted.append(tuple(amb))
         out.append(rref(list(inner) + lifted, p))
     return tuple(out)
-
-
-def preimage(images_of_basis: Sequence[Vec], target: Basis, p: int) -> Basis:
-    """Basis of {x : sum_i x_i * images_of_basis[i] in span(target)}."""
-    residuals = [reduce_vec(img, target, p) for img in images_of_basis]
-    return left_kernel(residuals, p)

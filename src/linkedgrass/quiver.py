@@ -12,7 +12,9 @@ Sub-representations over locally weakly independent configurations split
 into summands generated by a single vector; `decompose` implements the
 constructive splitting, `deform_step` the rank-raising deformation toward
 projective points, and `enumerate_subreps` a pruned brute-force oracle over
-the whole quiver Grassmannian.
+the whole quiver Grassmannian.  Their kernels are coordinate subspaces: the
+part of a space that a map kills is read off one echelon form with the
+support's columns moved first (`gf.vanishing_on`).
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ class Quiver:
             for c in simplex
             if all(self.factors_through(x, c, w) for x in simplex)
         ]
-        assert len(hits) == 1, f"entry vertex into {simplex} not unique for {w}: {hits}"
+        if len(hits) != 1:
+            raise InvariantError(f"entry vertex into {simplex} not unique for {w}: {hits}")
         self._entry_cache[key] = hits[0]
         return hits[0]
 
@@ -138,9 +141,11 @@ class Quiver:
     def map_image(self, u: Vertex, v: Vertex, basis: Basis, p: int) -> Basis:
         return gf.rref([self.apply_map(u, v, row, p) for row in basis], p)
 
-    def map_kernel_ambient(self, u: Vertex, v: Vertex, p: int) -> Basis:
-        support = self.trans[(u, v)].support
-        return tuple(e for k, e in enumerate(self.unit) if k + 1 not in support)
+    def pullback(self, u: Vertex, v: Vertex, basis: Basis, p: int) -> Basis:
+        """Rref basis of {x : map u -> v sends x into span(basis)}: the part of
+        span(basis) vanishing off the support, plus every unit vector off it."""
+        off = [k for k in range(self.d) if k not in self.coords[(u, v)]]
+        return gf.rref(gf.vanishing_on(basis, off, p) + tuple(self.unit[k] for k in off), p)
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]
@@ -329,7 +334,7 @@ def _split_single_generators(quiver: Quiver, v: Vertex, space: Basis, p: int) ->
             n = len(cycle) - 1
             prev_kernel: Basis = ()
             for m in range(1, n + 1):
-                kernel_m = gf.intersect(work, quiver.map_kernel_ambient(v, cycle[m], p), p)
+                kernel_m = gf.vanishing_on(work, quiver.coords[(v, cycle[m])], p)
                 for eps in gf.nonzero_vectors(kernel_m, p):
                     if not gf.contains(prev_kernel, eps, p):
                         found = (eps, cycle, m)
@@ -344,16 +349,20 @@ def _split_single_generators(quiver: Quiver, v: Vertex, space: Basis, p: int) ->
             gens.extend(work)
             break
         eps, cycle, m = found
-        z = cycle[-1]
-        big = []
+        # the kernel sum is spanned by the unit vectors off the meet of the
+        # supports; with no kernels the meet is every coordinate, so keep = ()
+        meet = (1 << quiver.d) - 1
         for u in quiver.in_arrows[v]:
-            if u != z:
-                big.extend(quiver.map_kernel_ambient(v, u, p))
-        big.extend(quiver.map_kernel_ambient(v, cycle[m - 1], p) if m > 1 else ())
-        keep = gf.intersect(work, gf.rref(big, p), p)
-        assert not gf.contains(keep, eps, p), "split vector landed in the kept kernel sum"
+            if u != cycle[-1]:
+                meet &= quiver.masks[(v, u)]
+        if m > 1:
+            meet &= quiver.masks[(v, cycle[m - 1])]
+        keep = gf.vanishing_on(work, [k for k in range(quiver.d) if meet >> k & 1], p)
+        if gf.contains(keep, eps, p):
+            raise InvariantError("split vector landed in the kept kernel sum")
         new_work = gf.rref(keep + gf.complement(keep + (eps,), work, p), p)
-        assert len(new_work) == len(work) - 1
+        if len(new_work) != len(work) - 1:
+            raise InvariantError("splitting off a generator did not drop the dimension by one")
         gens.append(eps)
         work = new_work
     return gens
@@ -381,18 +390,13 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
             images[u] = quiver.map_image(u, v, M.spaces[u], p)
         parts: list[Basis] = []
         for u in quiver.in_arrows[v]:
-            cycle = quiver.cycle_through(v, u)
-            n = len(cycle) - 1
-            a_prev: Basis = ()
             b_prev: Basis = ()
             c_rows: list[Vec] = []
-            for i in range(1, n + 1):
-                kernel = quiver.map_kernel_ambient(v, cycle[i], p)
-                a_i = gf.intersect(images[u], kernel, p)
-                b_i = gf.intersect(space, kernel, p)
-                c_i = gf.complement(a_i + b_prev, b_i, p)
-                c_rows.extend(c_i)
-                a_prev, b_prev = a_i, b_i
+            for w in quiver.cycle_through(v, u)[1:]:
+                a_i = gf.vanishing_on(images[u], quiver.coords[(v, w)], p)
+                b_i = gf.vanishing_on(space, quiver.coords[(v, w)], p)
+                c_rows.extend(gf.complement(a_i + b_prev, b_i, p))
+                b_prev = b_i
             parts.append(gf.rref(c_rows, p))
         inner_rows: list[Vec] = []
         for u in quiver.in_arrows[v]:
@@ -436,9 +440,11 @@ def _death_data(quiver: Quiver, t: SummandType) -> tuple[tuple[Vertex, ...], int
     for cycle in quiver.cycles_at(t.root):
         m = next((i for i, w in enumerate(cycle) if w not in t.support), None)
         if m is not None:
-            assert all(cycle[j] not in t.support for j in range(m, len(cycle)))
+            if any(cycle[j] in t.support for j in range(m, len(cycle))):
+                raise InvariantError(f"summand support revives on {cycle} after position {m}")
             hits.append((cycle, m))
-    assert len(hits) == 1, f"summand type must die on exactly one cycle, got {len(hits)}"
+    if len(hits) != 1:
+        raise InvariantError(f"summand type must die on exactly one cycle, got {len(hits)}")
     return hits[0]
 
 
@@ -572,7 +578,8 @@ def _arc_on_cycle(
     length = 0
     while length <= n and covered[(start + length) % (n + 1)]:
         length += 1
-    assert sum(covered) == length, f"support on cycle is not an arc from {cycle[start]}"
+    if sum(covered) != length:
+        raise InvariantError(f"support on cycle is not an arc from {cycle[start]}")
     return (start, start + length - 1)
 
 
@@ -693,7 +700,8 @@ def deform_step(
         base_eta = quiver.apply_map(root, donor_entry, donor_vec_at_entry, p)
         if base_eta != gf.vec(donor_vec_at_entry, p):
             continue
-        kernel = quiver.map_kernel_ambient(root, donor_entry, p)
+        support = quiver.coords[(root, donor_entry)]
+        kernel = tuple(e for k, e in enumerate(quiver.unit) if k not in support)
         repl_vec_at_root = repl.vector
         predicted = _predict_increment(
             quiver, p, repl, cycle, a_r, rel_start, rel_end, old_len
@@ -772,12 +780,8 @@ def extend_partial(
     pulled: dict[Vertex, Basis] = {}
     for u in quiver.vertices:
         space = quiver.unit
-        for v, basis in partial.items():
-            if u == v:
-                space = gf.intersect(space, basis, p)
-            else:
-                images = [quiver.apply_map(u, v, e, p) for e in quiver.unit]
-                space = gf.intersect(space, gf.preimage(images, basis, p), p)
+        for v, basis in partial.items():  # the map u -> u is the identity
+            space = gf.intersect(space, quiver.pullback(u, v, basis, p), p)
         if len(space) < r:
             return None
         pulled[u] = space
@@ -794,20 +798,24 @@ def extend_partial(
                     break
             if pair:
                 break
-        assert pair is not None, "no shrinkable vertex with an exact in-neighbour"
+        if pair is None:
+            raise InvariantError("no shrinkable vertex with an exact in-neighbour")
         _, u2 = pair
         w_rows: list[Vec] = []
         for u in quiver.in_arrows[u2]:
             for row in pulled[u]:
                 w_rows.append(quiver.apply_map(u, u2, row, p))
         w_space = gf.rref(w_rows, p)
-        assert len(w_space) <= r, "incoming image space exceeded the target dimension"
+        if len(w_space) > r:
+            raise InvariantError("incoming image space exceeded the target dimension")
         extra = gf.complement(w_space, pulled[u2], p)[: r - len(w_space)]
         pulled[u2] = gf.rref(w_space + extra, p)
 
     result = SubRep(p, pulled)
     ok, witness = is_subrep(result, quiver)
-    assert ok, f"extension failed closure at arrow {witness}"
+    if not ok:
+        raise InvariantError(f"extension failed closure at arrow {witness}")
     for v, basis in partial.items():
-        assert result.spaces[v] == gf.rref(basis, p)
+        if result.spaces[v] != gf.rref(basis, p):
+            raise InvariantError(f"extension changed the given space at {v}")
     return result

@@ -3,10 +3,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linkedgrass import cli, gf
 from linkedgrass import quiver as qv
 from linkedgrass.lattice import configuration
+from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
 
 
 def random_rows(rng, n, k, p):
@@ -66,10 +69,50 @@ def test_intersection_and_complement(p):
         assert len(cap) + len(comp) == len(a)
 
 
+def left_kernel(rows, p):
+    """Basis of {lam : sum_i lam_i * rows_i = 0}, from the free columns of
+    the transposed system: the kernel step of the replaced `intersect`."""
+    m = len(rows)
+    if m == 0:
+        return ()
+    transposed = [tuple(rows[i][c] for i in range(m)) for c in range(len(rows[0]))]
+    basis = gf.rref(transposed, p)
+    pivots = set(gf.pivot_columns(basis))
+    out = []
+    for j in range(m):
+        if j in pivots:
+            continue
+        lam = [0] * m
+        lam[j] = 1
+        for row in basis:
+            lam[row.index(1)] = (-row[j]) % p
+        out.append(tuple(lam))
+    return gf.rref(out, p)
+
+
+def intersect_oracle(a, b, p):
+    """The replaced `gf.intersect`: the left kernel of a's residuals modulo b."""
+    if not a or not b:
+        return ()
+    lam_basis = left_kernel([gf.reduce_vec(row, b, p) for row in a], p)
+    vecs = []
+    for lam in lam_basis:
+        v = tuple(0 for _ in a[0])
+        for c, row in zip(lam, a):
+            v = gf.vec_add(v, gf.vec_scale(c, row, p), p)
+        vecs.append(v)
+    return gf.rref(vecs, p)
+
+
+def preimage(images_of_basis, target, p):
+    """Basis of {x : sum_i x_i * images_of_basis[i] in span(target)}."""
+    return left_kernel([gf.reduce_vec(img, target, p) for img in images_of_basis], p)
+
+
 def test_left_kernel_and_preimage():
     p = 3
     rows = [(1, 0, 2), (2, 0, 1), (0, 0, 0)]
-    ker = gf.left_kernel(rows, p)
+    ker = left_kernel(rows, p)
     for lam in gf.all_vectors(ker, p):
         total = (0, 0, 0)
         for c, row in zip(lam, rows):
@@ -78,11 +121,79 @@ def test_left_kernel_and_preimage():
     # preimage of a line under a projection
     images = [(1, 0), (0, 0), (0, 1)]
     target = gf.rref([(1, 0)], p)
-    pre = gf.preimage(images, target, p)
+    pre = preimage(images, target, p)
     for x in gf.all_vectors(pre, p):
         img = (x[0] % p, x[2] % p)
         assert gf.contains(target, img, p)
     assert len(pre) == 2
+
+
+def vectors(n, p):
+    return st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def spans_and_coords(draw):
+    """Unreduced generating rows, an unsorted coordinate set, n and p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(vectors(n, p), max_size=n + 1))
+    coords = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return rows, list(coords), n, p
+
+
+@settings(max_examples=800, derandomize=True, database=None)
+@given(spans_and_coords())
+@example(([(1, 2, 0), (0, 1, 1)], [], 3, 3))  # S empty
+@example(([(1, 2, 0), (0, 1, 1)], [2, 0, 1], 3, 3))  # S full, unsorted
+@example(([(1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)], [3, 0], 4, 2))  # unsorted S
+@example(([], [1], 3, 5))  # empty basis
+def test_vanishing_on_matches_intersect_oracle(case):
+    rows, coords, n, p = case
+    units = tuple(tuple(int(i == k) for i in range(n)) for k in range(n) if k not in coords)
+    got = gf.vanishing_on(rows, coords, p)
+    assert got == intersect_oracle(gf.rref(rows, p), units, p)
+    assert got == gf.rref(got, p)
+    assert all(row[k] == 0 for row in got for k in coords)
+
+
+@st.composite
+def span_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 7))
+    a = draw(st.lists(vectors(n, p), max_size=n + 1))
+    b = draw(st.lists(vectors(n, p), max_size=n + 1))
+    return gf.rref(a, p), gf.rref(b, p), p
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(span_pairs())
+def test_intersect_matches_oracle(case):
+    a, b, p = case
+    assert gf.intersect(a, b, p) == intersect_oracle(a, b, p)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(span_pairs())
+def test_intersection_dimension_formula(case):
+    a, b, p = case
+    assert len(gf.intersect(a, b, p)) + len(gf.rref(a + b, p)) == len(a) + len(b)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pullback_matches_preimage_oracle(p):
+    configs = {tuple(verts) for verts, _ in WEAKLY_INDEPENDENT_INSTANCES.values()}
+    checked = 0
+    for verts in sorted(configs | {tuple(SHARED_EDGE_TRIANGLES)}):
+        quiver = qv.Quiver(configuration(verts))
+        for u in quiver.vertices:
+            for v in quiver.vertices:  # every arrow, and every pair `extend_partial` pulls along
+                images = [quiver.apply_map(u, v, e, p) for e in quiver.unit]
+                for k in range(quiver.d + 1):
+                    for basis in gf.subspaces(quiver.d, k, p):
+                        assert quiver.pullback(u, v, basis, p) == preimage(images, basis, p)
+                        checked += 1
+    assert checked > 2500
 
 
 def test_check_prime():

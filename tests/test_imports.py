@@ -23,7 +23,7 @@ def test_no_function_local_imports():
     assert found == []
 
 
-@pytest.mark.parametrize("name", ["weyl.py", "admissible.py"])
+@pytest.mark.parametrize("name", ["weyl.py", "admissible.py", "quiver.py"])
 def test_no_bare_asserts(name):
     # `python -O` strips assert statements; these modules raise InvariantError
     path = Path(linkedgrass.__file__).parent / name

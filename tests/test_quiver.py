@@ -487,7 +487,7 @@ SABOTAGE = """
     from linkedgrass import quiver as qv
     from linkedgrass.lattice import configuration
 
-    assert sys.flags.optimize == 1
+    print("optimize", sys.flags.optimize)
     split = qv._split_single_generators
     if sys.argv[1] == "drop":
         qv._split_single_generators = lambda *args: split(*args)[1:]
@@ -512,8 +512,38 @@ def test_decompose_postconditions_survive_python_O(mode, message):
         [sys.executable, "-O", "-c", textwrap.dedent(SABOTAGE), mode],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.startswith("InvariantError decomposition ")
+    assert result.stdout.startswith("optimize 1\nInvariantError decomposition ")
     assert message in result.stdout
+
+
+KILL_NOTHING = """
+    import sys
+    import traceback
+    from linkedgrass import gf
+    from linkedgrass import quiver as qv
+    from linkedgrass.lattice import configuration
+
+    print("optimize", sys.flags.optimize)
+    gf.vanishing_on = lambda basis, coords, p: gf.rref(basis, p)  # every map kills everything
+    quiver = qv.Quiver(configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)]))
+    try:
+        qv._split_single_generators(quiver, quiver.vertices[0], quiver.unit, 2)
+    except AssertionError as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(type(exc).__name__, frame.name, exc)
+"""
+
+
+def test_split_check_survives_python_O():
+    src = Path(qv.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(KILL_NOTHING)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == (
+        "optimize 1\n"
+        "InvariantError _split_single_generators split vector landed in the kept kernel sum\n"
+    )
 
 
 def rank_vector_oracle(M, quiver):
