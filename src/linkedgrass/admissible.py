@@ -246,13 +246,11 @@ def stratum_rank_vector(collection: AdmissibleCollection, quiver: Quiver) -> Ran
     return RankVector.from_dict(data)
 
 
-_STANDARD_POSITION: dict[AdmissibleFace, tuple] = {}
+_STANDARD_POSITION: dict[AdmissibleFace, tuple[list[Vec], weyl.WeylElement]] = {}
 
 
-def _to_standard_position(
-    face: AdmissibleFace,
-) -> tuple[list[Vec], weyl.WeylElement, weyl.WeylElement]:
-    """Conjugate the simplex to a standard face: returns (omega_I, g, g^-1 h g).
+def _to_standard_position(face: AdmissibleFace) -> tuple[list[Vec], weyl.WeylElement]:
+    """Conjugate the simplex to a standard face: returns (omega_I, g^-1 h g).
 
     Lengths and the Bruhat order are based at the standard alcove, so coset
     comparisons and dimensions are read off after moving the simplex onto
@@ -268,8 +266,8 @@ def _to_standard_position(
     if g is None:
         raise InvariantError(f"no Weyl element maps {omega_i} to {face.simplex}")
     h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
-    _STANDARD_POSITION[face] = (omega_i, g, h_std)
-    return omega_i, g, h_std
+    _STANDARD_POSITION[face] = (omega_i, h_std)
+    return omega_i, h_std
 
 
 def _standard_double_coset(
@@ -282,7 +280,7 @@ def _standard_double_coset(
     of the corresponding Schubert cells.
     """
     d = len(face.simplex[0])
-    omega_i, _, h_std = _to_standard_position(face)
+    omega_i, h_std = _to_standard_position(face)
     w1 = weyl.face_stabilizer(omega_i)
     w2 = weyl.face_stabilizer([weyl.act_class(weyl.iota_pow(d, r), om) for om in omega_i])
     return weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2
@@ -355,7 +353,9 @@ def all_summand_types(quiver: Quiver) -> list:
     return types
 
 
-def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
+def rank_vector_realizable(
+    phi: RankVector, quiver: Quiver, check_independent: bool = True
+) -> bool:
     """Field-free test: the label is the rank vector of some sub-representation.
 
     Derives the multiplicity of every summand type from the label, requires
@@ -363,8 +363,7 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
     and the full rank vector.  Only valid over locally weakly independent
     configurations, where the decomposition theory applies.
     """
-    ok, _ = independence.weakly_independent(quiver)
-    if not ok:
+    if check_independent and not independence.weakly_independent(quiver)[0]:
         raise ValueError("realizability formulas need a locally weakly independent configuration")
     ranks = phi.as_dict()
     types = all_summand_types(quiver)
@@ -393,10 +392,12 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
 
 
 def realizable_strata(quiver: Quiver, r: int) -> list[AdmissibleCollection]:
+    if not independence.weakly_independent(quiver)[0]:
+        raise ValueError("realizability formulas need a locally weakly independent configuration")
     return [
         c
         for c in enumerate_admissible_collections(quiver, r)
-        if rank_vector_realizable(stratum_rank_vector(c, quiver), quiver)
+        if rank_vector_realizable(stratum_rank_vector(c, quiver), quiver, check_independent=False)
     ]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
 Basis = tuple[Vec, ...]
@@ -40,34 +40,44 @@ def is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
+def _eliminate(rows: Iterable[Vec], p: int, cols: Iterable[int]) -> tuple[list, list[int]]:
+    """Gauss-Jordan elimination pivoting on the columns `cols`, in that order.
+
+    Returns the nonzero reduced rows and their pivot columns, in pivot
+    order.  Entries are reduced mod p on entry and stay reduced, so pivots
+    are tested without `% p`; every other row is zero at each pivot column.
+    """
+    work = [[x % p for x in r] for r in rows]
+    nrows = len(work)
+    pivots: list[int] = []
+    for col in cols:
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        for piv in range(rank, nrows):
+            if work[piv][col]:
+                break
+        else:
+            continue
+        row = work[piv]
+        work[piv] = work[rank]
+        if row[col] != 1:
+            inv = pow(row[col], p - 2, p)
+            row = [(x * inv) % p for x in row]
+        work[rank] = row
+        for i, other in enumerate(work):
+            c = other[col]
+            if c and i != rank:
+                work[i] = [(x - c * y) % p for x, y in zip(other, row)]
+        pivots.append(col)
+    return work[: len(pivots)], pivots
+
+
 def rref(rows: Iterable[Vec], p: int) -> Basis:
     """Reduced row echelon basis of the span of `rows` (zero rows dropped)."""
-    work = [list(r) for r in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col] % p != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], p - 2, p) if p > 2 else 1
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] % p != 0:
-                c = work[r][col] % p
-                work[r] = [(x - c * y) % p for x, y in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return tuple(tuple(x % p for x in row) for row in work[:rank])
+    rows = list(rows)
+    echelon, _ = _eliminate(rows, p, range(len(rows[0]) if rows else 0))
+    return tuple(map(tuple, echelon))
 
 
 def pivot_columns(basis: Basis) -> tuple[int, ...]:
@@ -93,20 +103,38 @@ def contains(basis: Basis, v: Vec, p: int) -> bool:
 def vanishing_on(basis: Sequence[Vec], coords: Iterable[int], p: int) -> Basis:
     """Rref basis of {x in span(basis) : x_k = 0 for every k in coords}.
 
-    One rref with the `coords` columns moved first: a row whose pivot lies
-    past them is zero on them, and the rows pivoting inside them are the
-    only ones with a nonzero there, so the kept rows span the subspace.  The
-    other columns keep their relative order, so once the columns go back in
-    place the kept rows are still reduced, ordered by pivot: the canonical
-    rref, with no second elimination.
+    One elimination pivoting on the `coords` columns first: a row whose
+    pivot lies past them is zero on them, and the rows pivoting inside them
+    are the only ones with a nonzero there, so the kept rows span the
+    subspace.  The other columns are taken in their own order, so the kept
+    rows are reduced and ordered by pivot: the canonical rref.
     """
     if not basis:
         return ()
-    first = sorted(set(coords))
-    order = first + [k for k in range(len(basis[0])) if k not in first]
-    back = sorted(range(len(order)), key=order.__getitem__)
-    echelon = rref([tuple(row[k] for k in order) for row in basis], p)
-    return tuple(tuple(row[j] for j in back) for row in echelon if not any(row[: len(first)]))
+    first = set(coords)
+    cols = sorted(first) + [k for k in range(len(basis[0])) if k not in first]
+    echelon, pivots = _eliminate(basis, p, cols)
+    return tuple(tuple(row) for row, col in zip(echelon, pivots) if col not in first)
+
+
+def insert(basis: Basis, v: Vec, p: int) -> Optional[Basis]:
+    """Rref basis of span(basis) + span(v); None when v already lies in it.
+
+    The residual of v against the rref basis is zero at every pivot.  Once
+    normalized, its own pivot column is cleared from the other rows, which
+    keeps their pivots, and it joins them in pivot order.
+    """
+    res = reduce_vec(tuple(x % p for x in v), basis, p)
+    for piv, x in enumerate(res):
+        if x:
+            break
+    else:
+        return None
+    if res[piv] != 1:
+        res = vec_scale(pow(res[piv], p - 2, p), res, p)
+    out = [vec_add(row, vec_scale(p - row[piv], res, p), p) if row[piv] else row for row in basis]
+    out.insert(sum(row.index(1) < piv for row in basis), res)
+    return tuple(out)
 
 
 def intersect(a: Basis, b: Basis, p: int) -> Basis:
@@ -134,9 +162,10 @@ def complement(inner: Sequence[Vec], outer: Iterable[Vec], p: int) -> Basis:
     cur = rref(inner, p)
     comp = []
     for row in outer:
-        if not contains(cur, row, p):
+        grown = insert(cur, row, p)
+        if grown is not None:
             comp.append(row)
-            cur = rref(cur + (row,), p)
+            cur = grown
     return tuple(comp)
 
 

@@ -8,6 +8,11 @@ subspace of F_p^d per vertex, stored as a reduced-echelon basis.  Rank
 vectors are read off those bases: rows pivoting inside a map's support count
 one each, and only the other rows meeting it are eliminated.
 
+A composite of maps along arrows is either the direct map or zero: on
+L/pi L it is pi^(n1 + n2 - n) times the direct one.  Every direct map is
+such a composite, so `generated` has a closed form, the span at each vertex
+of the seeds' images under the direct maps, and needs no closure search.
+
 Sub-representations over locally weakly independent configurations split
 into summands generated by a single vector; `decompose` implements the
 constructive splitting, `deform_step` the rank-raising deformation toward
@@ -224,22 +229,28 @@ def is_subrep(M: SubRep, quiver: Quiver) -> tuple[bool, Optional[tuple[Vertex, V
     return True, None
 
 
-def generated(quiver: Quiver, seeds: Sequence[tuple[Vertex, Vec]], p: int) -> SubRep:
-    """Smallest sub-representation containing the seed vectors.
+def generated(
+    quiver: Quiver, seeds: Sequence[tuple[Vertex, Vec]], p: int, base: Optional[SubRep] = None
+) -> SubRep:
+    """Smallest sub-representation containing `base` and the seed vectors.
 
-    Worklist closure: a vector outside the space at its vertex joins it and
-    is pushed along every arrow out of that vertex; by linearity the images
-    of the joined vectors span the images of the whole space.
+    Closed form: at each vertex w it is the span of the images of the seeds
+    under the direct maps v -> w (the identity when v = w), added to the
+    space of `base` one `gf.insert` at a time.  A composite along arrows is
+    the direct map or zero, so these spans are closed; some arrow path
+    composes to the direct map, so each of them is needed.
     """
     gf.check_prime(p)
-    spaces: dict[Vertex, Basis] = {v: () for v in quiver.vertices}
-    work = [(v, gf.vec(vector, p)) for v, vector in seeds]
-    while work:
-        v, x = work.pop()
-        if gf.contains(spaces[v], x, p):
+    spaces: dict[Vertex, Basis] = {}
+    for w in quiver.vertices:
+        images = [quiver.apply_map(v, w, x, p) for v, x in seeds]
+        if base is None:
+            spaces[w] = gf.rref(images, p)
             continue
-        spaces[v] = gf.rref(spaces[v] + (x,), p)
-        work.extend((w, quiver.apply_map(v, w, x, p)) for w in quiver.out_arrows[v])
+        space = base.spaces[w]
+        for image in images:
+            space = gf.insert(space, image, p) or space
+        spaces[w] = space
     return SubRep(p, spaces)
 
 
@@ -678,7 +689,7 @@ def deform_step(
         return None
     phi = rank_vector(M, quiver).as_dict()
     target_dict = target.as_dict() if target is not None else None
-
+    bases: dict[Summand, SubRep] = {}  # rep of the other summands, per replaced one
     for repl, donor, cycle, a_r, rel_start, rel_end in _deform_candidates(
         quiver, summands, p
     ):
@@ -706,13 +717,13 @@ def deform_step(
         predicted = _predict_increment(
             quiver, p, repl, cycle, a_r, rel_start, rel_end, old_len
         )
-        others = [s for s in summands if s is not repl]
+        if repl not in bases:
+            bases[repl] = reassemble([s for s in summands if s is not repl], quiver, p)
         for kernel_part in [()] + list(gf.nonzero_vectors(kernel, p)):
             eta = gf.vec_add(base_eta, kernel_part, p) if kernel_part else base_eta
             for t in range(1, p):
                 new_vec = gf.vec_add(repl_vec_at_root, gf.vec_scale(t, eta, p), p)
-                new_summands = others + [Summand(root, new_vec)]
-                candidate = reassemble(new_summands, quiver, p)
+                candidate = generated(quiver, [(root, new_vec)], p, bases[repl])
                 if candidate.dims() != M.dims():
                     continue
                 new_phi = rank_vector(candidate, quiver).as_dict()

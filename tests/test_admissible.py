@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkedgrass import admissible as adm
+from linkedgrass import cli, independence
 from linkedgrass import quiver as qv
 from linkedgrass import weyl
 from linkedgrass.lattice import Configuration, InvariantError, chain_order, configuration
+from linkedgrass.verify import SHARED_EDGE_TRIANGLES
 
 OMEGA = {d: adm.standard_alcove(d) for d in (2, 3, 4)}
 
@@ -270,6 +273,28 @@ def test_realizable_strata_six_vertex_branched_d5():
     enum = {qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, 1, 2)}
     assert real == enum
     assert len(real) == 13
+
+
+def test_independence_is_checked_once_per_realizability_pass(monkeypatch, capsys):
+    check = independence.weakly_independent
+    calls = []
+    monkeypatch.setattr(independence, "weakly_independent", lambda q: calls.append(q) or check(q))
+    quiver = make_quiver([(0, 0), (1, 0), (2, 0)])
+    assert len(adm.realizable_strata(quiver, 1)) == 5 and len(calls) == 1
+    calls.clear()
+    assert cli.main(["admissible", str(CONFIGS / "branched-d4.json"), "--r", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1 and all("realizable" in entry for entry in report["strata"])
+
+
+def test_realizability_rejects_dependent_configurations():
+    quiver = make_quiver(SHARED_EDGE_TRIANGLES)
+    assert not independence.weakly_independent(quiver)[0]
+    phi = adm.stratum_rank_vector(adm.enumerate_admissible_collections(quiver, 1)[0], quiver)
+    with pytest.raises(ValueError):
+        adm.rank_vector_realizable(phi, quiver)
+    with pytest.raises(ValueError):
+        adm.realizable_strata(quiver, 1)
 
 
 def test_simplex_rank_realizable_examples():

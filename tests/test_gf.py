@@ -157,6 +157,120 @@ def test_vanishing_on_matches_intersect_oracle(case):
     assert all(row[k] == 0 for row in got for k in coords)
 
 
+def rref_oracle(rows, p):
+    """The `rref` replaced: pivots tested with `% p`, rows reduced again at the end."""
+    work = [list(r) for r in rows]
+    if not work:
+        return ()
+    rank = 0
+    for col in range(len(work[0])):
+        piv = next((r for r in range(rank, len(work)) if work[r][col] % p != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], p - 2, p) if p > 2 else 1
+        work[rank] = [(x * inv) % p for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] % p != 0:
+                c = work[r][col] % p
+                work[r] = [(x - c * y) % p for x, y in zip(work[r], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return tuple(tuple(x % p for x in row) for row in work[:rank])
+
+
+def vanishing_on_oracle(basis, coords, p):
+    """The `vanishing_on` replaced: permute the coords columns first, rref,
+    keep the rows zero on them and permute back."""
+    if not basis:
+        return ()
+    first = sorted(set(coords))
+    order = first + [k for k in range(len(basis[0])) if k not in first]
+    back = sorted(range(len(order)), key=order.__getitem__)
+    echelon = rref_oracle([tuple(row[k] for k in order) for row in basis], p)
+    return tuple(tuple(row[j] for j in back) for row in echelon if not any(row[: len(first)]))
+
+
+@st.composite
+def raw_spans_and_coords(draw):
+    """Like `spans_and_coords`, with entries not yet reduced mod p."""
+    rows, coords, n, p = draw(spans_and_coords())
+    lifted = [tuple(x + p * draw(st.integers(-2, 2)) for x in row) for row in rows]
+    return lifted, coords, n, p
+
+
+@settings(max_examples=800, derandomize=True, database=None)
+@given(raw_spans_and_coords())
+@example(([(1, 2, 0), (0, 1, 1)], [], 3, 3))  # S empty
+@example(([(1, 2, 0), (0, 1, 1)], [2, 0, 1], 3, 3))  # S full, unsorted
+@example(([(1, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)], [3, 0], 4, 2))  # unsorted S
+@example(([], [1], 3, 5))  # empty basis
+@example(([(7, -5, 14), (3, 3, 3)], [1], 3, 7))  # unreduced entries
+def test_rref_and_vanishing_on_match_replaced_implementations(case):
+    rows, coords, n, p = case
+    assert gf.rref(rows, p) == rref_oracle(rows, p)
+    assert gf.vanishing_on(rows, coords, p) == vanishing_on_oracle(rows, coords, p)
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(raw_spans_and_coords())
+def test_rref_is_idempotent(case):
+    rows, _, _, p = case
+    basis = gf.rref(rows, p)
+    assert gf.rref(basis, p) == basis
+    assert all(0 <= x < p for row in basis for x in row)
+
+
+@st.composite
+def bases_and_vectors(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 7))
+    basis = gf.rref(draw(st.lists(vectors(n, p), max_size=n + 1)), p)
+    if draw(st.booleans()):  # a vector of the span, or a random one
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(basis), max_size=len(basis)))
+        v = (0,) * n
+        for c, row in zip(coeffs, basis):
+            v = gf.vec_add(v, gf.vec_scale(c, row, p), p)
+    else:
+        v = draw(vectors(n, p))
+    return basis, v, p
+
+
+@settings(max_examples=800, derandomize=True, database=None)
+@given(bases_and_vectors())
+@example(((), (0, 0, 0), 3))  # empty basis, zero vector
+@example(((), (0, 2, 1), 3))  # empty basis
+@example((((0, 1, 0), (0, 0, 1)), (2, 1, 1), 3))  # new pivot before every row
+@example((((1, 2, 0), (0, 0, 1)), (0, 1, 0), 5))  # new pivot between rows
+def test_insert_matches_rref_and_contains(case):
+    basis, v, p = case
+    grown = gf.insert(basis, v, p)
+    if gf.contains(basis, v, p):
+        assert grown is None
+    else:
+        assert grown == gf.rref(basis + (v,), p) == rref_oracle(basis + (v,), p)
+
+
+@st.composite
+def superspace_cases(draw):
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    inner = gf.rref(draw(st.lists(vectors(n, p), max_size=n)), p)
+    k = draw(st.integers(len(inner), n))
+    return inner, k, n, p
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(superspace_cases())
+def test_superspace_count_is_gaussian_binomial(case):
+    """k-spaces through a w-space of F_p^n are the (k - w)-spaces of the quotient."""
+    inner, k, n, p = case
+    sup = gf.superspaces(inner, k, n, p)
+    assert len(sup) == len(set(sup)) == gf.gaussian_binomial(n - len(inner), k - len(inner), p)
+    assert all(len(s) == k and is_subspace(inner, s, p) for s in sup)
+
+
 @st.composite
 def span_pairs(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))

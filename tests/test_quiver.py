@@ -88,7 +88,14 @@ def test_build_quiver_rejects_non_convex():
         make_quiver([(0, 0), (2, 0)])
 
 
-@pytest.mark.parametrize("vertices", [OMEGA3, PATH2, BRANCHED])
+CONFIG_NAMES = sorted(path.stem for path in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [OMEGA3, PATH2, BRANCHED]
+    + [pytest.param(config_quiver(name).vertices, id=name) for name in CONFIG_NAMES],
+)
 def test_every_pair_map_is_an_arrow_path_composite(vertices):
     quiver = make_quiver(vertices)
     for u in quiver.vertices:
@@ -112,6 +119,18 @@ def test_every_pair_map_is_an_arrow_path_composite(vertices):
                     else:
                         stack.append((nxt, s2, supp2, seen | {nxt}))
             assert found, f"map {u}->{v} is not a composite along quiver arrows"
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_two_step_composite_is_direct_map_or_zero(name):
+    """The reduced map u -> k -> w projects onto supp(u, k) & supp(k, w): that
+    is supp(u, w) when the shifts add up and empty when they overshoot."""
+    quiver = config_quiver(name)
+    for u, k, w in itertools.product(quiver.vertices, repeat=3):
+        first, second, direct = quiver.trans[(u, k)], quiver.trans[(k, w)], quiver.trans[(u, w)]
+        assert first.n + second.n >= direct.n
+        meet = first.support & second.support
+        assert meet == (direct.support if first.n + second.n == direct.n else frozenset())
 
 
 def test_ambient_ranks():
@@ -175,6 +194,20 @@ def generated_fixed_point(quiver, seeds, p):
     return qv.SubRep(p, {v: gf.rref(rows, p) for v, rows in spaces.items()})
 
 
+def generated_worklist(quiver, seeds, p):
+    """The worklist closure `generated` replaced: a vector outside the space at
+    its vertex joins it and is pushed along every arrow out of that vertex."""
+    spaces = {v: () for v in quiver.vertices}
+    work = [(v, gf.vec(vector, p)) for v, vector in seeds]
+    while work:
+        v, x = work.pop()
+        if gf.contains(spaces[v], x, p):
+            continue
+        spaces[v] = gf.rref(spaces[v] + (x,), p)
+        work.extend((w, quiver.apply_map(v, w, x, p)) for w in quiver.out_arrows[v])
+    return qv.SubRep(p, spaces)
+
+
 GENERATED_INSTANCES = {
     name: verts for name, (verts, _) in WEAKLY_INDEPENDENT_INSTANCES.items()
 } | {"shared-edge-triangles": SHARED_EDGE_TRIANGLES}
@@ -193,6 +226,37 @@ def test_generated_matches_fixed_point_oracle(name, p):
         M = qv.generated(quiver, seeds, p)
         assert M == generated_fixed_point(quiver, seeds, p)
         assert qv.is_subrep(M, quiver) == (True, None)
+
+
+def random_seeds(quiver, rng, p, most):
+    return [
+        (rng.choice(quiver.vertices), tuple(rng.randrange(p) for _ in range(quiver.d)))
+        for _ in range(rng.randint(0, most))
+    ]
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generated_matches_worklist_oracle(name, p):
+    quiver = config_quiver(name)
+    rng = random.Random(f"worklist/{name}/{p}")
+    for _ in range(60):
+        seeds = random_seeds(quiver, rng, p, 4)
+        assert qv.generated(quiver, seeds, p) == generated_worklist(quiver, seeds, p)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+@pytest.mark.parametrize("p", [2, 3])
+def test_generated_over_a_base_equals_generated_over_all_seeds(name, p):
+    quiver = config_quiver(name)
+    rng = random.Random(f"base/{name}/{p}")
+    for _ in range(40):
+        seeds = random_seeds(quiver, rng, p, 5)
+        k = rng.randint(0, len(seeds))
+        base = qv.generated(quiver, seeds[:k], p)
+        assert qv.generated(quiver, seeds[k:], p, base) == qv.generated(quiver, seeds, p)
+    full = qv.ambient(quiver, p)
+    assert qv.generated(quiver, random_seeds(quiver, rng, p, 3), p, full) == full
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 6])
