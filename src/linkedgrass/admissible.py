@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import gf, independence, weyl
+from . import gf, weyl
 from .lattice import InvariantError, Vertex, canonicalize, chain_order, classes_adjacent, convex_hull_pair
 from .quiver import (
     Quiver,
@@ -353,9 +353,7 @@ def all_summand_types(quiver: Quiver) -> list:
     return types
 
 
-def rank_vector_realizable(
-    phi: RankVector, quiver: Quiver, check_independent: bool = True
-) -> bool:
+def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
     """Field-free test: the label is the rank vector of some sub-representation.
 
     Derives the multiplicity of every summand type from the label, requires
@@ -363,7 +361,7 @@ def rank_vector_realizable(
     and the full rank vector.  Only valid over locally weakly independent
     configurations, where the decomposition theory applies.
     """
-    if check_independent and not independence.weakly_independent(quiver)[0]:
+    if not quiver.is_weakly_independent():
         raise ValueError("realizability formulas need a locally weakly independent configuration")
     ranks = phi.as_dict()
     types = all_summand_types(quiver)
@@ -392,12 +390,10 @@ def rank_vector_realizable(
 
 
 def realizable_strata(quiver: Quiver, r: int) -> list[AdmissibleCollection]:
-    if not independence.weakly_independent(quiver)[0]:
-        raise ValueError("realizability formulas need a locally weakly independent configuration")
     return [
         c
         for c in enumerate_admissible_collections(quiver, r)
-        if rank_vector_realizable(stratum_rank_vector(c, quiver), quiver, check_independent=False)
+        if rank_vector_realizable(stratum_rank_vector(c, quiver), quiver)
     ]
 
 

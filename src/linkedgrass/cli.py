@@ -110,12 +110,9 @@ def cmd_admissible(args) -> int:
     quiver = qv.Quiver(config)
     cols = adm.enumerate_admissible_collections(quiver, args.r)
     ranks = [adm.stratum_rank_vector(c, quiver) for c in cols]
-    ok_wi, _ = ind.weakly_independent(quiver)
     realizable = None
-    if ok_wi:  # checked once here, not once per rank vector
-        realizable = [
-            adm.rank_vector_realizable(rv, quiver, check_independent=False) for rv in ranks
-        ]
+    if quiver.is_weakly_independent():
+        realizable = [adm.rank_vector_realizable(rv, quiver) for rv in ranks]
     strata = []
     for idx, (col, rank) in enumerate(zip(cols, ranks)):
         entry = {

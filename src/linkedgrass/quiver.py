@@ -89,6 +89,7 @@ class Quiver:
         }
         self.simplices: tuple[tuple[Vertex, ...], ...] = tuple(maximal_simplices(config))
         self._entry_cache: dict[tuple[Vertex, tuple[Vertex, ...]], Vertex] = {}
+        self._weakly_independent: Optional[bool] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -100,6 +101,12 @@ class Quiver:
             first.n + second.n == self.trans[(u, v)].n
             and (first.support & second.support) == self.trans[(u, v)].support
         )
+
+    def is_weakly_independent(self) -> bool:
+        """Local weak independence of the configuration, decided once per quiver."""
+        if self._weakly_independent is None:
+            self._weakly_independent = independence.weakly_independent(self)[0]
+        return self._weakly_independent
 
     def cycles_at(self, v: Vertex) -> list[tuple[Vertex, ...]]:
         """Each maximal simplex through v as its quiver cycle, rotated to start at v."""
