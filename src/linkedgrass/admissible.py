@@ -11,6 +11,7 @@ configuration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,8 +22,6 @@ from .quiver import (
     Quiver,
     RankVector,
     SubRep,
-    SummandType,
-    _hang_positions,
     enumerate_subreps,
     generated,
     multiplicities_from_rank,
@@ -155,7 +154,6 @@ def admissibility_equivalence_check(
 class AdmissibleCollection:
     r: int
     faces: tuple[AdmissibleFace, ...]  # representative face per maximal simplex
-    keys: tuple[weyl.WeylElement, ...]  # canonical double-coset key per simplex
 
 
 def enumerate_admissible_collections(quiver: Quiver, r: int) -> list[AdmissibleCollection]:
@@ -163,14 +161,14 @@ def enumerate_admissible_collections(quiver: Quiver, r: int) -> list[AdmissibleC
     simplices = [chain_order(s) for s in quiver.simplices]
     stabilizers = [weyl.face_stabilizer(s) for s in simplices]
 
-    per_simplex: list[list[tuple[weyl.WeylElement, AdmissibleFace]]] = []
+    per_simplex: list[list[AdmissibleFace]] = []
     for simplex, stab in zip(simplices, stabilizers):
         classes: dict[weyl.WeylElement, AdmissibleFace] = {}
         for face in admissible_faces(simplex, r):
             key = weyl.double_coset_min(face.coset, stab, stab)
             if key not in classes or face.vectors < classes[key].vectors:
                 classes[key] = face
-        per_simplex.append(sorted(classes.items(), key=lambda kv: kv[1].vectors))
+        per_simplex.append(sorted(classes.values(), key=lambda face: face.vectors))
 
     shared_stabs: dict[tuple[int, int], weyl.ParahoricGroup] = {}
     for j1 in range(len(simplices)):
@@ -181,30 +179,24 @@ def enumerate_admissible_collections(quiver: Quiver, r: int) -> list[AdmissibleC
 
     collections: list[AdmissibleCollection] = []
 
-    def glue(idx: int, chosen: list[tuple[weyl.WeylElement, AdmissibleFace]]):
+    def glue(idx: int, chosen: list[AdmissibleFace]):
         if idx == len(simplices):
-            collections.append(
-                AdmissibleCollection(
-                    r,
-                    tuple(face for _, face in chosen),
-                    tuple(key for key, _ in chosen),
-                )
-            )
+            collections.append(AdmissibleCollection(r, tuple(chosen)))
             return
-        for key, face in per_simplex[idx]:
+        for face in per_simplex[idx]:
             ok = True
             for j1 in range(idx):
                 pair = (j1, idx)
                 if pair not in shared_stabs:
                     continue
                 stab = shared_stabs[pair]
-                left = weyl.double_coset_min(chosen[j1][1].coset, stab, stab)
+                left = weyl.double_coset_min(chosen[j1].coset, stab, stab)
                 right = weyl.double_coset_min(face.coset, stab, stab)
                 if left != right:
                     ok = False
                     break
             if ok:
-                glue(idx + 1, chosen + [(key, face)])
+                glue(idx + 1, chosen + [face])
 
     glue(0, [])
     return collections
@@ -246,9 +238,7 @@ def stratum_rank_vector(collection: AdmissibleCollection, quiver: Quiver) -> Ran
     return RankVector.from_dict(data)
 
 
-_STANDARD_POSITION: dict[AdmissibleFace, tuple[list[Vec], weyl.WeylElement]] = {}
-
-
+@functools.cache
 def _to_standard_position(face: AdmissibleFace) -> tuple[list[Vec], weyl.WeylElement]:
     """Conjugate the simplex to a standard face: returns (omega_I, g^-1 h g).
 
@@ -257,17 +247,13 @@ def _to_standard_position(face: AdmissibleFace) -> tuple[list[Vec], weyl.WeylEle
     omega_I by the element g with g . omega_I = simplex.  The chain order
     steps by nested 0/1 vectors, so omega_I has the types sum(v) - sum(v_0).
     """
-    if face in _STANDARD_POSITION:
-        return _STANDARD_POSITION[face]
     d = len(face.simplex[0])
     types = [sum(v) - sum(face.simplex[0]) for v in face.simplex]
     omega_i = [tuple(1 if k < i else 0 for k in range(d)) for i in types]
     g = _solve_face_map(omega_i, face.simplex, d)
     if g is None:
         raise InvariantError(f"no Weyl element maps {omega_i} to {face.simplex}")
-    h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
-    _STANDARD_POSITION[face] = (omega_i, h_std)
-    return omega_i, h_std
+    return omega_i, weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
 
 
 def _standard_double_coset(
@@ -333,26 +319,6 @@ def stratum_dimension(face: AdmissibleFace, r: int) -> int:
     return weyl.length(weyl.minmax_rep(*_standard_double_coset(face, r)))
 
 
-def all_summand_types(quiver: Quiver) -> list:
-    """Every single-generator summand type: projective per root, plus one
-    type per (root, cycle, death index) with a vector dying exactly there."""
-    types = []
-    everything = frozenset(quiver.vertices)
-    for v in quiver.vertices:
-        types.append(SummandType(v, everything))
-        for cycle in quiver.cycles_at(v):
-            n = len(cycle) - 1
-            hang = _hang_positions(quiver, cycle)
-            for m in range(1, n + 1):
-                prev_supp = quiver.trans[(v, cycle[m - 1])].support
-                this_supp = quiver.trans[(v, cycle[m])].support
-                if not (prev_supp - this_supp):
-                    continue  # no vector dies exactly at position m
-                support = frozenset(w for w in quiver.vertices if hang[w] < m)
-                types.append(SummandType(v, support))
-    return types
-
-
 def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
     """Field-free test: the label is the rank vector of some sub-representation.
 
@@ -361,12 +327,10 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
     and the full rank vector.  Only valid over locally weakly independent
     configurations, where the decomposition theory applies.
     """
-    if not quiver.is_weakly_independent():
-        raise ValueError("realizability formulas need a locally weakly independent configuration")
+    quiver.require_weakly_independent()
     ranks = phi.as_dict()
-    types = all_summand_types(quiver)
     mults = {}
-    for t in types:
+    for t in quiver.summand_types:
         alpha = multiplicities_from_rank(phi, t, quiver)
         if alpha < 0:
             return False

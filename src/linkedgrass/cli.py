@@ -111,7 +111,7 @@ def cmd_admissible(args) -> int:
     cols = adm.enumerate_admissible_collections(quiver, args.r)
     ranks = [adm.stratum_rank_vector(c, quiver) for c in cols]
     realizable = None
-    if quiver.is_weakly_independent():
+    if quiver.is_weakly_independent:
         realizable = [adm.rank_vector_realizable(rv, quiver) for rv in ranks]
     strata = []
     for idx, (col, rank) in enumerate(zip(cols, ranks)):
@@ -154,7 +154,6 @@ def cmd_strata(args) -> int:
         adm.stratum_rank_vector(c, quiver)
         for c in adm.enumerate_admissible_collections(quiver, args.r)
     }
-    ok_wi, _ = ind.weakly_independent(quiver)
     strata = []
     for rank, members in sorted(classes.items(), key=lambda kv: kv[0].entries):
         entry = {
@@ -162,8 +161,8 @@ def cmd_strata(args) -> int:
             "points": len(members),
             "is_stratum_label": rank in labels,
         }
-        if ok_wi:
-            summands = qv.decompose(members[0], quiver, check_independent=False)
+        if quiver.is_weakly_independent:
+            summands = qv.decompose(members[0], quiver)
             entry["summand_types"] = [
                 {"root": list(t.root), "support": sorted(map(list, t.support)), "mult": m}
                 for t, m in sorted(

@@ -9,9 +9,9 @@ made to be clever.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -198,7 +198,7 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def subspaces(n: int, k: int, p: int) -> tuple[Basis, ...]:
     """All k-dimensional subspaces of F_p^n as rref bases, lexicographic order."""
     if k == 0:
@@ -220,7 +220,7 @@ def subspaces(n: int, k: int, p: int) -> tuple[Basis, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def superspaces(inner: Basis, k: int, n: int, p: int) -> tuple[Basis, ...]:
     """All k-dimensional subspaces of F_p^n containing span(inner), each once."""
     w = len(inner)

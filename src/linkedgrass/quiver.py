@@ -20,10 +20,16 @@ projective points, and `enumerate_subreps` a pruned brute-force oracle over
 the whole quiver Grassmannian.  Their kernels are coordinate subspaces: the
 part of a space that a map kills is read off one echelon form with the
 support's columns moved first (`gf.vanishing_on`).
+
+Facts of the configuration alone live on `Quiver`, each computed once per
+quiver: local weak independence (`is_weakly_independent`, which every
+decomposition gate reads) and the single-generator summand types
+(`summand_types`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -89,7 +95,6 @@ class Quiver:
         }
         self.simplices: tuple[tuple[Vertex, ...], ...] = tuple(maximal_simplices(config))
         self._entry_cache: dict[tuple[Vertex, tuple[Vertex, ...]], Vertex] = {}
-        self._weakly_independent: Optional[bool] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -102,11 +107,33 @@ class Quiver:
             and (first.support & second.support) == self.trans[(u, v)].support
         )
 
+    @functools.cached_property
     def is_weakly_independent(self) -> bool:
         """Local weak independence of the configuration, decided once per quiver."""
-        if self._weakly_independent is None:
-            self._weakly_independent = independence.weakly_independent(self)[0]
-        return self._weakly_independent
+        return independence.weakly_independent(self)[0]
+
+    def require_weakly_independent(self) -> None:
+        """Raise ValueError unless the decomposition theory applies here."""
+        if not self.is_weakly_independent:
+            raise ValueError("configuration is not locally weakly independent")
+
+    @functools.cached_property
+    def summand_types(self) -> tuple[SummandType, ...]:
+        """Every single-generator summand type: projective per root, plus one
+        type per (root, cycle, death index) with a vector dying exactly there."""
+        types = []
+        everything = frozenset(self.vertices)
+        for v in self.vertices:
+            types.append(SummandType(v, everything))
+            for cycle in self.cycles_at(v):
+                hang = _hang_positions(self, cycle)
+                for m in range(1, len(cycle)):
+                    prev_supp = self.trans[(v, cycle[m - 1])].support
+                    if not prev_supp - self.trans[(v, cycle[m])].support:
+                        continue  # no vector dies exactly at position m
+                    support = frozenset(w for w in self.vertices if hang[w] < m)
+                    types.append(SummandType(v, support))
+        return tuple(types)
 
     def cycles_at(self, v: Vertex) -> list[tuple[Vertex, ...]]:
         """Each maximal simplex through v as its quiver cycle, rotated to start at v."""
@@ -394,9 +421,7 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
     (dimension count at every vertex), raising InvariantError otherwise.
     """
     if check_independent:
-        ok, cert = independence.weakly_independent(quiver)
-        if not ok:
-            raise ValueError(f"configuration is not locally weakly independent: {cert}")
+        quiver.require_weakly_independent()
     p = M.p
     summands: list[Summand] = []
     for v in quiver.vertices:
@@ -492,7 +517,7 @@ def multiplicities_from_rank(
 
 def enumerate_subreps(
     quiver: Quiver,
-    dims: dict[Vertex, int] | Sequence[int] | int,
+    dims: dict[Vertex, int] | int,
     p: int,
     budget: int = 10_000_000,
 ) -> Iterator[SubRep]:
@@ -503,12 +528,7 @@ def enumerate_subreps(
     `budget` candidate spaces are inspected.
     """
     gf.check_prime(p)
-    if isinstance(dims, int):
-        dim_map = {v: dims for v in quiver.vertices}
-    elif isinstance(dims, dict):
-        dim_map = dict(dims)
-    else:
-        dim_map = dict(zip(quiver.vertices, dims))
+    dim_map = {v: dims for v in quiver.vertices} if isinstance(dims, int) else dict(dims)
     for v, x in dim_map.items():
         if not 0 <= x <= quiver.d:
             raise ValueError(f"dimension {x} at {v} out of range")
@@ -611,8 +631,9 @@ def _hang_positions(quiver: Quiver, cycle: tuple[Vertex, ...]) -> dict[Vertex, i
 
 def _deform_candidates(
     quiver: Quiver, summands: Sequence[Summand], p: int
-) -> list[tuple[Summand, Summand, tuple[Vertex, ...], int, int, int]]:
-    """Candidate (replaced, donor, cycle, repl_start, donor_rel_start, donor_rel_end).
+) -> list[tuple[Summand, Summand, tuple[Vertex, ...], int, int, int, int]]:
+    """Candidate (replaced, donor, cycle, repl_start, repl_len, donor_rel_start,
+    donor_rel_end), where repl_len is the replaced arc's end minus its start.
 
     The replaced summand covers a proper arc of the cycle; the donor's arc
     must abut or overlap it, extend strictly past its end, and stay clear of
@@ -645,7 +666,7 @@ def _deform_candidates(
                     continue  # donor wraps over the replaced root
                 priority = (-(b_s - a_s), rel_start, a_r, donor.root, repl.root)
                 candidates.append(
-                    (priority, repl, donor, simplex, a_r, rel_start, rel_end)
+                    (priority, repl, donor, simplex, a_r, len_r, rel_start, rel_end)
                 )
     candidates.sort(key=lambda c: c[0])
     return [c[1:] for c in candidates]
@@ -653,8 +674,6 @@ def _deform_candidates(
 
 def _predict_increment(
     quiver: Quiver,
-    p: int,
-    repl: Summand,
     cycle: tuple[Vertex, ...],
     a_r: int,
     rel_start: int,
@@ -680,7 +699,6 @@ def deform_step(
     M: SubRep,
     quiver: Quiver,
     target: Optional[RankVector] = None,
-    check_independent: bool = True,
 ) -> Optional[DeformStep]:
     """One rank-raising deformation; None exactly when M is projective.
 
@@ -690,19 +708,17 @@ def deform_step(
     dimension vector is preserved and the rank vector increases by the
     predicted increments (bounded by `target` when given).
     """
-    summands = decompose(M, quiver, check_independent=check_independent)
+    summands = decompose(M, quiver)
     p = M.p
     if all(s.type_in(quiver, p).is_projective(quiver) for s in summands):
         return None
     phi = rank_vector(M, quiver).as_dict()
     target_dict = target.as_dict() if target is not None else None
     bases: dict[Summand, SubRep] = {}  # rep of the other summands, per replaced one
-    for repl, donor, cycle, a_r, rel_start, rel_end in _deform_candidates(
+    for repl, donor, cycle, a_r, old_len, rel_start, rel_end in _deform_candidates(
         quiver, summands, p
     ):
         n = len(cycle) - 1
-        arc = _arc_on_cycle(quiver, repl, cycle, p)
-        old_len = arc[1] - arc[0]
         root = cycle[a_r]
         if repl.root != root:
             continue  # proper arcs are rooted at their start; skip degenerate cases
@@ -721,9 +737,7 @@ def deform_step(
         support = quiver.coords[(root, donor_entry)]
         kernel = tuple(e for k, e in enumerate(quiver.unit) if k not in support)
         repl_vec_at_root = repl.vector
-        predicted = _predict_increment(
-            quiver, p, repl, cycle, a_r, rel_start, rel_end, old_len
-        )
+        predicted = _predict_increment(quiver, cycle, a_r, rel_start, rel_end, old_len)
         if repl not in bases:
             bases[repl] = reassemble([s for s in summands if s is not repl], quiver, p)
         for kernel_part in [()] + list(gf.nonzero_vectors(kernel, p)):
@@ -761,7 +775,7 @@ def deform_chain(
     for _ in range(max_steps):
         if rank_vector(current, quiver) == target:
             return chain
-        step = deform_step(current, quiver, target=target, check_independent=False)
+        step = deform_step(current, quiver, target=target)
         if step is None:
             break
         current = step.rep
@@ -780,16 +794,12 @@ def extend_partial(
     partial: dict[Vertex, Basis],
     r: int,
     p: int,
-    check_independent: bool = True,
 ) -> Optional[SubRep]:
     """Extend r-dimensional spaces on a vertex subset to a full r-dim subrep.
 
     Returns None exactly when some pullback space has dimension below r.
     """
-    if check_independent:
-        ok, cert = independence.weakly_independent(quiver)
-        if not ok:
-            raise ValueError(f"configuration is not locally weakly independent: {cert}")
+    quiver.require_weakly_independent()
     if not partial:
         raise ValueError("empty index set")
     for v, basis in partial.items():

@@ -232,7 +232,7 @@ def suite_decomposition(trials: int = 1000, seed: int = 7, ps: Sequence[int] = (
                 M = _random_subrep(quiver, p, rng)
                 count += 1
                 try:
-                    summands = qv.decompose(M, quiver, check_independent=False)
+                    summands = qv.decompose(M, quiver)
                 except AssertionError:
                     failures += 1
                     continue
@@ -288,7 +288,7 @@ def suite_projective(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> di
             mismatches = 0
             for phi, M in classes.items():
                 is_max = not any(phi != o and phi.leq(o) for o in phis)
-                step = qv.deform_step(M, quiver, check_independent=False)
+                step = qv.deform_step(M, quiver)
                 if (step is None) != is_max:
                     mismatches += 1
             results[f"{name}-p{p}"] = {"classes": len(phis), "mismatches": mismatches}

@@ -27,6 +27,7 @@ to be standard parabolic, which stabilizers of shared faces need not be.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -199,13 +200,9 @@ class _CayleyBall:
         return [g for g, l in self.length.items() if l <= radius]
 
 
-_BALLS: dict[int, _CayleyBall] = {}
-
-
+@functools.cache
 def _ball(d: int) -> _CayleyBall:
-    if d not in _BALLS:
-        _BALLS[d] = _CayleyBall(d)
-    return _BALLS[d]
+    return _CayleyBall(d)
 
 
 def reduced_word(g: WeylElement) -> tuple[int, ...]:
@@ -289,9 +286,6 @@ def equal_difference_blocks(face: Sequence[Sequence[int]]) -> list[tuple[int, ..
     return [tuple(b) for b in blocks]
 
 
-_STABILIZERS: dict[tuple, ParahoricGroup] = {}
-
-
 def face_stabilizer(face: Sequence[Sequence[int]]) -> ParahoricGroup:
     """The finite subgroup of W_a fixing each class of the face.
 
@@ -302,10 +296,12 @@ def face_stabilizer(face: Sequence[Sequence[int]]) -> ParahoricGroup:
     """
     if not face:
         raise ValueError("empty face")
-    verts = sorted({canonicalize(v) for v in face})
-    key = tuple(verts)
-    if key in _STABILIZERS:
-        return _STABILIZERS[key]
+    return _stabilizer(tuple(sorted({canonicalize(v) for v in face})))
+
+
+@functools.cache
+def _stabilizer(verts: tuple[tuple[int, ...], ...]) -> ParahoricGroup:
+    """`face_stabilizer` of the sorted canonical vertices."""
     d = len(verts[0])
     for a in verts:
         for b in verts:
@@ -335,9 +331,7 @@ def face_stabilizer(face: Sequence[Sequence[int]]) -> ParahoricGroup:
         frontier = nxt
     if any(act(g, x) != x for g in elements for x in verts):
         raise InvariantError("stabilizer element moved a face vertex")
-    group = ParahoricGroup(d, tuple(verts), frozenset(elements))
-    _STABILIZERS[key] = group
-    return group
+    return ParahoricGroup(d, verts, frozenset(elements))
 
 
 def _coset_heads(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> list[WeylElement]:
@@ -367,16 +361,11 @@ def _unique_extreme(elements: Iterable[WeylElement], sign: int, what: str) -> We
     return best[0]
 
 
-_DC_MIN: dict[tuple, WeylElement] = {}
-
-
+@functools.cache
 def double_coset_min(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
     """Unique minimal-length element of W1 * g * W2, each element scanned once."""
-    key = (g, w1.face, w2.face)
-    if key not in _DC_MIN:
-        scan = (compose(ag, b) for ag in _coset_heads(g, w1, w2) for b in w2.elements)
-        _DC_MIN[key] = _unique_extreme(scan, 1, "minimal double-coset representative")
-    return _DC_MIN[key]
+    scan = (compose(ag, b) for ag in _coset_heads(g, w1, w2) for b in w2.elements)
+    return _unique_extreme(scan, 1, "minimal double-coset representative")
 
 
 def min_coset_rep(g: WeylElement, w2: ParahoricGroup) -> WeylElement:
@@ -384,16 +373,11 @@ def min_coset_rep(g: WeylElement, w2: ParahoricGroup) -> WeylElement:
     return _unique_extreme((compose(g, b) for b in w2.elements), 1, "minimal coset representative")
 
 
-_MINMAX: dict[tuple, WeylElement] = {}
-
-
+@functools.cache
 def minmax_rep(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
     """Element of maximal length among the minimal reps of (v g) W2, v in W1."""
-    key = (g, w1.face, w2.face)
-    if key not in _MINMAX:
-        reps = (min_coset_rep(vg, w2) for vg in _coset_heads(g, w1, w2))
-        _MINMAX[key] = _unique_extreme(reps, -1, "maximal minimal-coset representative")
-    return _MINMAX[key]
+    reps = (min_coset_rep(vg, w2) for vg in _coset_heads(g, w1, w2))
+    return _unique_extreme(reps, -1, "maximal minimal-coset representative")
 
 
 def hasse_dot(name: str, nodes: Sequence, labels: Sequence[str], leq: Callable) -> str:

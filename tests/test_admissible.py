@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -18,6 +19,7 @@ from linkedgrass.lattice import Configuration, InvariantError, chain_order, conf
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES
 
 OMEGA = {d: adm.standard_alcove(d) for d in (2, 3, 4)}
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 def make_quiver(vertices):
@@ -164,7 +166,7 @@ def test_equivalent_faces_share_rank_vector():
         groups.setdefault(key, []).append(face)
     assert any(len(g) > 1 for g in groups.values())
     for faces in groups.values():
-        cols = [adm.AdmissibleCollection(1, (f,), ()) for f in faces]
+        cols = [adm.AdmissibleCollection(1, (f,)) for f in faces]
         ranks = {adm.stratum_rank_vector(c, quiver) for c in cols}
         assert len(ranks) == 1
 
@@ -227,6 +229,21 @@ def test_top_dimension_attained_exactly_on_top_strata(d, r):
         dim = adm.stratum_dimension(c.faces[0], r)
         assert dim <= r * (d - r)
         assert (dim == r * (d - r)) == (c in tops)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name, r", [(f"alcove-d{d}", r) for d in (3, 4) for r in (1, 2)])
+def test_one_simplex_strata_have_p_to_the_dimension_points(name, r, p):
+    # affine cells of the local model's special fibre (Iwahori orbits)
+    quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
+    cols = adm.enumerate_admissible_collections(quiver, r)
+    expected = {
+        adm.stratum_rank_vector(c, quiver): p ** adm.stratum_dimension(c.faces[0], r) for c in cols
+    }
+    points = collections.Counter(
+        qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, r, p)
+    )
+    assert len(expected) == len(cols) and dict(points) == expected
 
 
 def test_rank_vector_determines_collection():
@@ -376,8 +393,6 @@ def test_r1_order_vertex_below_edge():
         assert by_face[edge].leq(by_face[frozenset({v})])
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
-
 # the (configuration, r) pairs of the `admissible` jobs in the weyl-strata benchmark
 ADMISSIBLE_JOBS = [(f"alcove-d{d}", r) for d in (3, 4, 5) for r in range(1, d)] + [
     ("face-d5", 2), ("edge-d5", 2), ("path-d3", 1), ("path-d3", 2),
@@ -433,7 +448,7 @@ def test_solve_face_map_matches_search_on_configs(monkeypatch):
     calls = []
     solve = adm._solve_face_map
     monkeypatch.setattr(adm, "_solve_face_map", lambda *args: calls.append(args) or solve(*args))
-    monkeypatch.setattr(adm, "_STANDARD_POSITION", {})
+    adm._to_standard_position.cache_clear()
     paths, faces = sorted(CONFIGS.glob("*.json")), []
     assert len(paths) == 12
     for path in paths:

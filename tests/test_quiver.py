@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from linkedgrass import gf
+from linkedgrass import gf, independence
 from linkedgrass import quiver as qv
 from linkedgrass.lattice import Configuration, configuration
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
@@ -458,7 +458,7 @@ def test_deform_chain_terminates_within_bound():
     for phi, M in classes.items():
         current, steps = M, 0
         while True:
-            step = qv.deform_step(current, quiver, check_independent=False)
+            step = qv.deform_step(current, quiver)
             if step is None:
                 break
             current = step.rep
@@ -523,6 +523,66 @@ def test_extend_partial_kernel_seed():
     assert ext is not None and ext.spaces[(0, 0)] == gf.rref([(1, 0)], p)
 
 
+def test_independence_gates_reject_dependent_configurations():
+    quiver = make_quiver(SHARED_EDGE_TRIANGLES)
+    assert not quiver.is_weakly_independent
+    M = next(qv.enumerate_subreps(quiver, 1, 2))
+    v = quiver.vertices[0]
+    message = "not locally weakly independent"
+    with pytest.raises(ValueError, match=message):
+        qv.decompose(M, quiver)
+    with pytest.raises(ValueError, match=message):
+        qv.deform_step(M, quiver)
+    with pytest.raises(ValueError, match=message):
+        qv.extend_partial(quiver, {v: M.spaces[v]}, 1, 2)
+
+
+def test_independence_is_decided_once_per_quiver(monkeypatch):
+    check = independence.weakly_independent
+    calls = []
+    monkeypatch.setattr(independence, "weakly_independent", lambda q: calls.append(q) or check(q))
+    quivers = [make_quiver(OMEGA3), make_quiver(PATH2)]
+    chains = 0
+    for quiver in quivers:
+        classes = {}
+        for M in qv.enumerate_subreps(quiver, 1, 2):
+            classes.setdefault(qv.rank_vector(M, quiver), M)
+            qv.decompose(M, quiver)
+        for phi, M in classes.items():
+            for target in classes:
+                if phi != target and phi.leq(target):
+                    qv.deform_chain(M, quiver, target)
+                    chains += 1
+    assert chains > 0 and calls == quivers
+
+
+def all_summand_types_oracle(quiver):
+    """The builder `Quiver.summand_types` replaced, from the `admissible` module."""
+    types = []
+    everything = frozenset(quiver.vertices)
+    for v in quiver.vertices:
+        types.append(qv.SummandType(v, everything))
+        for cycle in quiver.cycles_at(v):
+            n = len(cycle) - 1
+            hang = qv._hang_positions(quiver, cycle)
+            for m in range(1, n + 1):
+                prev_supp = quiver.trans[(v, cycle[m - 1])].support
+                this_supp = quiver.trans[(v, cycle[m])].support
+                if not (prev_supp - this_supp):
+                    continue  # no vector dies exactly at position m
+                support = frozenset(w for w in quiver.vertices if hang[w] < m)
+                types.append(qv.SummandType(v, support))
+    return types
+
+
+def test_summand_types_match_old_builder_on_configs():
+    assert len(CONFIG_NAMES) == 12
+    for name in CONFIG_NAMES:
+        quiver = config_quiver(name)
+        assert list(quiver.summand_types) == all_summand_types_oracle(quiver)
+        assert quiver.summand_types is quiver.summand_types
+
+
 def test_subrep_json_roundtrip():
     quiver = make_quiver(SEGMENT)
     M = qv.generated(quiver, [((0, 0), (1, 1))], 3)
@@ -583,7 +643,7 @@ def test_decompose_postconditions_survive_python_O(mode, message):
 KILL_NOTHING = """
     import sys
     import traceback
-    from linkedgrass import gf
+    from linkedgrass import gf, independence
     from linkedgrass import quiver as qv
     from linkedgrass.lattice import configuration
 

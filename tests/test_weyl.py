@@ -443,8 +443,8 @@ def test_double_coset_scans_match_product_oracle(monkeypatch, name, shift):
     calls = []
     length = weyl.length
     monkeypatch.setattr(weyl, "length", lambda g: calls.append(g) or length(g))
-    monkeypatch.setattr(weyl, "_DC_MIN", {})
-    monkeypatch.setattr(weyl, "_MINMAX", {})
+    weyl.double_coset_min.cache_clear()
+    weyl.minmax_rep.cache_clear()
     rng = random.Random(name)
     assert max(len(weyl.face_stabilizer(face)) for face in faces) == factorial(d)  # a vertex
     for face in faces:
