@@ -5,8 +5,10 @@ by a 0/1 vector with r ones, staying a face of the same type; it is indexed
 by a coset h * W_simplex in the extended affine Weyl group.  Collections
 glue faces across simplices through double-coset equality over the shared
 face stabilizers, and carry rank vectors, dimensions and the generalized
-Bruhat order.  The dimension-one stratification is the face complex of the
-configuration.
+Bruhat order.  Every double coset is compared in standard position: the
+simplex or shared face is conjugated onto a face of the standard alcove,
+whose stabilizer is standard parahoric.  The dimension-one stratification
+is the face complex of the configuration.
 """
 
 from __future__ import annotations
@@ -159,46 +161,38 @@ class AdmissibleCollection:
 def enumerate_admissible_collections(quiver: Quiver, r: int) -> list[AdmissibleCollection]:
     """Tuples of per-simplex admissible classes glued over shared faces."""
     simplices = [chain_order(s) for s in quiver.simplices]
-    stabilizers = [weyl.face_stabilizer(s) for s in simplices]
 
     per_simplex: list[list[AdmissibleFace]] = []
-    for simplex, stab in zip(simplices, stabilizers):
+    for simplex in simplices:
+        faces = admissible_faces(simplex, r)
         classes: dict[weyl.WeylElement, AdmissibleFace] = {}
-        for face in admissible_faces(simplex, r):
-            key = weyl.double_coset_min(face.coset, stab, stab)
+        for key, face in zip(_double_coset_keys(simplex, [f.coset for f in faces]), faces):
             if key not in classes or face.vectors < classes[key].vectors:
                 classes[key] = face
         per_simplex.append(sorted(classes.values(), key=lambda face: face.vectors))
 
-    shared_stabs: dict[tuple[int, int], weyl.ParahoricGroup] = {}
-    for j1 in range(len(simplices)):
-        for j2 in range(j1 + 1, len(simplices)):
-            shared = sorted(set(simplices[j1]) & set(simplices[j2]))
-            if shared:
-                shared_stabs[(j1, j2)] = weyl.face_stabilizer(shared)
+    # per simplex j2: (j1 < j2, keys of the faces of j1 and j2 over their shared face)
+    gluings: list[list[tuple[int, list, list]]] = [[] for _ in simplices]
+    for j1, j2 in itertools.combinations(range(len(simplices)), 2):
+        shared = set(simplices[j1]) & set(simplices[j2])
+        if shared:
+            cosets = [f.coset for f in per_simplex[j1] + per_simplex[j2]]
+            keys = _double_coset_keys(chain_order(shared), cosets)
+            gluings[j2].append((j1, keys[: len(per_simplex[j1])], keys[len(per_simplex[j1]) :]))
 
     collections: list[AdmissibleCollection] = []
 
-    def glue(idx: int, chosen: list[AdmissibleFace]):
+    def glue(chosen: list[int]):
+        idx = len(chosen)
         if idx == len(simplices):
-            collections.append(AdmissibleCollection(r, tuple(chosen)))
+            faces = tuple(per_simplex[j][k] for j, k in enumerate(chosen))
+            collections.append(AdmissibleCollection(r, faces))
             return
-        for face in per_simplex[idx]:
-            ok = True
-            for j1 in range(idx):
-                pair = (j1, idx)
-                if pair not in shared_stabs:
-                    continue
-                stab = shared_stabs[pair]
-                left = weyl.double_coset_min(chosen[j1].coset, stab, stab)
-                right = weyl.double_coset_min(face.coset, stab, stab)
-                if left != right:
-                    ok = False
-                    break
-            if ok:
-                glue(idx + 1, chosen + [face])
+        for k in range(len(per_simplex[idx])):
+            if all(left[chosen[j1]] == right[k] for j1, left, right in gluings[idx]):
+                glue(chosen + [k])
 
-    glue(0, [])
+    glue([])
     return collections
 
 
@@ -238,21 +232,38 @@ def stratum_rank_vector(collection: AdmissibleCollection, quiver: Quiver) -> Ran
     return RankVector.from_dict(data)
 
 
+def _standard_frame(simplex: Sequence[Vertex]) -> tuple[list[Vec], weyl.WeylElement]:
+    """(omega_I, g) with g . omega_I = simplex, a chain-ordered simplex.
+
+    The chain order steps by nested 0/1 vectors, so the standard face
+    omega_I has the types sum(v) - sum(v_0).
+    """
+    d = len(simplex[0])
+    types = [sum(v) - sum(simplex[0]) for v in simplex]
+    omega_i = [tuple(1 if k < i else 0 for k in range(d)) for i in types]
+    g = _solve_face_map(omega_i, simplex, d)
+    if g is None:
+        raise InvariantError(f"no Weyl element maps {omega_i} to {simplex}")
+    return omega_i, g
+
+
+def _double_coset_keys(face: Sequence[Vertex], cosets: Sequence[weyl.WeylElement]) -> list:
+    """The minimum of g^-1 W_F h W_F g per h, W_F the stabilizer of the chain-ordered
+    face and g from `_standard_frame`: equal keys mean equal double cosets."""
+    omega_i, g = _standard_frame(face)
+    g_inv, stab = weyl.invert(g), weyl.face_stabilizer(omega_i)
+    return [weyl.double_coset_min(weyl.compose(weyl.compose(g_inv, h), g), stab, stab) for h in cosets]
+
+
 @functools.cache
 def _to_standard_position(face: AdmissibleFace) -> tuple[list[Vec], weyl.WeylElement]:
     """Conjugate the simplex to a standard face: returns (omega_I, g^-1 h g).
 
-    Lengths and the Bruhat order are based at the standard alcove, so coset
-    comparisons and dimensions are read off after moving the simplex onto
-    omega_I by the element g with g . omega_I = simplex.  The chain order
-    steps by nested 0/1 vectors, so omega_I has the types sum(v) - sum(v_0).
+    Lengths, the Bruhat order and double cosets are based at the standard
+    alcove, so coset comparisons and dimensions are read off after moving
+    the simplex onto omega_I by the element g of `_standard_frame`.
     """
-    d = len(face.simplex[0])
-    types = [sum(v) - sum(face.simplex[0]) for v in face.simplex]
-    omega_i = [tuple(1 if k < i else 0 for k in range(d)) for i in types]
-    g = _solve_face_map(omega_i, face.simplex, d)
-    if g is None:
-        raise InvariantError(f"no Weyl element maps {omega_i} to {face.simplex}")
+    omega_i, g = _standard_frame(face.simplex)
     return omega_i, weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
 
 
@@ -331,7 +342,7 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
     ranks = phi.as_dict()
     mults = {}
     for t in quiver.summand_types:
-        alpha = multiplicities_from_rank(phi, t, quiver)
+        alpha = multiplicities_from_rank(ranks, t, quiver)
         if alpha < 0:
             return False
         mults[t] = alpha

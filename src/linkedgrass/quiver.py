@@ -23,8 +23,8 @@ support's columns moved first (`gf.vanishing_on`).
 
 Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
-decomposition gate reads) and the single-generator summand types
-(`summand_types`).
+decomposition gate reads), the single-generator summand types
+(`summand_types`) and where each non-projective type dies (`death_data`).
 """
 
 from __future__ import annotations
@@ -134,6 +134,26 @@ class Quiver:
                     support = frozenset(w for w in self.vertices if hang[w] < m)
                     types.append(SummandType(v, support))
         return tuple(types)
+
+    @functools.cached_property
+    def death_data(self) -> dict[SummandType, tuple[tuple[Vertex, ...], int]]:
+        """Each non-projective summand type's cycle through the root on which
+        it dies, and the death index on it."""
+        out = {}
+        for t in self.summand_types:
+            if t.is_projective(self):
+                continue
+            hits = []
+            for cycle in self.cycles_at(t.root):
+                m = next((i for i, w in enumerate(cycle) if w not in t.support), None)
+                if m is not None:
+                    if any(cycle[j] in t.support for j in range(m, len(cycle))):
+                        raise InvariantError(f"summand support revives on {cycle} after position {m}")
+                    hits.append((cycle, m))
+            if len(hits) != 1:
+                raise InvariantError(f"summand type must die on exactly one cycle, got {len(hits)}")
+            out[t] = hits[0]
+        return out
 
     def cycles_at(self, v: Vertex) -> list[tuple[Vertex, ...]]:
         """Each maximal simplex through v as its quiver cycle, rotated to start at v."""
@@ -477,30 +497,17 @@ def type_multiset(summands: Sequence[Summand], quiver: Quiver, p: int) -> dict[S
     return out
 
 
-def _death_data(quiver: Quiver, t: SummandType) -> tuple[tuple[Vertex, ...], int]:
-    """Cycle through the root on which the summand dies, and the death index."""
-    hits = []
-    for cycle in quiver.cycles_at(t.root):
-        m = next((i for i, w in enumerate(cycle) if w not in t.support), None)
-        if m is not None:
-            if any(cycle[j] in t.support for j in range(m, len(cycle))):
-                raise InvariantError(f"summand support revives on {cycle} after position {m}")
-            hits.append((cycle, m))
-    if len(hits) != 1:
-        raise InvariantError(f"summand type must die on exactly one cycle, got {len(hits)}")
-    return hits[0]
-
-
 def multiplicities_from_rank(
-    phi: RankVector, t: SummandType, quiver: Quiver
+    phi: RankVector | dict[tuple[Vertex, Vertex], int], t: SummandType, quiver: Quiver
 ) -> int:
-    """Multiplicity of the summand type in any rep with rank vector phi."""
-    ranks = phi.as_dict()
+    """Multiplicity of the summand type in any rep with rank vector phi,
+    given as a `RankVector` or its `as_dict()`."""
+    ranks = phi if isinstance(phi, dict) else phi.as_dict()
     v = t.root
     if t.is_projective(quiver):
         x_v = ranks[(v, v)]
         return x_v - sum(x_v - ranks[(v, u)] for u in quiver.in_arrows[v])
-    cycle, m = _death_data(quiver, t)
+    cycle, m = quiver.death_data[t]
     n = len(cycle) - 1
 
     def entry(i: int, j: int) -> int:

@@ -19,10 +19,16 @@ Bruhat order follows the lifting property (Bjorner-Brenti, GTM 231, Prop.
 2.2.7): while l(u) < l(w), w steps down by a right descent s, and u by s
 when s is a descent of u too; then u <= w iff u == w.  Breadth-first search
 in the Cayley graph enumerates W_a by length, gives reduced words and is
-the oracle the closed forms are tested against.  A double coset
-W1 g W2 of finite subgroups is scanned once, as the cosets a g W2 over
-representatives a of W1 / (W1 & g W2 g^-1); descent removal would need W1
-to be standard parabolic, which stabilizers of shared faces need not be.
+the oracle the closed forms are tested against.
+
+Double cosets W_K g W_J are taken of standard parahorics, the stabilizers
+of standard-alcove faces (any other raises InvariantError), so W_K is
+generated by simple reflections.  The unique minimum is the element with
+no left descent in K and no right descent in J, which descent reaches in
+l(g) - l(min) steps; with L = {s in K : x^-1 s x in J} for that minimum x,
+Kilmoyer's theorem gives the longest minimal left-coset representative in
+closed form, w0(K) w0(L) x (Carter, Finite Groups of Lie Type, 1985,
+section 2.7; Bjorner-Brenti, GTM 231, section 2.4).
 """
 
 from __future__ import annotations
@@ -334,50 +340,60 @@ def _stabilizer(verts: tuple[tuple[int, ...], ...]) -> ParahoricGroup:
     return ParahoricGroup(d, verts, frozenset(elements))
 
 
-def _coset_heads(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> list[WeylElement]:
-    """One element a * g of each distinct left coset a * g * W2, a in W1.
-
-    a * g * W2 = a' * g * W2 exactly when a^-1 a' lies in K = W1 & g W2 g^-1,
-    so the |W1| / |K| cosets over representatives a of W1 / K partition W1 * g * W2.
-    """
-    g_inv = invert(g)
-    stab = [a for a in w1.elements if compose(compose(g_inv, a), g) in w2.elements]
-    covered: set[WeylElement] = set()
-    heads = []
-    for a in w1.elements:
-        if a not in covered:
-            covered.update(compose(a, k) for k in stab)
-            heads.append(compose(a, g))
-    return heads
+def _simple_indices(group: ParahoricGroup) -> tuple[int, ...]:
+    """The j with s_j in a standard parahoric: the stabilizer of the standard
+    vertices omega_i, i in I, is generated by the s_j with j not in I."""
+    types = set()
+    for v in group.face:
+        i = sum(v)
+        if v != (1,) * i + (0,) * (group.d - i):
+            raise InvariantError(f"parahoric subgroup fixing {group.face} is not standard")
+        types.add(i)
+    return tuple(j for j in range(group.d) if j not in types)
 
 
-def _unique_extreme(elements: Iterable[WeylElement], sign: int, what: str) -> WeylElement:
-    """The one element of least sign * length among distinct elements."""
-    scored = [(sign * length(h), h) for h in elements]
-    least = min(l for l, _ in scored)
-    best = [h for l, h in scored if l == least]
-    if len(best) != 1:
-        raise InvariantError(f"{what} is not unique")
-    return best[0]
+def _from_window(window: Sequence[int]) -> WeylElement:
+    """The element whose window (`_window`) this is."""
+    d = len(window)
+    sigma = tuple((w - 1) % d + 1 for w in window)
+    trans = [0] * d
+    for w, s in zip(window, sigma):
+        trans[s - 1] = (w - s) // d
+    return WeylElement(sigma, tuple(trans))
+
+
+def _right_walk(g: WeylElement, indices: Sequence[int], down: bool) -> WeylElement:
+    """g times s_j, j in indices, while one of them is a right descent (down)
+    or ascent (not down); every step changes the length by one."""
+    window = _window(g)
+    while (j := next((j for j in indices if _right_descent(window, j) == down), None)) is not None:
+        _times_simple(window, j)
+    return _from_window(window)
 
 
 @functools.cache
 def double_coset_min(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
-    """Unique minimal-length element of W1 * g * W2, each element scanned once."""
-    scan = (compose(ag, b) for ag in _coset_heads(g, w1, w2) for b in w2.elements)
-    return _unique_extreme(scan, 1, "minimal double-coset representative")
-
-
-def min_coset_rep(g: WeylElement, w2: ParahoricGroup) -> WeylElement:
-    """Unique minimal-length element of the left coset g * W2."""
-    return _unique_extreme((compose(g, b) for b in w2.elements), 1, "minimal coset representative")
+    """Unique minimal-length element of W1 * g * W2 for standard parahorics:
+    strip the left descents in W1 (right descents of g^-1), then the right
+    descents in W2.  Stripping on the right adds no left descent: x = x' * v
+    with lengths adding, so a left descent of x' would be one of x."""
+    x = invert(_right_walk(invert(g), _simple_indices(w1), True))
+    return _right_walk(x, _simple_indices(w2), True)
 
 
 @functools.cache
 def minmax_rep(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
-    """Element of maximal length among the minimal reps of (v g) W2, v in W1."""
-    reps = (min_coset_rep(vg, w2) for vg in _coset_heads(g, w1, w2))
-    return _unique_extreme(reps, -1, "maximal minimal-coset representative")
+    """Element of maximal length among the minimal reps of (v g) W2, v in W1.
+
+    With x = `double_coset_min`, W_K & x W_J x^-1 = W_L for L = {s in K :
+    x^-1 s x in J} (Kilmoyer), and those reps are u * x with u minimal in
+    u * W_L; the longest is w0(K) * w0(L) * x, each w0 reached by ascents.
+    """
+    x, e = double_coset_min(g, w1, w2), identity(g.d)
+    x_inv, left = invert(x), _simple_indices(w1)
+    right = {simple_reflection(g.d, j) for j in _simple_indices(w2)}
+    stable = [j for j in left if compose(compose(x_inv, simple_reflection(g.d, j)), x) in right]
+    return compose(_right_walk(e, left, False), compose(_right_walk(e, stable, False), x))
 
 
 def hasse_dot(name: str, nodes: Sequence, labels: Sequence[str], leq: Callable) -> str:

@@ -516,5 +516,5 @@ def test_missing_face_map_raises_under_python_O():
     assert result.stdout == (
         "optimize 1\n"
         "InvariantError admissible.py extend\n"
-        "InvariantError admissible.py _to_standard_position\n"
+        "InvariantError admissible.py _standard_frame\n"
     )

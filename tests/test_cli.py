@@ -216,6 +216,11 @@ ADMISSIBLE_DIGESTS = {
     ("alcove-d5", "--r 2"): "d855c29a570dbf03d5d41357ca9305c8d6fb415a0a7d7c1a9d43544c7f96c794",
     ("face-d5", "--r 2"): "efa002a3aea9b9334820acf57b5b8d3e98a9dcced065fbfca5623cab4010795a",
     ("alcove-d4", "--r 2 --format dot"): "96e740ee014ca24802650823db24637f50166eebbc13f12f01f6a0002a758d83",
+    # recorded before the double-coset keys moved to standard position:
+    # non-alcove simplices and gluing over shared faces
+    ("edge-d5", "--r 2"): "4ac2716c4e8a4cc3c44b56af1ad1e3b14733741742ac5c84bc2847ebf08176ab",
+    ("path-d3", "--r 2"): "644eab3a095eabc6dd1dc21824dd9cf3ce9a2a94743609be9facb09345dec4cb",
+    ("branched-d4", "--r 2"): "7867810d3ae02016dfdc11bc91c648ab75331c88a6c78c2ffe25247d2ecb33f0",
 }
 
 

@@ -583,6 +583,34 @@ def test_summand_types_match_old_builder_on_configs():
         assert quiver.summand_types is quiver.summand_types
 
 
+def death_data_oracle(quiver, t):
+    """The per-call `_death_data` that `Quiver.death_data` replaced."""
+    hits = []
+    for cycle in quiver.cycles_at(t.root):
+        m = next((i for i, w in enumerate(cycle) if w not in t.support), None)
+        if m is not None:
+            assert not any(cycle[j] in t.support for j in range(m, len(cycle)))
+            hits.append((cycle, m))
+    assert len(hits) == 1
+    return hits[0]
+
+
+def test_death_data_match_old_derivation_on_configs():
+    checked = 0
+    for name in CONFIG_NAMES:
+        quiver = config_quiver(name)
+        if not quiver.is_weakly_independent:
+            continue
+        types = [t for t in quiver.summand_types if not t.is_projective(quiver)]
+        assert quiver.death_data == {t: death_data_oracle(quiver, t) for t in types}
+        assert quiver.death_data is quiver.death_data
+        phi = qv.rank_vector(qv.generated(quiver, [(quiver.vertices[0], quiver.unit[0])], 2), quiver)
+        for t in quiver.summand_types:
+            assert qv.multiplicities_from_rank(phi, t, quiver) == qv.multiplicities_from_rank(phi.as_dict(), t, quiver)
+        checked += 1
+    assert checked > 0
+
+
 def test_subrep_json_roundtrip():
     quiver = make_quiver(SEGMENT)
     M = qv.generated(quiver, [((0, 0), (1, 1))], 3)

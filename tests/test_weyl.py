@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkedgrass import admissible as adm
 from linkedgrass import weyl
 from linkedgrass.admissible import standard_alcove
-from linkedgrass.lattice import Configuration
+from linkedgrass.lattice import Configuration, chain_order
 from linkedgrass.quiver import Quiver
 
 
@@ -342,7 +343,7 @@ def test_minmax_rep_with_trivial_left_group():
     rng = random.Random(8)
     for _ in range(30):
         g = rand_elem(rng, d, spread=1)
-        assert weyl.minmax_rep(g, trivial, w2) == weyl.min_coset_rep(g, w2)
+        assert weyl.minmax_rep(g, trivial, w2) == min_coset_rep(g, w2)
 
 
 def test_double_coset_order_matches_minmax_oracle():
@@ -410,9 +411,18 @@ def double_coset_min_oracle(g, w1, w2):
     return best
 
 
+def min_coset_rep(g, w2):
+    """Unique minimal-length element of the left coset g * W2, by a scan."""
+    coset = [weyl.compose(g, b) for b in w2.elements]
+    least = min(map(weyl.length, coset))
+    best = [h for h in coset if weyl.length(h) == least]
+    assert len(best) == 1
+    return best[0]
+
+
 def minmax_rep_oracle(g, w1, w2):
     """`minmax_rep` over every v in W1, one coset v * g * W2 per v."""
-    reps = {weyl.min_coset_rep(weyl.compose(v, g), w2) for v in w1.elements}
+    reps = {min_coset_rep(weyl.compose(v, g), w2) for v in w1.elements}
     lmax = max(weyl.length(h) for h in reps)
     best = [h for h in reps if weyl.length(h) == lmax]
     assert len(best) == 1
@@ -421,18 +431,21 @@ def minmax_rep_oracle(g, w1, w2):
 
 def oracle_faces(name):
     """Every face of the single simplex of an alcove, or every face shared
-    by two maximal simplices of a branched configuration."""
+    by two maximal simplices of a branched configuration, conjugated onto
+    the standard alcove as the gluing keys are."""
     quiver = Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
     simplices = [frozenset(s) for s in quiver.simplices]
     if len(simplices) == 1:
         (simplex,) = simplices
         return quiver.d, [f for k in range(1, len(simplex) + 1) for f in combinations(sorted(simplex), k)]
-    return quiver.d, sorted({tuple(sorted(a & b)) for a, b in combinations(simplices, 2) if a & b})
+    shared = sorted({tuple(sorted(a & b)) for a, b in combinations(simplices, 2) if a & b})
+    return quiver.d, [adm._standard_frame(chain_order(face))[0] for face in shared]
 
 
-# W2 fixes iota^shift . F: shifted as in the admissible keys on the alcoves,
-# unshifted as in the gluing over the shared faces of branched-d5
-@pytest.mark.parametrize("name, shift", [("alcove-d4", 1), ("alcove-d5", 1), ("branched-d5", 0)])
+# W1 fixes a standard face F and W2 fixes iota^shift . F: shifted by r in the
+# stratum keys, unshifted in the gluing over the shared faces of branched-d5
+@pytest.mark.parametrize("shift", range(4))
+@pytest.mark.parametrize("name", ["alcove-d4", "alcove-d5", "branched-d5"])
 def test_double_coset_scans_match_product_oracle(monkeypatch, name, shift):
     d, faces = oracle_faces(name)
     elements = [
@@ -440,34 +453,30 @@ def test_double_coset_scans_match_product_oracle(monkeypatch, name, shift):
         for w in sorted(weyl.wa_elements(d, 4), key=str)
         for k in range(-d, d + 1)
     ]
-    calls = []
-    length = weyl.length
-    monkeypatch.setattr(weyl, "length", lambda g: calls.append(g) or length(g))
+    steps, step = [], weyl._times_simple
+    monkeypatch.setattr(weyl, "_times_simple", lambda w, j: steps.append(j) or step(w, j))
     weyl.double_coset_min.cache_clear()
     weyl.minmax_rep.cache_clear()
-    rng = random.Random(name)
+    rng = random.Random(f"{name}-{shift}")
     assert max(len(weyl.face_stabilizer(face)) for face in faces) == factorial(d)  # a vertex
     for face in faces:
         w1 = weyl.face_stabilizer(face)
         w2 = weyl.face_stabilizer([weyl.act_class(weyl.iota_pow(d, shift), v) for v in face])
         # one to eight elements, fewer for larger groups
         for g in rng.sample(elements, max(1, min(8, 2000 // (len(w1) * len(w2))))):
-            g_inv = weyl.invert(g)
-            k = [a for a in w1.elements if weyl.compose(weyl.compose(g_inv, a), g) in w2.elements]
-            calls.clear()
+            steps.clear()
             rep = weyl.double_coset_min(g, w1, w2)
-            assert len(calls) == len(w1) * len(w2) // len(k)
+            assert len(steps) == weyl.length(g) - weyl.length(rep)
             assert rep == double_coset_min_oracle(g, w1, w2)
             assert weyl.minmax_rep(g, w1, w2) == minmax_rep_oracle(g, w1, w2)
 
 
-TIE = """
+NOT_STANDARD = """
     import sys
     from linkedgrass import weyl
 
     print("optimize", sys.flags.optimize)
-    weyl.length = lambda g: 0  # every element of the double coset ties
-    w1 = weyl.face_stabilizer([(0, 0, 0)])
+    w1 = weyl.face_stabilizer([(0, 1, 0)])  # fixes a vertex off the standard alcove
     try:
         weyl.double_coset_min(weyl.iota(3), w1, w1)
     except AssertionError as exc:
@@ -475,13 +484,79 @@ TIE = """
 """
 
 
-def test_double_coset_tie_raises_under_python_O():
+def test_non_standard_parahoric_raises_under_python_O():
     src = Path(weyl.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-O", "-c", textwrap.dedent(TIE)],
+        [sys.executable, "-O", "-c", textwrap.dedent(NOT_STANDARD)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
     )
     assert result.stdout == (
         "optimize 1\n"
-        "InvariantError minimal double-coset representative is not unique\n"
+        "InvariantError parahoric subgroup fixing ((0, 1, 0),) is not standard\n"
     )
+
+
+@st.composite
+def standard_double_cosets(draw):
+    """An element and two standard parahorics, each fixing a nonempty set
+    of standard-alcove vertices."""
+    d = draw(st.integers(2, 4))
+    omega = standard_alcove(d)
+    sigma = draw(st.permutations(range(1, d + 1)))
+    g = weyl.WeylElement(tuple(sigma), tuple(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))))
+    faces = [
+        [omega[i] for i in draw(st.sets(st.integers(0, d - 1), min_size=1))]
+        for _ in range(2)
+    ]
+    return g, weyl.face_stabilizer(faces[0]), weyl.face_stabilizer(faces[1])
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(standard_double_cosets())
+def test_double_coset_min_has_no_descents_in_the_parahorics(case):
+    g, w1, w2 = case
+    rep = weyl.double_coset_min(g, w1, w2)
+    lr = weyl.length(rep)
+    simple = [weyl.simple_reflection(g.d, j) for j in range(g.d)]
+    assert all(weyl.length(weyl.compose(s, rep)) > lr for s in simple if s in w1.elements)
+    assert all(weyl.length(weyl.compose(rep, s)) > lr for s in simple if s in w2.elements)
+    assert rep == double_coset_min_oracle(g, w1, w2)
+
+
+def partition(keys):
+    """The classes of indices with equal keys."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, set()).add(i)
+    return {frozenset(c) for c in classes.values()}
+
+
+def scan_partition(cosets, group):
+    """The classes of h ~ h' iff h' in W h W, listing one double coset per class."""
+    classes, left = set(), dict(enumerate(cosets))
+    while left:
+        h = left[min(left)]
+        orbit = {weyl.compose(weyl.compose(a, h), b) for a in group.elements for b in group.elements}
+        classes.add(frozenset(i for i, x in left.items() if x in orbit))
+        left = {i: x for i, x in left.items() if x not in orbit}
+    return classes
+
+
+def test_standard_position_keys_match_scan_partition_on_configs():
+    # the faces of each simplex are classed over its stabilizer, and the
+    # faces of two simplices glued over the stabilizer of their shared face
+    paths, pairs = sorted(CONFIGS.glob("*.json")), 0
+    assert len(paths) == 12
+    for path in paths:
+        quiver = Quiver(Configuration.from_json(path.read_text()))
+        simplices = [chain_order(s) for s in quiver.simplices]
+        frames = [(s, [s]) for s in simplices] + [
+            (chain_order(set(a) & set(b)), [a, b]) for a, b in combinations(simplices, 2) if set(a) & set(b)
+        ]
+        for face, owners in frames:
+            for r in range(1, quiver.d):
+                cosets = [f.coset for owner in owners for f in adm.admissible_faces(owner, r)]
+                keys = adm._double_coset_keys(face, cosets)
+                assert partition(keys) == scan_partition(cosets, weyl.face_stabilizer(face))
+                pairs += len(cosets)
+    assert pairs == 1314
