@@ -169,24 +169,6 @@ def complement(inner: Sequence[Vec], outer: Iterable[Vec], p: int) -> Basis:
     return tuple(comp)
 
 
-def all_vectors(basis: Basis, p: int) -> list[Vec]:
-    """All vectors of the span, zero included."""
-    if not basis:
-        return []
-    n = len(basis[0])
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        v = tuple(0 for _ in range(n))
-        for c, row in zip(coeffs, basis):
-            v = vec_add(v, vec_scale(c, row, p), p)
-        out.append(v)
-    return out
-
-
-def nonzero_vectors(basis: Basis, p: int) -> list[Vec]:
-    return [v for v in all_vectors(basis, p) if not is_zero(v)]
-
-
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n."""
     if k < 0 or k > n:

@@ -389,26 +389,29 @@ class Summand:
         return SummandType(self.root, support_of_generated(quiver, self.root, self.vector, p))
 
 
+def _dying_vector(
+    quiver: Quiver, v: Vertex, work: Basis, p: int
+) -> Optional[tuple[Vec, tuple[Vertex, ...], int]]:
+    """First (eps, cycle, m) with eps in span(work) killed by the map to
+    cycle[m] but not by the one to cycle[m - 1]: the last echelon row of the
+    m-th kernel outside the previous one, as all later rows lie in it."""
+    for cycle in quiver.cycles_at(v):
+        prev_kernel: Basis = ()
+        for m in range(1, len(cycle)):
+            kernel_m = gf.vanishing_on(work, quiver.coords[(v, cycle[m])], p)
+            for eps in reversed(kernel_m):
+                if not gf.contains(prev_kernel, eps, p):
+                    return eps, cycle, m
+            prev_kernel = kernel_m
+    return None
+
+
 def _split_single_generators(quiver: Quiver, v: Vertex, space: Basis, p: int) -> list[Vec]:
     """Split span(space) at v into vectors each generating one summand."""
     gens: list[Vec] = []
     work = space
     while work:
-        found = None
-        for cycle in quiver.cycles_at(v):
-            n = len(cycle) - 1
-            prev_kernel: Basis = ()
-            for m in range(1, n + 1):
-                kernel_m = gf.vanishing_on(work, quiver.coords[(v, cycle[m])], p)
-                for eps in gf.nonzero_vectors(kernel_m, p):
-                    if not gf.contains(prev_kernel, eps, p):
-                        found = (eps, cycle, m)
-                        break
-                prev_kernel = kernel_m
-                if found:
-                    break
-            if found:
-                break
+        found = _dying_vector(quiver, v, work, p)
         if found is None:
             # all directions survive: split into echelon basis lines
             gens.extend(work)
@@ -709,11 +712,13 @@ def deform_step(
 ) -> Optional[DeformStep]:
     """One rank-raising deformation; None exactly when M is projective.
 
-    Replaces one single-generator summand R by the span of (eps_R + t * eta)
-    where eta pulls the generator of a donor arc back to R's root, searching
-    t over F_p* and eta over the preimage space, and validating that the
-    dimension vector is preserved and the rank vector increases by the
-    predicted increments (bounded by `target` when given).
+    Takes the candidates (replaced summand R, donor) in priority order and
+    skips those whose predicted rank vector exceeds `target`.  The first one
+    left replaces R's generator eps_R by eps_R + eta, where eta is the
+    donor's generator pulled back to R's root: one candidate per pair, no
+    search over F_p.  Its dimension vector must stay that of M and its rank
+    vector must rise by exactly the predicted increments; otherwise the
+    construction is wrong and InvariantError is raised.
     """
     summands = decompose(M, quiver)
     p = M.p
@@ -721,7 +726,6 @@ def deform_step(
         return None
     phi = rank_vector(M, quiver).as_dict()
     target_dict = target.as_dict() if target is not None else None
-    bases: dict[Summand, SubRep] = {}  # rep of the other summands, per replaced one
     for repl, donor, cycle, a_r, old_len, rel_start, rel_end in _deform_candidates(
         quiver, summands, p
     ):
@@ -738,38 +742,19 @@ def deform_step(
         if gf.is_zero(donor_vec_at_entry):
             continue
         # eta with f_{root -> donor_entry}(eta) = donor_vec_at_entry
-        base_eta = quiver.apply_map(root, donor_entry, donor_vec_at_entry, p)
-        if base_eta != gf.vec(donor_vec_at_entry, p):
+        eta = quiver.apply_map(root, donor_entry, donor_vec_at_entry, p)
+        if eta != gf.vec(donor_vec_at_entry, p):
             continue
-        support = quiver.coords[(root, donor_entry)]
-        kernel = tuple(e for k, e in enumerate(quiver.unit) if k not in support)
-        repl_vec_at_root = repl.vector
         predicted = _predict_increment(quiver, cycle, a_r, rel_start, rel_end, old_len)
-        if repl not in bases:
-            bases[repl] = reassemble([s for s in summands if s is not repl], quiver, p)
-        for kernel_part in [()] + list(gf.nonzero_vectors(kernel, p)):
-            eta = gf.vec_add(base_eta, kernel_part, p) if kernel_part else base_eta
-            for t in range(1, p):
-                new_vec = gf.vec_add(repl_vec_at_root, gf.vec_scale(t, eta, p), p)
-                candidate = generated(quiver, [(root, new_vec)], p, bases[repl])
-                if candidate.dims() != M.dims():
-                    continue
-                new_phi = rank_vector(candidate, quiver).as_dict()
-                expected = {
-                    k: phi[k] + predicted.get(k, 0) for k in phi
-                }
-                if new_phi != expected:
-                    continue
-                if target_dict is not None and not all(
-                    new_phi[k] <= target_dict[k] for k in new_phi
-                ):
-                    continue
-                return DeformStep(
-                    rep=candidate,
-                    replaced=repl,
-                    new_generator=(root, new_vec),
-                    increment=predicted,
-                )
+        expected = {k: phi[k] + predicted.get(k, 0) for k in phi}
+        if target_dict is not None and not all(expected[k] <= target_dict[k] for k in expected):
+            continue
+        new_vec = gf.vec_add(repl.vector, eta, p)
+        others = reassemble([s for s in summands if s is not repl], quiver, p)
+        candidate = generated(quiver, [(root, new_vec)], p, others)
+        if candidate.dims() != M.dims() or rank_vector(candidate, quiver).as_dict() != expected:
+            raise InvariantError("deformation missed its dimension vector or predicted ranks")
+        return DeformStep(rep=candidate, replaced=repl, new_generator=(root, new_vec), increment=predicted)
     raise DeformationError("no validating deformation found for a non-projective point")
 
 

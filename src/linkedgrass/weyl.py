@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -266,14 +267,16 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 
 @dataclass(frozen=True)
 class ParahoricGroup:
-    """Finite subgroup of W_a fixing a face of the building pointwise."""
+    """Finite subgroup of W_a fixing a face of the building pointwise, kept
+    as the face: it is the product of the symmetric groups on the
+    `equal_difference_blocks`, so its order is the product of their
+    factorials."""
 
     d: int
     face: tuple[tuple[int, ...], ...]
-    elements: frozenset[WeylElement]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return math.prod(math.factorial(len(b)) for b in equal_difference_blocks(self.face))
 
 
 def equal_difference_blocks(face: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -296,9 +299,10 @@ def face_stabilizer(face: Sequence[Sequence[int]]) -> ParahoricGroup:
     """The finite subgroup of W_a fixing each class of the face.
 
     Generated by the reflections ((i j), (x_i - x_j)(e_i - e_j)) over pairs
-    whose coordinate difference is constant across the face; saturated to a
-    group.  Note a W_a element fixing a class fixes any representative
-    vector on the nose (its translation part sums to zero).
+    whose coordinate difference is constant across the face, that is over
+    pairs inside one equal-difference block.  Note a W_a element fixing a
+    class fixes any representative vector on the nose (its translation part
+    sums to zero).
     """
     if not face:
         raise ValueError("empty face")
@@ -307,13 +311,13 @@ def face_stabilizer(face: Sequence[Sequence[int]]) -> ParahoricGroup:
 
 @functools.cache
 def _stabilizer(verts: tuple[tuple[int, ...], ...]) -> ParahoricGroup:
-    """`face_stabilizer` of the sorted canonical vertices."""
+    """`face_stabilizer` of the sorted canonical vertices; raises
+    InvariantError if a generator, hence the group, moves a vertex."""
     d = len(verts[0])
     for a in verts:
         for b in verts:
             if a != b and not classes_adjacent(a, b):
                 raise ValueError(f"face is not a simplex: {a} and {b} not adjacent")
-    gens = []
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
             diffs = {x[i - 1] - x[j - 1] for x in verts}
@@ -323,21 +327,10 @@ def _stabilizer(verts: tuple[tuple[int, ...], ...]) -> ParahoricGroup:
                 sigma[i - 1], sigma[j - 1] = sigma[j - 1], sigma[i - 1]
                 trans = [0] * d
                 trans[i - 1], trans[j - 1] = c, -c
-                gens.append(WeylElement(tuple(sigma), tuple(trans)))
-    elements = {identity(d)}
-    frontier = [identity(d)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = compose(g, s)
-                if h not in elements:
-                    elements.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    if any(act(g, x) != x for g in elements for x in verts):
-        raise InvariantError("stabilizer element moved a face vertex")
-    return ParahoricGroup(d, verts, frozenset(elements))
+                s = WeylElement(tuple(sigma), tuple(trans))
+                if any(act(s, x) != x for x in verts):
+                    raise InvariantError("stabilizer generator moved a face vertex")
+    return ParahoricGroup(d, verts)
 
 
 def _simple_indices(group: ParahoricGroup) -> tuple[int, ...]:

@@ -109,11 +109,22 @@ def preimage(images_of_basis, target, p):
     return left_kernel([gf.reduce_vec(img, target, p) for img in images_of_basis], p)
 
 
+def all_vectors(basis, p):
+    """Every vector of span(basis), zero included, by its p^k coefficient tuples."""
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        v = (0,) * len(basis[0])
+        for c, row in zip(coeffs, basis):
+            v = gf.vec_add(v, gf.vec_scale(c, row, p), p)
+        out.append(v)
+    return out
+
+
 def test_left_kernel_and_preimage():
     p = 3
     rows = [(1, 0, 2), (2, 0, 1), (0, 0, 0)]
     ker = left_kernel(rows, p)
-    for lam in gf.all_vectors(ker, p):
+    for lam in all_vectors(ker, p):
         total = (0, 0, 0)
         for c, row in zip(lam, rows):
             total = gf.vec_add(total, gf.vec_scale(c, row, p), p)
@@ -122,7 +133,7 @@ def test_left_kernel_and_preimage():
     images = [(1, 0), (0, 0), (0, 1)]
     target = gf.rref([(1, 0)], p)
     pre = preimage(images, target, p)
-    for x in gf.all_vectors(pre, p):
+    for x in all_vectors(pre, p):
         img = (x[0] % p, x[2] % p)
         assert gf.contains(target, img, p)
     assert len(pre) == 2

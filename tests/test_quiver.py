@@ -7,6 +7,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkedgrass import gf, independence
 from linkedgrass import quiver as qv
@@ -760,3 +762,178 @@ def test_rank_vector_matches_map_image_on_generated_reps(name, p):
         assert qv.rank_vector(M, quiver) == rank_vector_oracle(M, quiver)
         dependent += elimination_cases(M, quiver)[1]
     assert dependent > 0
+
+
+def nonzero_vectors(basis, p):
+    """Every nonzero vector of span(basis), the last coefficient varying fastest."""
+    if not basis:
+        return []
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        v = (0,) * len(basis[0])
+        for c, row in zip(coeffs, basis):
+            v = gf.vec_add(v, gf.vec_scale(c, row, p), p)
+        if not gf.is_zero(v):
+            out.append(v)
+    return out
+
+
+def deform_step_search(M, quiver, target=None):
+    """The search `deform_step` replaced: per candidate, try eps_R + t * eta
+    for eta = base_eta + kappa over the kernel, kappa = 0 first, and t over F_p*."""
+    summands = qv.decompose(M, quiver)
+    p = M.p
+    if all(s.type_in(quiver, p).is_projective(quiver) for s in summands):
+        return None
+    phi = qv.rank_vector(M, quiver).as_dict()
+    candidates = qv._deform_candidates(quiver, summands, p)
+    for repl, donor, cycle, a_r, old_len, rel_start, rel_end in candidates:
+        n = len(cycle) - 1
+        root = cycle[a_r]
+        if repl.root != root:
+            continue
+        donor_entry = cycle[(a_r + rel_start) % (n + 1)]
+        donor_vec = donor.vector
+        if donor.root != donor_entry:
+            donor_vec = quiver.apply_map(donor.root, donor_entry, donor.vector, p)
+        if gf.is_zero(donor_vec):
+            continue
+        base_eta = quiver.apply_map(root, donor_entry, donor_vec, p)
+        if base_eta != gf.vec(donor_vec, p):
+            continue
+        support = quiver.coords[(root, donor_entry)]
+        kernel = tuple(e for k, e in enumerate(quiver.unit) if k not in support)
+        predicted = qv._predict_increment(quiver, cycle, a_r, rel_start, rel_end, old_len)
+        others = qv.reassemble([s for s in summands if s is not repl], quiver, p)
+        for kappa in [()] + nonzero_vectors(kernel, p):
+            eta = gf.vec_add(base_eta, kappa, p) if kappa else base_eta
+            for t in range(1, p):
+                new_vec = gf.vec_add(repl.vector, gf.vec_scale(t, eta, p), p)
+                candidate = qv.generated(quiver, [(root, new_vec)], p, others)
+                if candidate.dims() != M.dims():
+                    continue
+                new_phi = qv.rank_vector(candidate, quiver).as_dict()
+                if new_phi != {k: phi[k] + predicted.get(k, 0) for k in phi}:
+                    continue
+                if target is not None and not all(new_phi[k] <= target.get(*k) for k in new_phi):
+                    continue
+                return qv.DeformStep(candidate, repl, (root, new_vec), predicted)
+    raise qv.DeformationError("no validating deformation found for a non-projective point")
+
+
+def deform_outcome(step, M, quiver, target=None):
+    try:
+        return step(M, quiver, target)
+    except qv.DeformationError:
+        return "DeformationError"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", sorted(WEAKLY_INDEPENDENT_INSTANCES))
+def test_deform_step_matches_search_oracle(name, p):
+    verts, r = WEAKLY_INDEPENDENT_INSTANCES[name]
+    quiver = make_quiver(verts)
+    classes = {}
+    for M in qv.enumerate_subreps(quiver, r, p):
+        classes.setdefault(qv.rank_vector(M, quiver), M)
+    errors = 0
+    for phi, M in classes.items():
+        # target phi itself admits no rank-raising step: DeformationError
+        for target in [None] + [phi2 for phi2 in classes if phi.leq(phi2)]:
+            got = deform_outcome(qv.deform_step, M, quiver, target)
+            assert got == deform_outcome(deform_step_search, M, quiver, target), (phi, target)
+            errors += got == "DeformationError"
+    assert errors > 0
+
+
+def dying_vector_scan(quiver, v, work, p):
+    """The scan `_dying_vector` replaced: every nonzero vector of each kernel."""
+    for cycle in quiver.cycles_at(v):
+        prev_kernel = ()
+        for m in range(1, len(cycle)):
+            kernel_m = gf.vanishing_on(work, quiver.coords[(v, cycle[m])], p)
+            for eps in nonzero_vectors(kernel_m, p):
+                if not gf.contains(prev_kernel, eps, p):
+                    return eps, cycle, m
+            prev_kernel = kernel_m
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(WEAKLY_INDEPENDENT_INSTANCES))
+def test_split_vector_matches_scan_oracle(monkeypatch, name):
+    verts, r = WEAKLY_INDEPENDENT_INSTANCES[name]
+    quiver = make_quiver(verts)
+    found, closed_form = [], qv._dying_vector
+
+    def checked(*args):
+        got = closed_form(*args)
+        assert got == dying_vector_scan(*args)
+        found.append(got is not None)
+        return got
+
+    monkeypatch.setattr(qv, "_dying_vector", checked)
+    rng = random.Random(f"split/{name}")
+    for p in (2, 3):
+        for M in qv.enumerate_subreps(quiver, r, p):
+            qv.decompose(M, quiver)
+        # random spaces too: on the branched instances some kernel gains two
+        # or more rows at once, which no seed space of decompose does here
+        for _ in range(200):
+            rows = [tuple(rng.randrange(p) for _ in range(quiver.d)) for _ in range(quiver.d)]
+            checked(quiver, rng.choice(quiver.vertices), gf.rref(rows, p), p)
+    assert any(found)
+
+
+NO_INCREMENT = """
+    import sys
+    import traceback
+    from linkedgrass import gf
+    from linkedgrass import quiver as qv
+    from linkedgrass.lattice import configuration
+
+    print("optimize", sys.flags.optimize)
+    qv._predict_increment = lambda *args: {}  # predicts no rank gain
+    quiver = qv.Quiver(configuration([(0, 0), (1, 0)]))
+    M = qv.SubRep(2, {(0, 0): gf.rref([(1, 0)], 2), (1, 0): gf.rref([(0, 1)], 2)})
+    try:
+        print("returned", qv.deform_step(M, quiver))
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(type(exc).__name__, frame.name, exc)
+"""
+
+
+def test_deform_check_survives_python_O():
+    src = Path(qv.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(NO_INCREMENT)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == (
+        "optimize 1\n"
+        "InvariantError deform_step deformation missed its dimension vector or predicted ranks\n"
+    )
+
+
+@st.composite
+def generated_reps(draw):
+    """A weakly independent instance, p in {2, 3} and the sub-representation
+    generated by up to four random (vertex, vector) pairs."""
+    verts, _ = WEAKLY_INDEPENDENT_INSTANCES[draw(st.sampled_from(sorted(WEAKLY_INDEPENDENT_INSTANCES)))]
+    quiver = make_quiver(verts)
+    p = draw(st.sampled_from([2, 3]))
+    vector = st.lists(st.integers(0, p - 1), min_size=quiver.d, max_size=quiver.d).map(tuple)
+    seeds = draw(st.lists(st.tuples(st.sampled_from(quiver.vertices), vector), max_size=4))
+    return quiver, qv.generated(quiver, seeds, p)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(generated_reps())
+def test_decompose_reassembles_and_ranks_give_multiplicities(case):
+    quiver, M = case
+    summands = qv.decompose(M, quiver)
+    assert qv.reassemble(summands, quiver, M.p) == M
+    phi = qv.rank_vector(M, quiver)
+    multiset = qv.type_multiset(summands, quiver, M.p)
+    for t in quiver.summand_types:
+        assert qv.multiplicities_from_rank(phi, t, quiver) == multiset.get(t, 0)
