@@ -26,8 +26,8 @@ from .quiver import (
     SubRep,
     enumerate_subreps,
     generated,
-    multiplicities_from_rank,
     rank_vector,
+    types_from_rank,
 )
 
 Vec = tuple[int, ...]
@@ -313,10 +313,10 @@ def top_strata(
     """Maximal collections, among the given ones, under the generalized Bruhat order."""
     for c in collections:
         _check_comparable(collections[0], c)
-    keys = [_standard_keys(c) for c in collections]
+    keys = [[weyl.bruhat_data(g) for g in _standard_keys(c)] for c in collections]
 
     def leq(i: int, j: int) -> bool:
-        return all(map(weyl.bruhat_leq, keys[i], keys[j]))
+        return all(map(weyl.bruhat_leq_data, keys[i], keys[j]))
 
     return [
         x
@@ -335,33 +335,11 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
 
     Derives the multiplicity of every summand type from the label, requires
     them nonnegative, and checks that the multiset reproduces the dimensions
-    and the full rank vector.  Only valid over locally weakly independent
-    configurations, where the decomposition theory applies.
+    and the full rank vector (`quiver.types_from_rank`).  Only valid over
+    locally weakly independent configurations, where the decomposition
+    theory applies.
     """
-    quiver.require_weakly_independent()
-    ranks = phi.as_dict()
-    mults = {}
-    for t in quiver.summand_types:
-        alpha = multiplicities_from_rank(ranks, t, quiver)
-        if alpha < 0:
-            return False
-        mults[t] = alpha
-    dims = {v: 0 for v in quiver.vertices}
-    predicted = {
-        (u, w): 0 for u in quiver.vertices for w in quiver.vertices if u != w
-    }
-    for t, alpha in mults.items():
-        if alpha == 0:
-            continue
-        for v in t.support:
-            dims[v] += alpha
-        for u in t.support:
-            for w in t.support:
-                if u != w and quiver.factors_through(t.root, u, w):
-                    predicted[(u, w)] += alpha
-    if any(dims[v] != ranks[(v, v)] for v in quiver.vertices):
-        return False
-    return all(predicted[(u, w)] == ranks[(u, w)] for (u, w) in predicted)
+    return types_from_rank(phi, quiver) is not None
 
 
 def realizable_strata(quiver: Quiver, r: int) -> list[AdmissibleCollection]:

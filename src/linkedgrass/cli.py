@@ -13,6 +13,7 @@ report.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
 import time
@@ -25,7 +26,7 @@ from . import independence as ind
 from . import multidegree as md
 from . import quiver as qv
 from . import verify as vf
-from .lattice import Configuration, is_convex
+from .lattice import Configuration, InvariantError, is_convex
 from .weyl import hasse_dot
 
 
@@ -143,10 +144,10 @@ def cmd_strata(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
     quiver = qv.Quiver(config)
+    points: collections.Counter = collections.Counter()
     try:
-        classes: dict = {}
         for M in qv.enumerate_subreps(quiver, args.r, args.p, args.budget):
-            classes.setdefault(qv.rank_vector(M, quiver), []).append(M)
+            points[qv.rank_vector(M, quiver)] += 1
     except qv.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -155,28 +156,27 @@ def cmd_strata(args) -> int:
         for c in adm.enumerate_admissible_collections(quiver, args.r)
     }
     strata = []
-    for rank, members in sorted(classes.items(), key=lambda kv: kv[0].entries):
+    for rank, count in sorted(points.items(), key=lambda kv: kv[0].entries):
         entry = {
             "ranks": {f"{u}->{v}": val for (u, v), val in rank.entries if u != v},
-            "points": len(members),
+            "points": count,
             "is_stratum_label": rank in labels,
         }
         if quiver.is_weakly_independent:
-            summands = qv.decompose(members[0], quiver)
+            types = qv.types_from_rank(rank, quiver)
+            if types is None:
+                raise InvariantError(f"no summand multiset has the rank vector of a point: {rank}")
             entry["summand_types"] = [
                 {"root": list(t.root), "support": sorted(map(list, t.support)), "mult": m}
-                for t, m in sorted(
-                    qv.type_multiset(summands, quiver, args.p).items(),
-                    key=lambda kv: (kv[0].root, sorted(kv[0].support)),
-                )
+                for t, m in sorted(types.items(), key=lambda kv: (kv[0].root, sorted(kv[0].support)))
             ]
         strata.append(entry)
     mismatch = [s for s in strata if not s["is_stratum_label"]]
     report = {
         "r": args.r,
         "p": args.p,
-        "classes": len(classes),
-        "points": sum(len(v) for v in classes.values()),
+        "classes": len(points),
+        "points": sum(points.values()),
         "strata": strata,
         "cross_check_ok": not mismatch,
     }
@@ -289,7 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_adm.add_argument("--r", type=int, default=1)
     p_adm.set_defaults(func=cmd_admissible)
 
-    p_strata = sub.add_parser("strata", help="brute-force rank strata over F_p")
+    p_strata = sub.add_parser(
+        "strata",
+        help="brute-force rank strata over F_p; summand types from the rank vector"
+        " by multiplicities_from_rank",
+    )
     p_strata.add_argument("config")
     common(p_strata)
     p_strata.add_argument("--r", type=int, default=1)

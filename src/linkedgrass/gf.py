@@ -37,7 +37,7 @@ def vec_scale(c: int, a: Vec, p: int) -> Vec:
 
 
 def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def _eliminate(rows: Iterable[Vec], p: int, cols: Iterable[int]) -> tuple[list, list[int]]:

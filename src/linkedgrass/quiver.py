@@ -80,6 +80,10 @@ class Quiver:
         self.masks: dict[tuple[Vertex, Vertex], int] = {
             pair: sum(1 << k for k in coords) for pair, coords in self.coords.items()
         }
+        # the masks of the maps out of u, in vertex order: the key of its rank row
+        self.supports: dict[Vertex, tuple[int, ...]] = {
+            u: tuple(self.masks[(u, v)] for v in self.vertices) for u in self.vertices
+        }
         self.arrows: tuple[tuple[Vertex, Vertex], ...] = tuple(
             (u, v)
             for u in self.vertices
@@ -237,9 +241,6 @@ class SubRep:
     def dims(self) -> dict[Vertex, int]:
         return {v: len(b) for v, b in self.spaces.items()}
 
-    def key(self):
-        return self._key
-
     def __eq__(self, other):
         return isinstance(other, SubRep) and self._key == other._key
 
@@ -283,29 +284,18 @@ def is_subrep(M: SubRep, quiver: Quiver) -> tuple[bool, Optional[tuple[Vertex, V
     return True, None
 
 
-def generated(
-    quiver: Quiver, seeds: Sequence[tuple[Vertex, Vec]], p: int, base: Optional[SubRep] = None
-) -> SubRep:
-    """Smallest sub-representation containing `base` and the seed vectors.
+def generated(quiver: Quiver, seeds: Sequence[tuple[Vertex, Vec]], p: int) -> SubRep:
+    """Smallest sub-representation containing the seed vectors.
 
     Closed form: at each vertex w it is the span of the images of the seeds
-    under the direct maps v -> w (the identity when v = w), added to the
-    space of `base` one `gf.insert` at a time.  A composite along arrows is
-    the direct map or zero, so these spans are closed; some arrow path
-    composes to the direct map, so each of them is needed.
+    under the direct maps v -> w (the identity when v = w).  A composite
+    along arrows is the direct map or zero, so these spans are closed; some
+    arrow path composes to the direct map, so each of them is needed.
     """
     gf.check_prime(p)
-    spaces: dict[Vertex, Basis] = {}
-    for w in quiver.vertices:
-        images = [quiver.apply_map(v, w, x, p) for v, x in seeds]
-        if base is None:
-            spaces[w] = gf.rref(images, p)
-            continue
-        space = base.spaces[w]
-        for image in images:
-            space = gf.insert(space, image, p) or space
-        spaces[w] = space
-    return SubRep(p, spaces)
+    return SubRep(
+        p, {w: gf.rref([quiver.apply_map(v, w, x, p) for v, x in seeds], p) for w in quiver.vertices}
+    )
 
 
 @dataclass(frozen=True)
@@ -319,40 +309,52 @@ class RankVector:
     def as_dict(self) -> dict[tuple[Vertex, Vertex], int]:
         return dict(self.entries)
 
-    def get(self, u: Vertex, v: Vertex) -> int:
-        return dict(self.entries)[(u, v)]
-
     def leq(self, other: "RankVector") -> bool:
         mine = dict(self.entries)
         theirs = dict(other.entries)
         return all(mine[k] <= theirs[k] for k in mine)
 
 
+@functools.cache
+def _ranks_from(basis: Basis, supports: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Rank of each coordinate projection, given by its support bitmask, on
+    span(basis), an rref basis.
+
+    Rows pivoting in the support S stay independent, since every other row
+    is zero at their pivots; the other rows meeting S add the rank of their
+    S-columns, which needs an elimination only when two or more of them do.
+    """
+    rows = [(row, sum(1 << k for k, x in enumerate(row) if x)) for row in basis]
+    out = []
+    for support in supports:
+        rank = 0
+        rest = []
+        for row, nonzero in rows:
+            if nonzero & -nonzero & support:  # the pivot, the lowest set bit, is in S
+                rank += 1
+            elif nonzero & support:
+                rest.append(row)
+        if len(rest) > 1:
+            columns = [k for k in range(len(basis[0])) if support >> k & 1]
+            rest = gf.rref([tuple(row[k] for k in columns) for row in rest], p)
+        out.append(rank + len(rest))
+    return tuple(out)
+
+
 def rank_vector(M: SubRep, quiver: Quiver) -> RankVector:
     """Rank of every map u -> v on M, read off the rref basis at u.
 
-    The map projects onto the coordinates S of its support.  Rows pivoting
-    in S stay independent, since every other row is zero at their pivots;
-    the other rows meeting S add the rank of their S-columns, which needs an
-    elimination only when two or more of them do.
+    The row of u depends only on the space at u and the maps out of u, so
+    it is memoised (`_ranks_from`); the vertices are sorted, so the rows
+    concatenate to the sorted entries.
     """
-    data = {}
-    for u in quiver.vertices:
-        rows = [(row, sum(1 << k for k, x in enumerate(row) if x)) for row in M.spaces[u]]
-        for v in quiver.vertices:
-            support = quiver.masks[(u, v)]  # all coordinates when u == v
-            rank = 0
-            rest = []
-            for row, nonzero in rows:
-                if nonzero & -nonzero & support:  # the pivot, the lowest set bit, is in S
-                    rank += 1
-                elif nonzero & support:
-                    rest.append(row)
-            if len(rest) > 1:
-                coords = quiver.coords[(u, v)]
-                rest = gf.rref([tuple(row[k] for k in coords) for row in rest], M.p)
-            data[(u, v)] = rank + len(rest)
-    return RankVector.from_dict(data)
+    return RankVector(
+        tuple(
+            ((u, v), rank)
+            for u in quiver.vertices
+            for v, rank in zip(quiver.vertices, _ranks_from(M.spaces[u], quiver.supports[u], M.p))
+        )
+    )
 
 
 def support_of_generated(quiver: Quiver, v: Vertex, vector: Vec, p: int) -> frozenset[Vertex]:
@@ -521,6 +523,30 @@ def multiplicities_from_rank(
     return entry(0, m - 1) + entry(-1, m) - entry(0, m) - entry(-1, m - 1)
 
 
+def types_from_rank(phi: RankVector, quiver: Quiver) -> Optional[dict[SummandType, int]]:
+    """The summand type multiset of every rep with rank vector phi: the
+    nonzero `multiplicities_from_rank`.  None when no rep has phi: some
+    multiplicity is negative, or the multiset misses a rank of phi (on the
+    diagonal, a dimension).  Only valid over locally weakly independent
+    configurations, where the decomposition theory applies.
+    """
+    quiver.require_weakly_independent()
+    ranks = phi.as_dict()
+    types = {t: multiplicities_from_rank(ranks, t, quiver) for t in quiver.summand_types}
+    if min(types.values()) < 0:
+        return None
+    types = {t: m for t, m in types.items() if m}
+    # a single-generator summand maps u -> w onto a line exactly when both lie
+    # in its support and the map from its root to w factors through u
+    predicted = dict.fromkeys(ranks, 0)
+    for t, m in types.items():
+        for u in t.support:
+            for w in t.support:
+                if u == w or quiver.factors_through(t.root, u, w):
+                    predicted[(u, w)] += m
+    return types if predicted == ranks else None
+
+
 # ---------------------------------------------------------------------------
 # Brute-force enumeration of the quiver Grassmannian
 
@@ -604,25 +630,23 @@ class DeformStep:
     replaced: Summand
     new_generator: tuple[Vertex, Vec]
     increment: dict[tuple[Vertex, Vertex], int]
+    rank: RankVector  # of rep, checked against the prediction
 
 
 def _arc_on_cycle(
-    quiver: Quiver, s: Summand, cycle: tuple[Vertex, ...], p: int
+    quiver: Quiver, t: SummandType, cycle: tuple[Vertex, ...]
 ) -> Optional[tuple[int, int]]:
-    """Positions (start, end_lifted) covered on the cycle, None if disjoint.
+    """Positions (start, end_lifted) of the summand type covered on the
+    cycle, None if disjoint.
 
     A full cover is reported as (start, start + n); a proper arc always
     starts at the entry position of the summand's root.
     """
-    t = s.type_in(quiver, p)
     n = len(cycle) - 1
     covered = [w in t.support for w in cycle]
     if not any(covered):
         return None
-    if s.root in cycle:
-        start = cycle.index(s.root)
-    else:
-        start = cycle.index(quiver.entry_vertex(s.root, tuple(sorted(cycle))))
+    start = cycle.index(quiver.entry_vertex(t.root, tuple(sorted(cycle))))
     length = 0
     while length <= n and covered[(start + length) % (n + 1)]:
         length += 1
@@ -640,10 +664,11 @@ def _hang_positions(quiver: Quiver, cycle: tuple[Vertex, ...]) -> dict[Vertex, i
 
 
 def _deform_candidates(
-    quiver: Quiver, summands: Sequence[Summand], p: int
+    quiver: Quiver, typed: Sequence[tuple[Summand, SummandType]]
 ) -> list[tuple[Summand, Summand, tuple[Vertex, ...], int, int, int, int]]:
     """Candidate (replaced, donor, cycle, repl_start, repl_len, donor_rel_start,
-    donor_rel_end), where repl_len is the replaced arc's end minus its start.
+    donor_rel_end) among the (summand, its type) pairs, where repl_len is the
+    replaced arc's end minus its start.
 
     The replaced summand covers a proper arc of the cycle; the donor's arc
     must abut or overlap it, extend strictly past its end, and stay clear of
@@ -653,8 +678,8 @@ def _deform_candidates(
     for simplex in quiver.simplices:
         n = len(simplex) - 1
         arcs = []
-        for s in summands:
-            arc = _arc_on_cycle(quiver, s, simplex, p)
+        for s, t in typed:
+            arc = _arc_on_cycle(quiver, t, simplex)
             if arc is not None:
                 arcs.append((s, arc))
         for repl, (a_r, b_r) in arcs:
@@ -709,6 +734,7 @@ def deform_step(
     M: SubRep,
     quiver: Quiver,
     target: Optional[RankVector] = None,
+    phi: Optional[RankVector] = None,
 ) -> Optional[DeformStep]:
     """One rank-raising deformation; None exactly when M is projective.
 
@@ -718,43 +744,40 @@ def deform_step(
     donor's generator pulled back to R's root: one candidate per pair, no
     search over F_p.  Its dimension vector must stay that of M and its rank
     vector must rise by exactly the predicted increments; otherwise the
-    construction is wrong and InvariantError is raised.
+    construction is wrong and InvariantError is raised.  `phi` is M's rank
+    vector when the caller already has it.
     """
     summands = decompose(M, quiver)
     p = M.p
-    if all(s.type_in(quiver, p).is_projective(quiver) for s in summands):
+    typed = [(s, s.type_in(quiver, p)) for s in summands]
+    if all(t.is_projective(quiver) for _, t in typed):
         return None
-    phi = rank_vector(M, quiver).as_dict()
+    phi_dict = (phi if phi is not None else rank_vector(M, quiver)).as_dict()
     target_dict = target.as_dict() if target is not None else None
-    for repl, donor, cycle, a_r, old_len, rel_start, rel_end in _deform_candidates(
-        quiver, summands, p
-    ):
+    for repl, donor, cycle, a_r, old_len, rel_start, rel_end in _deform_candidates(quiver, typed):
         n = len(cycle) - 1
         root = cycle[a_r]
         if repl.root != root:
             continue  # proper arcs are rooted at their start; skip degenerate cases
         donor_entry = cycle[(a_r + rel_start) % (n + 1)]
-        donor_vec_at_entry = (
-            donor.vector
-            if donor.root == donor_entry
-            else quiver.apply_map(donor.root, donor_entry, donor.vector, p)
-        )
+        donor_vec_at_entry = quiver.apply_map(donor.root, donor_entry, donor.vector, p)
         if gf.is_zero(donor_vec_at_entry):
             continue
         # eta with f_{root -> donor_entry}(eta) = donor_vec_at_entry
         eta = quiver.apply_map(root, donor_entry, donor_vec_at_entry, p)
-        if eta != gf.vec(donor_vec_at_entry, p):
+        if eta != donor_vec_at_entry:
             continue
         predicted = _predict_increment(quiver, cycle, a_r, rel_start, rel_end, old_len)
-        expected = {k: phi[k] + predicted.get(k, 0) for k in phi}
+        expected = {k: phi_dict[k] + predicted.get(k, 0) for k in phi_dict}
         if target_dict is not None and not all(expected[k] <= target_dict[k] for k in expected):
             continue
         new_vec = gf.vec_add(repl.vector, eta, p)
-        others = reassemble([s for s in summands if s is not repl], quiver, p)
-        candidate = generated(quiver, [(root, new_vec)], p, others)
-        if candidate.dims() != M.dims() or rank_vector(candidate, quiver).as_dict() != expected:
+        seeds = [(s.root, new_vec if s is repl else s.vector) for s in summands]
+        candidate = generated(quiver, seeds, p)
+        rank = rank_vector(candidate, quiver)
+        if candidate.dims() != M.dims() or rank.as_dict() != expected:
             raise InvariantError("deformation missed its dimension vector or predicted ranks")
-        return DeformStep(rep=candidate, replaced=repl, new_generator=(root, new_vec), increment=predicted)
+        return DeformStep(candidate, repl, (root, new_vec), predicted, rank)
     raise DeformationError("no validating deformation found for a non-projective point")
 
 
@@ -763,16 +786,16 @@ def deform_chain(
 ) -> list[SubRep]:
     """Strictly rank-increasing chain from M to the target rank vector."""
     chain = [M]
-    current = M
+    phi = rank_vector(M, quiver)
     for _ in range(max_steps):
-        if rank_vector(current, quiver) == target:
+        if phi == target:
             return chain
-        step = deform_step(current, quiver, target=target)
+        step = deform_step(chain[-1], quiver, target=target, phi=phi)
         if step is None:
             break
-        current = step.rep
-        chain.append(current)
-    if rank_vector(current, quiver) == target:
+        chain.append(step.rep)
+        phi = step.rank
+    if phi == target:
         return chain
     raise DeformationError("deformation chain did not reach the target rank vector")
 

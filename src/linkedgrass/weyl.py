@@ -245,12 +245,26 @@ def _times_simple(window: list[int], i: int) -> None:
         window[0], window[-1] = window[-1] - d, window[0] + d
 
 
+BruhatData = tuple[int, int, tuple[int, ...]]
+
+
+def bruhat_data(g: WeylElement) -> BruhatData:
+    """What the Bruhat order reads of g: the iota exponent, the length and
+    the window; compute it once per element compared many times."""
+    return sum(g.trans), length(g), tuple(_window(g))
+
+
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order on the extended group: equal iota parts, then lifting."""
-    if sum(u.trans) != sum(w.trans):
+    return sum(u.trans) == sum(w.trans) and bruhat_leq_data(bruhat_data(u), bruhat_data(w))
+
+
+def bruhat_leq_data(a: BruhatData, b: BruhatData) -> bool:
+    """`bruhat_leq` on the `bruhat_data` of both elements."""
+    (ku, lu, x), (kw, lw, y) = a, b
+    if ku != kw:
         return False
-    lu, lw = length(u), length(w)
-    x, y = _window(u), _window(w)
+    x, y = list(x), list(y)
     while lu < lw:
         s = next(i for i in range(len(y)) if _right_descent(y, i))
         _times_simple(y, s)

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from linkedgrass import cli
+from linkedgrass import quiver as qv
+from linkedgrass.lattice import configuration
+from linkedgrass.verify import WEAKLY_INDEPENDENT_INSTANCES
 
 
 def write_config(tmp_path, name, d, vertices):
@@ -79,6 +82,54 @@ def test_strata_cross_check(tmp_path, capsys):
     assert code == 0
     assert report["cross_check_ok"]
     assert report["classes"] == 7
+
+
+def decomposed_types(quiver, p, r):
+    """Per rank vector, the summand types of a decomposed member of the class
+    in the report's format: the oracle of the types read off rank vectors."""
+    members = {}
+    for M in qv.enumerate_subreps(quiver, r, p):
+        members.setdefault(qv.rank_vector(M, quiver), M)
+    out = {}
+    for rank, M in members.items():
+        multiset = qv.type_multiset(qv.decompose(M, quiver), quiver, p)
+        key = json.dumps({f"{u}->{v}": val for (u, v), val in rank.entries if u != v}, sort_keys=True)
+        out[key] = [
+            {"root": list(t.root), "support": sorted(map(list, t.support)), "mult": m}
+            for t, m in sorted(multiset.items(), key=lambda kv: (kv[0].root, sorted(kv[0].support)))
+        ]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", sorted(WEAKLY_INDEPENDENT_INSTANCES))
+def test_strata_summand_types_match_decomposition(tmp_path, capsys, name, p):
+    verts, r = WEAKLY_INDEPENDENT_INSTANCES[name]
+    config = configuration(verts)
+    path = tmp_path / "config.json"
+    path.write_text(config.to_json())
+    code, out = run(capsys, ["strata", str(path), "--r", str(r), "--p", str(p)])
+    assert code == 0
+    strata = json.loads(out)["strata"]
+    expected = decomposed_types(qv.Quiver(config), p, r)
+    assert len(strata) == len(expected)
+    for entry in strata:
+        assert entry["summand_types"] == expected[json.dumps(entry["ranks"], sort_keys=True)]
+
+
+def test_strata_rank_vector_without_summand_multiset_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(qv, "types_from_rank", lambda phi, quiver: None)
+    code = cli.main(["strata", str(CONFIGS / "triangle-d3.json"), "--r", "1", "--p", "2"])
+    assert code == 3
+    assert "internal error: InvariantError: no summand multiset" in capsys.readouterr().err
+
+
+def test_strata_shares_rank_rows_between_points(capsys):
+    qv._ranks_from.cache_clear()
+    code, _ = run(capsys, ["strata", str(CONFIGS / "alcove-d4.json"), "--r", "2", "--p", "3"])
+    assert code == 0
+    info = qv._ranks_from.cache_info()
+    assert info.hits > 0 and info.currsize == info.misses
 
 
 def test_strata_budget_exceeded_exits_2(tmp_path, capsys):

@@ -72,6 +72,7 @@ def test_no_module_level_memo_dicts():
         ("admissible", "_to_standard_position"),
         ("gf", "subspaces"),
         ("gf", "superspaces"),
+        ("quiver", "_ranks_from"),
     ],
 )
 def test_memos_answer_cache_info_and_cache_clear(module, name):

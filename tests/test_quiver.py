@@ -247,6 +247,19 @@ def test_generated_matches_worklist_oracle(name, p):
         assert qv.generated(quiver, seeds, p) == generated_worklist(quiver, seeds, p)
 
 
+def generated_over_base(quiver, seeds, p, base):
+    """The `base` parameter `generated` dropped, which `deform_step` used for
+    the other summands: each seed image joins the space of `base` at its
+    vertex by one `gf.insert`."""
+    spaces = {}
+    for w in quiver.vertices:
+        space = base.spaces[w]
+        for v, x in seeds:
+            space = gf.insert(space, quiver.apply_map(v, w, x, p), p) or space
+        spaces[w] = space
+    return qv.SubRep(p, spaces)
+
+
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 @pytest.mark.parametrize("p", [2, 3])
 def test_generated_over_a_base_equals_generated_over_all_seeds(name, p):
@@ -256,9 +269,9 @@ def test_generated_over_a_base_equals_generated_over_all_seeds(name, p):
         seeds = random_seeds(quiver, rng, p, 5)
         k = rng.randint(0, len(seeds))
         base = qv.generated(quiver, seeds[:k], p)
-        assert qv.generated(quiver, seeds[k:], p, base) == qv.generated(quiver, seeds, p)
+        assert generated_over_base(quiver, seeds[k:], p, base) == qv.generated(quiver, seeds, p)
     full = qv.ambient(quiver, p)
-    assert qv.generated(quiver, random_seeds(quiver, rng, p, 3), p, full) == full
+    assert generated_over_base(quiver, random_seeds(quiver, rng, p, 3), p, full) == full
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 6])
@@ -710,6 +723,41 @@ def rank_vector_oracle(M, quiver):
     return qv.RankVector.from_dict(data)
 
 
+def rank_vector_row_scan(M, quiver):
+    """The per-pair scan `rank_vector` replaced by memoised rows: for every
+    pair (u, v), count the rows of the basis at u pivoting in the support
+    and eliminate the other rows meeting it."""
+    data = {}
+    for u in quiver.vertices:
+        rows = [(row, sum(1 << k for k, x in enumerate(row) if x)) for row in M.spaces[u]]
+        for v in quiver.vertices:
+            support = quiver.masks[(u, v)]
+            rank = 0
+            rest = []
+            for row, nonzero in rows:
+                if nonzero & -nonzero & support:
+                    rank += 1
+                elif nonzero & support:
+                    rest.append(row)
+            if len(rest) > 1:
+                coords = quiver.coords[(u, v)]
+                rest = gf.rref([tuple(row[k] for k in coords) for row in rest], M.p)
+            data[(u, v)] = rank + len(rest)
+    return qv.RankVector.from_dict(data)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("name", ["triangle-d3", "alcove-d4", "branched-d4", "shared-edge-triangles"])
+def test_rank_vector_matches_row_scan_on_grassmannian_points(name, r, p):
+    quiver = config_quiver(name)
+    points = 0
+    for M in qv.enumerate_subreps(quiver, r, p):
+        assert qv.rank_vector(M, quiver) == rank_vector_row_scan(M, quiver)
+        points += 1
+    assert points > 0
+
+
 def elimination_cases(M, quiver):
     """Pairs where two or more rows pivot outside the support and meet it,
     split by whether those rows stay independent on the support."""
@@ -786,7 +834,7 @@ def deform_step_search(M, quiver, target=None):
     if all(s.type_in(quiver, p).is_projective(quiver) for s in summands):
         return None
     phi = qv.rank_vector(M, quiver).as_dict()
-    candidates = qv._deform_candidates(quiver, summands, p)
+    candidates = qv._deform_candidates(quiver, [(s, s.type_in(quiver, p)) for s in summands])
     for repl, donor, cycle, a_r, old_len, rel_start, rel_end in candidates:
         n = len(cycle) - 1
         root = cycle[a_r]
@@ -804,20 +852,21 @@ def deform_step_search(M, quiver, target=None):
         support = quiver.coords[(root, donor_entry)]
         kernel = tuple(e for k, e in enumerate(quiver.unit) if k not in support)
         predicted = qv._predict_increment(quiver, cycle, a_r, rel_start, rel_end, old_len)
-        others = qv.reassemble([s for s in summands if s is not repl], quiver, p)
+        others = [(s.root, s.vector) for s in summands if s is not repl]
         for kappa in [()] + nonzero_vectors(kernel, p):
             eta = gf.vec_add(base_eta, kappa, p) if kappa else base_eta
             for t in range(1, p):
                 new_vec = gf.vec_add(repl.vector, gf.vec_scale(t, eta, p), p)
-                candidate = qv.generated(quiver, [(root, new_vec)], p, others)
+                candidate = qv.generated(quiver, others + [(root, new_vec)], p)
                 if candidate.dims() != M.dims():
                     continue
                 new_phi = qv.rank_vector(candidate, quiver).as_dict()
                 if new_phi != {k: phi[k] + predicted.get(k, 0) for k in phi}:
                     continue
-                if target is not None and not all(new_phi[k] <= target.get(*k) for k in new_phi):
+                if target is not None and not all(new_phi[k] <= target.as_dict()[k] for k in new_phi):
                     continue
-                return qv.DeformStep(candidate, repl, (root, new_vec), predicted)
+                rank = qv.RankVector.from_dict(new_phi)
+                return qv.DeformStep(candidate, repl, (root, new_vec), predicted, rank)
     raise qv.DeformationError("no validating deformation found for a non-projective point")
 
 
