@@ -4,7 +4,12 @@ Vectors are tuples of ints reduced mod p; a subspace is stored as its
 reduced row echelon basis (a tuple of row tuples, ordered by pivot), which
 makes subspaces canonical, hashable and cheap to compare.  Everything here
 is sized for desk-scale ambient dimension (d <= 8 or so), so no attempt is
-made to be clever.
+made to be clever with the elimination itself.
+
+The coordinate kernels that decomposition repeats are `functools.cache`s:
+`vanishing_on`, `project` and `complement`.  Their arguments are canonical
+rref tuples from small Grassmannians over small fields, so few distinct
+ones recur many times; a miss runs the plain elimination.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 Vec = tuple[int, ...]
 Basis = tuple[Vec, ...]
@@ -100,7 +105,8 @@ def contains(basis: Basis, v: Vec, p: int) -> bool:
     return is_zero(reduce_vec(v, basis, p))
 
 
-def vanishing_on(basis: Sequence[Vec], coords: Iterable[int], p: int) -> Basis:
+@functools.cache
+def vanishing_on(basis: Basis, coords: tuple[int, ...], p: int) -> Basis:
     """Rref basis of {x in span(basis) : x_k = 0 for every k in coords}.
 
     One elimination pivoting on the `coords` columns first: a row whose
@@ -115,6 +121,14 @@ def vanishing_on(basis: Sequence[Vec], coords: Iterable[int], p: int) -> Basis:
     cols = sorted(first) + [k for k in range(len(basis[0])) if k not in first]
     echelon, pivots = _eliminate(basis, p, cols)
     return tuple(tuple(row) for row, col in zip(echelon, pivots) if col not in first)
+
+
+@functools.cache
+def project(basis: Basis, coords: tuple[int, ...], p: int) -> Basis:
+    """Rref basis of the image of span(basis) under the coordinate projection
+    that keeps the `coords` entries and zeroes the others."""
+    keep = set(coords)
+    return rref([tuple(x if k in keep else 0 for k, x in enumerate(row)) for row in basis], p)
 
 
 def insert(basis: Basis, v: Vec, p: int) -> Optional[Basis]:
@@ -152,7 +166,8 @@ def intersect(a: Basis, b: Basis, p: int) -> Basis:
     return tuple(row[len(zero):] for row in echelon if not any(row[: len(zero)]))
 
 
-def complement(inner: Sequence[Vec], outer: Iterable[Vec], p: int) -> Basis:
+@functools.cache
+def complement(inner: Basis, outer: Basis, p: int) -> Basis:
     """Greedy complement C with span(inner) + span(outer) = span(inner) (+) C.
 
     C is the subsequence of `outer` whose rows lie outside the span of

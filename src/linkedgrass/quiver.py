@@ -201,13 +201,10 @@ class Quiver:
             out[k] = vector[k] % p
         return tuple(out)
 
-    def map_image(self, u: Vertex, v: Vertex, basis: Basis, p: int) -> Basis:
-        return gf.rref([self.apply_map(u, v, row, p) for row in basis], p)
-
     def pullback(self, u: Vertex, v: Vertex, basis: Basis, p: int) -> Basis:
         """Rref basis of {x : map u -> v sends x into span(basis)}: the part of
         span(basis) vanishing off the support, plus every unit vector off it."""
-        off = [k for k in range(self.d) if k not in self.coords[(u, v)]]
+        off = tuple(k for k in range(self.d) if k not in self.coords[(u, v)])
         return gf.rref(gf.vanishing_on(basis, off, p) + tuple(self.unit[k] for k in off), p)
 
     def to_dot(self) -> str:
@@ -341,19 +338,25 @@ def _ranks_from(basis: Basis, supports: tuple[int, ...], p: int) -> tuple[int, .
     return tuple(out)
 
 
+@functools.cache
+def _assemble_ranks(vertices: tuple[Vertex, ...], rows: tuple[tuple[int, ...], ...]) -> RankVector:
+    """The rank vector whose row at each of the sorted vertices is given:
+    the rows concatenate to the sorted entries."""
+    return RankVector(
+        tuple(((u, v), rank) for u, row in zip(vertices, rows) for v, rank in zip(vertices, row))
+    )
+
+
 def rank_vector(M: SubRep, quiver: Quiver) -> RankVector:
     """Rank of every map u -> v on M, read off the rref basis at u.
 
     The row of u depends only on the space at u and the maps out of u, so
-    it is memoised (`_ranks_from`); the vertices are sorted, so the rows
-    concatenate to the sorted entries.
+    it is memoised (`_ranks_from`), and so is the rank vector of each tuple
+    of rows (`_assemble_ranks`).
     """
-    return RankVector(
-        tuple(
-            ((u, v), rank)
-            for u in quiver.vertices
-            for v, rank in zip(quiver.vertices, _ranks_from(M.spaces[u], quiver.supports[u], M.p))
-        )
+    return _assemble_ranks(
+        quiver.vertices,
+        tuple(_ranks_from(M.spaces[u], quiver.supports[u], M.p) for u in quiver.vertices),
     )
 
 
@@ -427,7 +430,7 @@ def _split_single_generators(quiver: Quiver, v: Vertex, space: Basis, p: int) ->
                 meet &= quiver.masks[(v, u)]
         if m > 1:
             meet &= quiver.masks[(v, cycle[m - 1])]
-        keep = gf.vanishing_on(work, [k for k in range(quiver.d) if meet >> k & 1], p)
+        keep = gf.vanishing_on(work, tuple(k for k in range(quiver.d) if meet >> k & 1), p)
         if gf.contains(keep, eps, p):
             raise InvariantError("split vector landed in the kept kernel sum")
         new_work = gf.rref(keep + gf.complement(keep + (eps,), work, p), p)
@@ -445,6 +448,14 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
     construction; the result is validated to reassemble M as a direct sum
     (dimension count at every vertex), raising InvariantError otherwise.
     """
+    return [s for s, _ in _decompose_typed(M, quiver, check_independent)]
+
+
+def _decompose_typed(
+    M: SubRep, quiver: Quiver, check_independent: bool = True
+) -> list[tuple[Summand, SummandType]]:
+    """`decompose`, each summand paired with its type, whose support the
+    independence count reads."""
     if check_independent:
         quiver.require_weakly_independent()
     p = M.p
@@ -453,9 +464,7 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
         space = M.spaces[v]
         if not space:
             continue
-        images = {}
-        for u in quiver.in_arrows[v]:
-            images[u] = quiver.map_image(u, v, M.spaces[u], p)
+        images = {u: gf.project(M.spaces[u], quiver.coords[(u, v)], p) for u in quiver.in_arrows[v]}
         parts: list[Basis] = []
         for u in quiver.in_arrows[v]:
             b_prev: Basis = ()
@@ -466,28 +475,22 @@ def decompose(M: SubRep, quiver: Quiver, check_independent: bool = True) -> list
                 c_rows.extend(gf.complement(a_i + b_prev, b_i, p))
                 b_prev = b_i
             parts.append(gf.rref(c_rows, p))
-        inner_rows: list[Vec] = []
-        for u in quiver.in_arrows[v]:
-            inner_rows.extend(images[u])
-        for part in parts:
-            inner_rows.extend(part)
-        u_prime = gf.complement(inner_rows, space, p)
-        seed_rows = list(u_prime)
-        for part in parts:
-            seed_rows.extend(part)
-        seed_space = gf.rref(seed_rows, p)
+        parted = sum(parts, ())
+        u_prime = gf.complement(sum(images.values(), ()) + parted, space, p)
+        seed_space = gf.rref(u_prime + parted, p)
         for eps in _split_single_generators(quiver, v, seed_space, p):
             summands.append(Summand(v, eps))
     if reassemble(summands, quiver, p) != M:
         raise InvariantError("decomposition failed to reassemble the representation")
     # a single-vector summand has dimension 1 exactly on its support
+    typed = [(s, s.type_in(quiver, p)) for s in summands]
     total = {v: 0 for v in quiver.vertices}
-    for s in summands:
-        for v in support_of_generated(quiver, s.root, s.vector, p):
+    for _, t in typed:
+        for v in t.support:
             total[v] += 1
     if total != M.dims():
         raise InvariantError("decomposition summands are not independent")
-    return summands
+    return typed
 
 
 def reassemble(summands: Sequence[Summand], quiver: Quiver, p: int) -> SubRep:
@@ -747,9 +750,8 @@ def deform_step(
     construction is wrong and InvariantError is raised.  `phi` is M's rank
     vector when the caller already has it.
     """
-    summands = decompose(M, quiver)
+    typed = _decompose_typed(M, quiver)
     p = M.p
-    typed = [(s, s.type_in(quiver, p)) for s in summands]
     if all(t.is_projective(quiver) for _, t in typed):
         return None
     phi_dict = (phi if phi is not None else rank_vector(M, quiver)).as_dict()
@@ -772,7 +774,7 @@ def deform_step(
         if target_dict is not None and not all(expected[k] <= target_dict[k] for k in expected):
             continue
         new_vec = gf.vec_add(repl.vector, eta, p)
-        seeds = [(s.root, new_vec if s is repl else s.vector) for s in summands]
+        seeds = [(s.root, new_vec if s is repl else s.vector) for s, _ in typed]
         candidate = generated(quiver, seeds, p)
         rank = rank_vector(candidate, quiver)
         if candidate.dims() != M.dims() or rank.as_dict() != expected:

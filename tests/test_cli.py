@@ -132,6 +132,14 @@ def test_strata_shares_rank_rows_between_points(capsys):
     assert info.hits > 0 and info.currsize == info.misses
 
 
+def test_strata_assembles_each_rank_vector_once(capsys):
+    qv._assemble_ranks.cache_clear()
+    code, _ = run(capsys, ["strata", str(CONFIGS / "alcove-d4.json"), "--r", "2", "--p", "3"])
+    assert code == 0
+    info = qv._assemble_ranks.cache_info()
+    assert info.hits > info.misses > 0
+
+
 def test_strata_budget_exceeded_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, "omega3.json", 3, [[0, 0, 0], [1, 0, 0], [1, 1, 0]])
     code = cli.main(["strata", path, "--r", "1", "--p", "3", "--budget", "2"])

@@ -162,7 +162,7 @@ def spans_and_coords(draw):
 def test_vanishing_on_matches_intersect_oracle(case):
     rows, coords, n, p = case
     units = tuple(tuple(int(i == k) for i in range(n)) for k in range(n) if k not in coords)
-    got = gf.vanishing_on(rows, coords, p)
+    got = gf.vanishing_on(tuple(rows), tuple(coords), p)
     assert got == intersect_oracle(gf.rref(rows, p), units, p)
     assert got == gf.rref(got, p)
     assert all(row[k] == 0 for row in got for k in coords)
@@ -221,7 +221,35 @@ def raw_spans_and_coords(draw):
 def test_rref_and_vanishing_on_match_replaced_implementations(case):
     rows, coords, n, p = case
     assert gf.rref(rows, p) == rref_oracle(rows, p)
-    assert gf.vanishing_on(rows, coords, p) == vanishing_on_oracle(rows, coords, p)
+    assert gf.vanishing_on(tuple(rows), tuple(coords), p) == vanishing_on_oracle(rows, coords, p)
+
+
+@st.composite
+def kernel_arguments(draw):
+    """Two tuples of rows, a sorted coordinate tuple and p, all hashable."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    rows = tuple(draw(st.lists(vectors(n, p), max_size=n + 1)))
+    other = tuple(draw(st.lists(vectors(n, p), max_size=n + 1)))
+    coords = tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
+    return rows, other, coords, p
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(kernel_arguments())
+@example((((1, 2, 0), (0, 1, 1)), (), (), 3))  # no coordinates, empty outer
+@example(((), ((0, 1, 1),), (1,), 5))  # empty basis
+def test_memoised_kernels_equal_their_uncached_bodies(case):
+    rows, other, coords, p = case
+    for kernel, args in [
+        (gf.vanishing_on, (rows, coords, p)),
+        (gf.project, (rows, coords, p)),
+        (gf.complement, (rows, other, p)),
+    ]:
+        got = kernel(*args)
+        assert got == kernel.__wrapped__(*args)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+        assert kernel(*args) is got  # the second call is answered by the memo
 
 
 @settings(max_examples=500, derandomize=True, database=None)
@@ -349,7 +377,7 @@ def test_complement_is_the_greedy_subsequence(p):
     for _ in range(300):
         inner = random_rows(rng, 5, rng.randint(0, 3), p)
         outer = random_rows(rng, 5, rng.randint(0, 6), p)
-        comp = gf.complement(inner, outer, p)
+        comp = gf.complement(tuple(inner), tuple(outer), p)
         # a subsequence of outer
         rest = iter(outer)
         assert all(any(row == x for x in rest) for row in comp)

@@ -72,7 +72,11 @@ def test_no_module_level_memo_dicts():
         ("admissible", "_to_standard_position"),
         ("gf", "subspaces"),
         ("gf", "superspaces"),
+        ("gf", "vanishing_on"),
+        ("gf", "project"),
+        ("gf", "complement"),
         ("quiver", "_ranks_from"),
+        ("quiver", "_assemble_ranks"),
     ],
 )
 def test_memos_answer_cache_info_and_cache_clear(module, name):

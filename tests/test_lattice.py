@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkedgrass import lattice as lat
 
@@ -44,6 +46,22 @@ def test_is_convex_and_closure():
     closed = lat.convex_closure(gap)
     assert closed.vertices == ((0, 0), (1, 0), (2, 0))
     assert lat.is_convex(closed)[0]
+    assert lat.convex_closure(closed) == closed
+
+
+@st.composite
+def small_configurations(draw):
+    d = draw(st.integers(2, 4))
+    point = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    return lat.configuration(draw(st.lists(point, min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(small_configurations())
+def test_convex_closure_is_convex_idempotent_and_contains_its_input(config):
+    closed = lat.convex_closure(config)
+    assert set(config.vertices) <= set(closed.vertices)
+    assert lat.is_convex(closed) == (True, [])
     assert lat.convex_closure(closed) == closed
 
 

@@ -713,13 +713,18 @@ def test_split_check_survives_python_O():
     )
 
 
+def map_image(quiver, u, v, rows, p):
+    """Rref image of the rows under the map u -> v: project, then eliminate."""
+    return gf.rref([quiver.apply_map(u, v, row, p) for row in rows], p)
+
+
 def rank_vector_oracle(M, quiver):
     """The per-pair path `rank_vector` replaced: project and re-eliminate."""
     data = {}
     for u in quiver.vertices:
         for v in quiver.vertices:
             basis = M.spaces[u]
-            data[(u, v)] = len(basis) if u == v else len(quiver.map_image(u, v, basis, M.p))
+            data[(u, v)] = len(basis) if u == v else len(map_image(quiver, u, v, basis, M.p))
     return qv.RankVector.from_dict(data)
 
 
@@ -771,7 +776,7 @@ def elimination_cases(M, quiver):
             if c not in coords and any(row[k] for k in coords)
         ]
         if len(rest) > 1:
-            rank = len(quiver.map_image(u, v, rest, M.p))
+            rank = len(map_image(quiver, u, v, rest, M.p))
             independent += rank == len(rest)
             dependent += rank < len(rest)
     return independent, dependent
@@ -808,6 +813,8 @@ def test_rank_vector_matches_map_image_on_generated_reps(name, p):
         ]
         M = qv.generated(quiver, seeds, p)
         assert qv.rank_vector(M, quiver) == rank_vector_oracle(M, quiver)
+        for (u, v), coords in quiver.coords.items():
+            assert gf.project(M.spaces[u], coords, p) == map_image(quiver, u, v, M.spaces[u], p)
         dependent += elimination_cases(M, quiver)[1]
     assert dependent > 0
 
@@ -952,6 +959,25 @@ NO_INCREMENT = """
 """
 
 
+@pytest.mark.parametrize("name", sorted(WEAKLY_INDEPENDENT_INSTANCES))
+def test_decomposing_again_misses_no_kernel_memo(name):
+    verts, _ = WEAKLY_INDEPENDENT_INSTANCES[name]
+    quiver = make_quiver(verts)
+    rng = random.Random(f"memo/{name}")
+    seeds = [
+        (rng.choice(quiver.vertices), tuple(rng.randrange(3) for _ in range(quiver.d)))
+        for _ in range(3)
+    ]
+    M = qv.generated(quiver, seeds, 3)
+    memos = (gf.vanishing_on, gf.project, gf.complement)
+    first = qv.decompose(M, quiver)
+    before = [memo.cache_info() for memo in memos]
+    assert qv.decompose(M, quiver) == first
+    after = [memo.cache_info() for memo in memos]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert all(a.hits > b.hits for a, b in zip(after, before))
+
+
 def test_deform_check_survives_python_O():
     src = Path(qv.__file__).resolve().parents[1]
     result = subprocess.run(
@@ -982,6 +1008,7 @@ def test_decompose_reassembles_and_ranks_give_multiplicities(case):
     quiver, M = case
     summands = qv.decompose(M, quiver)
     assert qv.reassemble(summands, quiver, M.p) == M
+    assert qv._decompose_typed(M, quiver) == [(s, s.type_in(quiver, M.p)) for s in summands]
     phi = qv.rank_vector(M, quiver)
     multiset = qv.type_multiset(summands, quiver, M.p)
     for t in quiver.summand_types:

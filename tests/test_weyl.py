@@ -128,6 +128,31 @@ def extended_elements(draw):
     return weyl.WeylElement(tuple(sigma), tuple(trans))
 
 
+@st.composite
+def affine_elements(draw, d):
+    """An element of W_a: a permutation and a translation summing to zero."""
+    sigma = draw(st.permutations(range(1, d + 1)))
+    trans = draw(st.lists(st.integers(-4, 4), min_size=d - 1, max_size=d - 1))
+    return weyl.WeylElement(tuple(sigma), tuple(trans) + (-sum(trans),))
+
+
+@st.composite
+def affine_triples(draw):
+    d = draw(st.sampled_from([3, 4]))
+    return tuple(draw(affine_elements(d)) for _ in range(3))
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(affine_triples())
+def test_affine_weyl_group_axioms(case):
+    g, h, k = case
+    e = weyl.identity(g.d)
+    assert weyl.compose(weyl.compose(g, h), k) == weyl.compose(g, weyl.compose(h, k))
+    assert weyl.compose(g, e) == g == weyl.compose(e, g)
+    assert weyl.compose(g, weyl.invert(g)) == e == weyl.compose(weyl.invert(g), g)
+    assert weyl.in_affine(weyl.compose(g, h)) and weyl.in_affine(weyl.invert(g))
+
+
 @settings(max_examples=300, derandomize=True, database=None)
 @given(extended_elements(), st.integers(0, 5), st.integers(-8, 8))
 def test_length_properties(g, i, k):
