@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import sys
 import time
@@ -263,6 +264,7 @@ def prime(text: str) -> int:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkedgrass",
@@ -276,18 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="convexity, simplices, quiver, independence")
     p_analyze.add_argument("config")
     common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_quiver = sub.add_parser("quiver", help="export the quiver with shifts and supports")
     p_quiver.add_argument("config")
     common(p_quiver)
-    p_quiver.set_defaults(func=cmd_quiver)
 
     p_adm = sub.add_parser("admissible", help="admissible collections, ranks, dimensions")
     p_adm.add_argument("config")
     common(p_adm)
     p_adm.add_argument("--r", type=int, default=1)
-    p_adm.set_defaults(func=cmd_admissible)
 
     p_strata = sub.add_parser(
         "strata",
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_strata.add_argument("--r", type=int, default=1)
     p_strata.add_argument("--p", type=prime, default=2)
     p_strata.add_argument("--budget", type=int, default=10_000_000)
-    p_strata.set_defaults(func=cmd_strata)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite")
@@ -311,22 +309,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=None)
     p_verify.add_argument("--len-cap", type=int, default=None, dest="len_cap")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_md = sub.add_parser("multidegree", help="twists, concentration, compatibility sets")
     p_md.add_argument("source", help="'kn' or a graph JSON path")
     p_md.add_argument("--n", type=int, default=None)
     p_md.add_argument("--w0", type=str, default=None)
     common(p_md)
-    p_md.set_defaults(func=cmd_multidegree)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # looked up per call, so the cached parser holds no command function
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

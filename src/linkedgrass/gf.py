@@ -9,7 +9,9 @@ made to be clever with the elimination itself.
 The coordinate kernels that decomposition repeats are `functools.cache`s:
 `vanishing_on`, `project` and `complement`.  Their arguments are canonical
 rref tuples from small Grassmannians over small fields, so few distinct
-ones recur many times; a miss runs the plain elimination.
+ones recur many times; a miss runs the plain elimination.  So are the
+subspace lists: `subspaces`, a whole Grassmannian, and `superspaces`, an
+interval of one.
 """
 
 from __future__ import annotations
@@ -218,24 +220,26 @@ def subspaces(n: int, k: int, p: int) -> tuple[Basis, ...]:
 
 
 @functools.cache
-def superspaces(inner: Basis, k: int, n: int, p: int) -> tuple[Basis, ...]:
-    """All k-dimensional subspaces of F_p^n containing span(inner), each once."""
-    w = len(inner)
-    if k < w:
+def superspaces(inner: Basis, k: int, outer: Basis, p: int) -> tuple[Basis, ...]:
+    """The interval of k-dimensional spaces W with span(inner) <= W <= span(outer),
+    each once; () when inner does not lie in outer.
+
+    W is determined by W/inner, a subspace of outer/inner.  Written in the
+    columns that are not pivots of inner, outer/inner has the rref basis Q of
+    outer's residuals against inner, and W/inner = C.Q for the rref (k - w)-
+    spaces C of F_p^dim(Q).  C.Q is again in rref, its pivots those of Q at
+    C's pivots, and its first entry where two choices of C differ is that
+    entry of C; so the spaces come in the order of `subspaces`, by
+    (pivot_columns(W/inner), W/inner), as in the full Grassmannian.
+    """
+    if k < len(inner) or not all(contains(outer, row, p) for row in inner):
         return ()
-    if k == w:
-        return (inner,)
-    # parametrize by subspaces of a coordinate complement of inner, then
-    # re-reduce; the quotient parametrization hits each superspace once
-    pivots = set(pivot_columns(inner))
-    free_cols = [c for c in range(n) if c not in pivots]
+    quotient = rref([reduce_vec(row, inner, p) for row in outer], p)
     out = []
-    for sub in subspaces(len(free_cols), k - w, p):
-        lifted = []
-        for row in sub:
-            amb = [0] * n
-            for x, c in zip(row, free_cols):
-                amb[c] = x
-            lifted.append(tuple(amb))
+    for coeffs in subspaces(len(quotient), k - len(inner), p):
+        lifted = [
+            tuple(sum(c * x for c, x in zip(crow, col)) % p for col in zip(*quotient))
+            for crow in coeffs
+        ]
         out.append(rref(list(inner) + lifted, p))
     return tuple(out)

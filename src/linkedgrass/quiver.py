@@ -16,10 +16,11 @@ of the seeds' images under the direct maps, and needs no closure search.
 Sub-representations over locally weakly independent configurations split
 into summands generated by a single vector; `decompose` implements the
 constructive splitting, `deform_step` the rank-raising deformation toward
-projective points, and `enumerate_subreps` a pruned brute-force oracle over
-the whole quiver Grassmannian.  Their kernels are coordinate subspaces: the
-part of a space that a map kills is read off one echelon form with the
-support's columns moved first (`gf.vanishing_on`).
+projective points, and `enumerate_subreps` the brute-force oracle over the
+whole quiver Grassmannian, walking at each vertex the interval of spaces
+that close up with those already chosen.  Their kernels are coordinate
+subspaces: the part of a space that a map kills is read off one echelon
+form with the support's columns moved first (`gf.vanishing_on`).
 
 Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
@@ -203,9 +204,12 @@ class Quiver:
 
     def pullback(self, u: Vertex, v: Vertex, basis: Basis, p: int) -> Basis:
         """Rref basis of {x : map u -> v sends x into span(basis)}: the part of
-        span(basis) vanishing off the support, plus every unit vector off it."""
+        span(basis) vanishing off the support, already rref, merged by pivot
+        with the unit vectors off it.  Unmemoised: enumeration pulls back
+        every point it visits, and memoises per call."""
         off = tuple(k for k in range(self.d) if k not in self.coords[(u, v)])
-        return gf.rref(gf.vanishing_on(basis, off, p) + tuple(self.unit[k] for k in off), p)
+        rows = gf.vanishing_on.__wrapped__(basis, off, p) + tuple(self.unit[k] for k in off)
+        return tuple(sorted(rows, key=lambda row: row.index(1)))
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]
@@ -562,9 +566,12 @@ def enumerate_subreps(
 ) -> Iterator[SubRep]:
     """Every sub-representation with the given dimension vector, exactly once.
 
-    Vertices are visited along the arrow structure so that incoming images
-    prune the candidate subspaces; raises BudgetExceeded when more than
-    `budget` candidate spaces are inspected.
+    Vertices are visited along the arrow structure.  At each vertex v the
+    spaces that close up with those already chosen form an interval: they
+    contain the images of the chosen in-neighbours' spaces and lie in the
+    preimages (`Quiver.pullback`) of the chosen out-neighbours' spaces.  So
+    `gf.superspaces` walks that interval and no candidate is tested; raises
+    BudgetExceeded when more than `budget` spaces are offered in all.
     """
     gf.check_prime(p)
     dim_map = {v: dims for v in quiver.vertices} if isinstance(dims, int) else dict(dims)
@@ -574,19 +581,17 @@ def enumerate_subreps(
 
     arrow_set = set(quiver.arrows)
     order: list[Vertex] = []
-    remaining = set(quiver.vertices)
-    while remaining:
-        if not order:
-            pick = min(remaining)
-        else:
-            pick = max(
-                sorted(remaining),
-                key=lambda v: sum(
-                    1 for u in order if (u, v) in arrow_set or (v, u) in arrow_set
-                ),
-            )
+    remaining = sorted(quiver.vertices)
+    while remaining:  # the least vertex first, then the least of those most linked to the chosen
+        pick = max(remaining, key=lambda v: sum((u, v) in arrow_set or (v, u) in arrow_set for u in order))
         order.append(pick)
-        remaining.discard(pick)
+        remaining.remove(pick)
+    # the chosen in- and out-neighbours of each vertex when it is reached
+    ins = [[u for u in order[:i] if (u, v) in arrow_set] for i, v in enumerate(order)]
+    outs = [[u for u in order[:i] if (v, u) in arrow_set] for i, v in enumerate(order)]
+    # images and preimages of chosen spaces, memoised for this call only
+    image = functools.cache(lambda u, v, basis: gf.project.__wrapped__(basis, quiver.coords[(u, v)], p))
+    preimage = functools.cache(lambda v, u, basis: quiver.pullback(v, u, basis, p))
     counter = [0]
 
     def assign(idx: int, chosen: dict[Vertex, Basis]) -> Iterator[SubRep]:
@@ -594,33 +599,23 @@ def enumerate_subreps(
             yield SubRep(p, chosen)
             return
         v = order[idx]
-        lower_rows: list[Vec] = []
-        for u in chosen:
-            if (u, v) in arrow_set:
-                for row in chosen[u]:
-                    lower_rows.append(quiver.apply_map(u, v, row, p))
-        lower = gf.rref(lower_rows, p)
-        if len(lower) > dim_map[v]:
-            return
-        for cand in gf.superspaces(lower, dim_map[v], quiver.d, p):
+        images = [image(u, v, chosen[u]) for u in ins[idx]]
+        lower = images[0] if len(images) == 1 else gf.rref([row for b in images for row in b], p)
+        pulled = [preimage(v, u, chosen[u]) for u in outs[idx]] or [quiver.unit]
+        upper = functools.reduce(lambda a, b: gf.intersect(a, b, p), pulled)
+        for space in gf.superspaces(lower, dim_map[v], upper, p):
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceeded(f"enumeration exceeded budget {budget}")
-            ok = True
-            for u in chosen:
-                if (v, u) in arrow_set:
-                    for row in cand:
-                        if not gf.contains(chosen[u], quiver.apply_map(v, u, row, p), p):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                chosen[v] = cand
-                yield from assign(idx + 1, chosen)
-                del chosen[v]
+            chosen[v] = space
+            yield from assign(idx + 1, chosen)
+            del chosen[v]
 
-    yield from assign(0, {})
+    try:
+        yield from assign(0, {})
+    finally:  # `assign` is a reference cycle: free the memos without the cyclic GC
+        image.cache_clear()
+        preimage.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -293,21 +293,24 @@ def suite_projective(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> di
     return _report("projective", passed, checks=results)
 
 
+# simplices with at most three vertices and their dimensions along the cycle
+SIMPLEX_INSTANCES = [
+    ([(0, 0), (1, 0)], (1, 1)),
+    ([(0, 0), (1, 0)], (1, 0)),
+    ([(0, 0, 0), (1, 0, 0), (1, 1, 0)], (1, 1, 1)),
+    ([(0, 0, 0), (1, 1, 0)], (2, 1)),
+    ([(0, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)], (2, 2, 2)),
+    ([(0, 0, 0, 0), (1, 1, 1, 0)], (2, 2)),
+    ([(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 1, 1)], (2, 1, 2)),
+]
+
+
 def suite_simplex(p: int = 2) -> dict:
     """Inequality characterization equals the brute-force rank image on
     simplices with at most three vertices and entries at most two."""
-    instances = [
-        ([(0, 0), (1, 0)], (1, 1)),
-        ([(0, 0), (1, 0)], (1, 0)),
-        ([(0, 0, 0), (1, 0, 0), (1, 1, 0)], (1, 1, 1)),
-        ([(0, 0, 0), (1, 1, 0)], (2, 1)),
-        ([(0, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)], (2, 2, 2)),
-        ([(0, 0, 0, 0), (1, 1, 1, 0)], (2, 2)),
-        ([(0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 1, 1)], (2, 1, 2)),
-    ]
     results = {}
     passed = True
-    for verts, dims in instances:
+    for verts, dims in SIMPLEX_INSTANCES:
         quiver = _quiver(verts)
         cycle = quiver.simplices[0]
         n = len(cycle) - 1

@@ -16,6 +16,11 @@ def random_rows(rng, n, k, p):
     return [tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)]
 
 
+def identity(n):
+    """The unit basis of F_p^n, its own rref over every p (`Quiver.unit`)."""
+    return tuple(tuple(int(i == k) for i in range(n)) for k in range(n))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rref_idempotent_and_canonical(p):
     rng = random.Random(p)
@@ -44,7 +49,7 @@ def is_subspace(a, b, p):
 def test_superspaces_partition():
     p = 2
     inner = gf.rref([(1, 0, 0, 0)], p)
-    sup = gf.superspaces(inner, 2, 4, p)
+    sup = gf.superspaces(inner, 2, identity(4), p)
     assert len(sup) == len({s for s in sup})
     for s in sup:
         assert is_subspace(inner, s, p)
@@ -305,9 +310,50 @@ def superspace_cases(draw):
 def test_superspace_count_is_gaussian_binomial(case):
     """k-spaces through a w-space of F_p^n are the (k - w)-spaces of the quotient."""
     inner, k, n, p = case
-    sup = gf.superspaces(inner, k, n, p)
+    sup = gf.superspaces(inner, k, identity(n), p)
     assert len(sup) == len(set(sup)) == gf.gaussian_binomial(n - len(inner), k - len(inner), p)
     assert all(len(s) == k and is_subspace(inner, s, p) for s in sup)
+
+
+def quotient_key(space, inner, n, p):
+    """(pivot_columns(W/inner), W/inner), W/inner written in the columns that
+    are not pivots of inner: the order `superspaces` promises."""
+    free = [c for c in range(n) if c not in gf.pivot_columns(inner)]
+    quotient = gf.rref([tuple(gf.reduce_vec(row, inner, p)[c] for c in free) for row in space], p)
+    return gf.pivot_columns(quotient), quotient
+
+
+@st.composite
+def interval_cases(draw):
+    """inner, k, outer, n, p; inner lies in outer about half the time."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4 if p == 5 else 5))
+    outer = gf.rref(draw(st.lists(vectors(n, p), max_size=n)), p)
+    if draw(st.booleans()):
+        rows = []
+        for coeffs in draw(st.lists(vectors(len(outer), p), max_size=len(outer))):
+            row = (0,) * n
+            for c, x in zip(coeffs, outer):
+                row = gf.vec_add(row, gf.vec_scale(c, x, p), p)
+            rows.append(row)
+    else:
+        rows = draw(st.lists(vectors(n, p), max_size=n))
+    return gf.rref(rows, p), draw(st.integers(0, n)), outer, n, p
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(interval_cases())
+def test_superspaces_walk_the_interval_in_the_full_grassmannian_order(case):
+    inner, k, outer, n, p = case
+    full = gf.superspaces(inner, k, identity(n), p)
+    expected = [s for s in gf.subspaces(n, k, p) if is_subspace(inner, s, p)]
+    assert list(full) == sorted(expected, key=lambda s: quotient_key(s, inner, n, p))
+    got = gf.superspaces(inner, k, outer, p)
+    assert got == tuple(s for s in full if is_subspace(s, outer, p))
+    if is_subspace(inner, outer, p):
+        assert len(got) == gf.gaussian_binomial(len(outer) - len(inner), k - len(inner), p)
+    else:
+        assert got == ()
 
 
 @st.composite
@@ -433,4 +479,10 @@ def test_reduce_vec_is_only_given_rref_bases(monkeypatch, capsys):
     for _ in range(20):
         seeds = [(rng.choice(quiver.vertices), (1, rng.randrange(3), rng.randrange(3))) for _ in range(2)]
         qv.decompose(qv.generated(quiver, seeds, 3), quiver)
+    # enumeration tests no candidate: closure checks and extensions of its points reduce instead
+    for r in (1, 2):
+        for M in qv.enumerate_subreps(quiver, r, 3):
+            assert qv.is_subrep(M, quiver) == (True, None)
+            for v in quiver.vertices:
+                assert qv.extend_partial(quiver, {v: M.spaces[v]}, r, 3) is not None
     assert len(calls) > 1000

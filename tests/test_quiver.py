@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from linkedgrass import gf, independence
 from linkedgrass import quiver as qv
 from linkedgrass.lattice import Configuration, configuration
-from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
+from linkedgrass.verify import SHARED_EDGE_TRIANGLES, SIMPLEX_INSTANCES, WEAKLY_INDEPENDENT_INSTANCES
 
 
 def make_quiver(vertices):
@@ -399,6 +399,126 @@ def test_enumerate_matches_brute_force_product_filter():
         if qv.is_subrep(rep, quiver)[0]:
             brute += 1
     assert brute == len(list(qv.enumerate_subreps(quiver, 1, p)))
+
+
+def superspaces_in_all(inner, k, n, p):
+    """The replaced `gf.superspaces(inner, k, n, p)`: the k-spaces of F_p^n
+    through span(inner), lifted from the subspaces of the coordinates that
+    are not pivots of inner, in the order of `gf.subspaces`."""
+    if k < len(inner):
+        return []
+    free = [c for c in range(n) if c not in gf.pivot_columns(inner)]
+    out = []
+    for sub in gf.subspaces(len(free), k - len(inner), p):
+        lifted = []
+        for row in sub:
+            amb = [0] * n
+            for x, c in zip(row, free):
+                amb[c] = x
+            lifted.append(tuple(amb))
+        out.append(gf.rref(list(inner) + lifted, p))
+    return out
+
+
+def enumerate_by_closure_test(quiver, dims, p, budget=10_000_000):
+    """The enumeration that `enumerate_subreps` replaced: offer every superspace
+    of the incoming images in all of F_p^d and keep a candidate when each of
+    its rows maps into the chosen out-neighbours' spaces.  Raises
+    BudgetExceeded when more than `budget` candidates pass that test."""
+    dim_map = {v: dims for v in quiver.vertices} if isinstance(dims, int) else dict(dims)
+    arrow_set = set(quiver.arrows)
+    order = []
+    remaining = set(quiver.vertices)
+    while remaining:
+        if not order:
+            pick = min(remaining)
+        else:
+            pick = max(
+                sorted(remaining),
+                key=lambda v: sum(1 for u in order if (u, v) in arrow_set or (v, u) in arrow_set),
+            )
+        order.append(pick)
+        remaining.discard(pick)
+    passed = 0
+
+    def assign(idx, chosen):
+        nonlocal passed
+        if idx == len(order):
+            yield qv.SubRep(p, chosen)
+            return
+        v = order[idx]
+        lower_rows = [
+            quiver.apply_map(u, v, row, p) for u in chosen if (u, v) in arrow_set for row in chosen[u]
+        ]
+        for cand in superspaces_in_all(gf.rref(lower_rows, p), dim_map[v], quiver.d, p):
+            if all(
+                gf.contains(chosen[u], quiver.apply_map(v, u, row, p), p)
+                for u in chosen
+                if (v, u) in arrow_set
+                for row in cand
+            ):
+                passed += 1
+                if passed > budget:
+                    raise qv.BudgetExceeded(budget)
+                chosen[v] = cand
+                yield from assign(idx + 1, chosen)
+                del chosen[v]
+
+    yield from assign(0, {})
+
+
+def bench_config_cases():
+    """Every bench configuration at p = 2, 3 and every r; the d = 5 ones at r <= 1."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        d = Configuration.from_json(path.read_text()).d
+        for p in (2, 3):
+            for r in range(2 if d == 5 else d + 1):
+                yield pytest.param(path.stem, r, p, id=f"{path.stem}-r{r}-p{p}")
+
+
+@pytest.mark.parametrize("name,r,p", list(bench_config_cases()))
+def test_enumerate_subreps_equals_closure_filter_in_order(name, r, p):
+    quiver = config_quiver(name)
+    assert list(qv.enumerate_subreps(quiver, r, p)) == list(enumerate_by_closure_test(quiver, r, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("verts,dims", SIMPLEX_INSTANCES)
+def test_enumerate_subreps_equals_closure_filter_on_dimension_vectors(verts, dims, p):
+    quiver = make_quiver(verts)
+    dim_map = dict(zip(quiver.simplices[0], dims))
+    assert list(qv.enumerate_subreps(quiver, dim_map, p)) == list(
+        enumerate_by_closure_test(quiver, dim_map, p)
+    )
+
+
+@pytest.mark.parametrize("name,r,p", [("triangle-d3", 1, 3), ("branched-d4", 2, 2), ("alcove-d4", 1, 2)])
+def test_budget_counts_the_spaces_offered(name, r, p, monkeypatch):
+    """Every space offered closes up, so the budget is spent exactly as the
+    closure filter spends it on the candidates that pass."""
+    quiver = config_quiver(name)
+    oracle = list(enumerate_by_closure_test(quiver, r, p))
+    superspaces = gf.superspaces
+    offered = 0
+
+    def counted(*args):
+        nonlocal offered
+        spaces = superspaces(*args)
+        offered += len(spaces)
+        return spaces
+
+    monkeypatch.setattr(gf, "superspaces", counted)
+    assert list(qv.enumerate_subreps(quiver, r, p)) == oracle
+    monkeypatch.undo()
+    assert list(qv.enumerate_subreps(quiver, r, p, budget=offered)) == oracle
+    assert list(enumerate_by_closure_test(quiver, r, p, budget=offered)) == oracle
+    for budget in (0, 1, offered // 3, offered - 1):
+        got, expected = [], []
+        with pytest.raises(qv.BudgetExceeded):
+            got.extend(qv.enumerate_subreps(quiver, r, p, budget=budget))
+        with pytest.raises(qv.BudgetExceeded):
+            expected.extend(enumerate_by_closure_test(quiver, r, p, budget=budget))
+        assert got == expected
 
 
 @pytest.mark.parametrize("vertices", [PATH2, BRANCHED])
