@@ -20,15 +20,14 @@ for u, v in quiver.arrows:
     print(f"  {u} -> {v}   shift {t.n}, support {sorted(t.support)}")
 
 r = 1
-cols = adm.enumerate_admissible_collections(quiver, r)
-print(f"\nadmissible strata for r={r}: {len(cols)}")
-for col in cols:
-    rank = adm.stratum_rank_vector(col, quiver)
-    dim = adm.stratum_dimension(col.faces[0], r)
-    offdiag = {f"{u}->{v}": x for (u, v), x in rank.entries if u != v and x}
-    print(f"  dim {dim}  vectors {col.faces[0].vectors}  nonzero ranks {offdiag}")
+table = adm.strata(quiver, r)
+print(f"\nadmissible strata for r={r}: {len(table)}")
+for s in table:
+    dim = adm.stratum_dimension(s.collection.faces[0], r)
+    offdiag = {f"{u}->{v}": x for (u, v), x in s.rank.entries if u != v and x}
+    print(f"  dim {dim}  vectors {s.collection.faces[0].vectors}  nonzero ranks {offdiag}")
 
-tops = adm.top_strata(cols, quiver)
+tops = adm.top_strata([s.collection for s in table], quiver)
 print(f"\ntop strata (irreducible components): {len(tops)}, each of dimension "
       f"{adm.stratum_dimension(tops[0].faces[0], r)}")
 
@@ -38,7 +37,7 @@ classes = {}
 for M in points:
     classes.setdefault(qv.rank_vector(M, quiver), []).append(M)
 print(f"\nbrute force over F_{p}: {len(points)} points in {len(classes)} rank classes")
-label_set = {adm.stratum_rank_vector(c, quiver) for c in cols}
+label_set = {s.rank for s in table}
 print("rank classes match the stratum labels:", set(classes) == label_set)
 
 sample = next(M for M in points if len(qv.decompose(M, quiver)) > 1)

@@ -4,10 +4,11 @@ An admissible face of a maximal simplex perturbs each representative vector
 by a 0/1 vector with r ones, staying a face of the same type; it is indexed
 by a coset h * W_simplex in the extended affine Weyl group.  Collections
 glue faces across simplices through double-coset equality over the shared
-face stabilizers, and carry rank vectors, dimensions and the generalized
-Bruhat order.  Every double coset is compared in standard position: the
-simplex or shared face is conjugated onto a face of the standard alcove,
-whose stabilizer is standard parahoric.  The dimension-one stratification
+face stabilizers, and carry rank vectors (the table `strata` that every
+report reads), dimensions and the generalized Bruhat order.  Every double
+coset is compared in standard position: the simplex or shared face is
+conjugated onto a face of the standard alcove, whose stabilizer is
+standard parahoric.  The dimension-one stratification
 is the face complex of the configuration.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import gf, weyl
@@ -342,11 +343,26 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
     return types_from_rank(phi, quiver) is not None
 
 
-def realizable_strata(quiver: Quiver, r: int) -> list[AdmissibleCollection]:
+@dataclass(frozen=True)
+class Stratum:
+    """An admissible collection and its rank vector.  `realizable` is read
+    lazily and, like `rank_vector_realizable`, raises ValueError off locally
+    weakly independent configurations."""
+
+    collection: AdmissibleCollection
+    rank: RankVector
+    quiver: Quiver = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def realizable(self) -> bool:
+        return rank_vector_realizable(self.rank, self.quiver)
+
+
+def strata(quiver: Quiver, r: int) -> list[Stratum]:
+    """The stratum table, in `enumerate_admissible_collections` order."""
     return [
-        c
+        Stratum(c, stratum_rank_vector(c, quiver), quiver)
         for c in enumerate_admissible_collections(quiver, r)
-        if rank_vector_realizable(stratum_rank_vector(c, quiver), quiver)
     ]
 
 

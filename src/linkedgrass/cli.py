@@ -110,32 +110,29 @@ def cmd_admissible(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
     quiver = qv.Quiver(config)
-    cols = adm.enumerate_admissible_collections(quiver, args.r)
-    ranks = [adm.stratum_rank_vector(c, quiver) for c in cols]
-    realizable = None
-    if quiver.is_weakly_independent:
-        realizable = [adm.rank_vector_realizable(rv, quiver) for rv in ranks]
+    table = adm.strata(quiver, args.r)
     strata = []
-    for idx, (col, rank) in enumerate(zip(cols, ranks)):
+    for idx, s in enumerate(table):
         entry = {
             "index": idx,
-            "faces": [[list(v) for v in f.vectors] for f in col.faces],
-            "ranks": {f"{u}->{v}": val for (u, v), val in rank.entries if u != v},
+            "faces": [[list(v) for v in f.vectors] for f in s.collection.faces],
+            "ranks": {f"{u}->{v}": val for (u, v), val in s.rank.entries if u != v},
         }
         if len(quiver.simplices) == 1:
-            entry["dimension"] = adm.stratum_dimension(col.faces[0], args.r)
-        if realizable is not None:
-            entry["realizable"] = realizable[idx]
+            entry["dimension"] = adm.stratum_dimension(s.collection.faces[0], args.r)
+        if quiver.is_weakly_independent:
+            entry["realizable"] = s.realizable
         strata.append(entry)
-    tops = adm.top_strata(cols, quiver)
+    tops = adm.top_strata([s.collection for s in table], quiver)
     report = {
         "r": args.r,
         "strata": strata,
-        "count": len(cols),
+        "count": len(table),
         "top_count": len(tops),
     }
     dot = None
     if args.format == "dot":
+        ranks = [s.rank for s in table]
         dot = hasse_dot("hasse", ranks, [f"s{i}" for i in range(len(ranks))], qv.RankVector.leq)
     _emit(report, args.format, dot)
     return 0
@@ -152,10 +149,7 @@ def cmd_strata(args) -> int:
     except qv.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    labels = {
-        adm.stratum_rank_vector(c, quiver)
-        for c in adm.enumerate_admissible_collections(quiver, args.r)
-    }
+    labels = {s.rank for s in adm.strata(quiver, args.r)}
     strata = []
     for rank, count in sorted(points.items(), key=lambda kv: kv[0].entries):
         entry = {

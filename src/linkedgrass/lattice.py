@@ -92,7 +92,14 @@ class Configuration:
     @staticmethod
     def from_json(text: str) -> "Configuration":
         data = json.loads(text)
-        return Configuration(int(data["d"]), tuple(tuple(v) for v in data["vertices"]))
+        if not isinstance(data, dict):
+            raise ValueError("a configuration is a JSON object")
+        d, vertices = data["d"], data["vertices"]
+        if not (isinstance(vertices, list) and vertices and all(isinstance(v, list) and v for v in vertices)):
+            raise ValueError("vertices must be a non-empty list of non-empty lists")
+        if any(type(x) is not int for x in [d, *(x for v in vertices for x in v)]):
+            raise ValueError("d and every vertex coordinate must be integers")
+        return Configuration(d, tuple(map(tuple, vertices)))
 
 
 def configuration(vertices: Iterable[Sequence[int]]) -> Configuration:

@@ -268,14 +268,6 @@ class SubRep:
         return SubRep(int(data["p"]), spaces)
 
 
-def ambient(quiver: Quiver, p: int) -> SubRep:
-    return SubRep(p, {v: quiver.unit for v in quiver.vertices})
-
-
-def zero_rep(quiver: Quiver, p: int) -> SubRep:
-    return SubRep(p, {v: () for v in quiver.vertices})
-
-
 def is_subrep(M: SubRep, quiver: Quiver) -> tuple[bool, Optional[tuple[Vertex, Vertex]]]:
     """Closure under the quiver arrows; returns a violating arrow on failure."""
     for u, v in quiver.arrows:

@@ -124,12 +124,11 @@ def suite_components(d: int = 4) -> dict:
 
 
 def _order_equivalence(quiver: qv.Quiver, r: int) -> bool:
-    cols = adm.enumerate_admissible_collections(quiver, r)
-    ranks = [adm.stratum_rank_vector(c, quiver) for c in cols]
-    for (x, rx), (y, ry) in itertools.product(zip(cols, ranks), repeat=2):
-        if adm.generalized_bruhat_leq(x, y, quiver) != rx.leq(ry):
-            return False
-    return True
+    table = adm.strata(quiver, r)
+    return all(
+        adm.generalized_bruhat_leq(x.collection, y.collection, quiver) == x.rank.leq(y.rank)
+        for x, y in itertools.product(table, repeat=2)
+    )
 
 
 def suite_orders(d: int = 4) -> dict:
@@ -162,13 +161,9 @@ def suite_strata(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> dict:
     passed = True
     for name, (verts, r) in WEAKLY_INDEPENDENT_INSTANCES.items():
         quiver = _quiver(verts)
-        labels = {
-            adm.stratum_rank_vector(c, quiver)
-            for c in adm.enumerate_admissible_collections(quiver, r)
-        }
-        realizable = {
-            adm.stratum_rank_vector(c, quiver) for c in adm.realizable_strata(quiver, r)
-        }
+        table = adm.strata(quiver, r)
+        labels = {s.rank for s in table}
+        realizable = {s.rank for s in table if s.realizable}
         per_p = {
             p: {qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, r, p, budget)}
             for p in ps
@@ -186,10 +181,7 @@ def suite_strata(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> dict:
         passed = passed and ok
     # not weakly independent: enumerated set must be a p-stable subset of labels
     quiver = _quiver(SHARED_EDGE_TRIANGLES)
-    labels = {
-        adm.stratum_rank_vector(c, quiver)
-        for c in adm.enumerate_admissible_collections(quiver, 1)
-    }
+    labels = {s.rank for s in adm.strata(quiver, 1)}
     per_p = {
         p: {qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, 1, p, budget)}
         for p in ps

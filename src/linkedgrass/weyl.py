@@ -17,9 +17,10 @@ w(i) = sigma(i) + d * trans_{sigma(i)} (Shi 1986; Bjorner-Brenti, GTM 231,
 section 8.3), which right multiplication by iota leaves unchanged.  The
 Bruhat order follows the lifting property (Bjorner-Brenti, GTM 231, Prop.
 2.2.7): while l(u) < l(w), w steps down by a right descent s, and u by s
-when s is a descent of u too; then u <= w iff u == w.  Breadth-first search
-in the Cayley graph enumerates W_a by length, gives reduced words and is
-the oracle the closed forms are tested against.
+when s is a descent of u too; then u <= w iff u == w.  A reduced word
+strips right descents off the window.  Breadth-first search in the Cayley
+graph enumerates W_a by length and is the oracle the closed forms are
+tested against.
 
 Double cosets W_K g W_J are taken of standard parahorics, the stabilizers
 of standard-alcove faces (any other raises InvariantError), so W_K is
@@ -178,14 +179,12 @@ def length(g: WeylElement) -> int:
 
 
 class _CayleyBall:
-    """Lazily grown BFS ball of W_a around the identity, with parent words."""
+    """Lazily grown BFS ball of W_a around the identity."""
 
     def __init__(self, d: int):
-        self.d = d
         self.gens = [simple_reflection(d, i) for i in range(d)]
         e = identity(d)
         self.length: dict[WeylElement, int] = {e: 0}
-        self.parent: dict[WeylElement, tuple[WeylElement, int]] = {}
         self.frontier: list[WeylElement] = [e]
         self.radius = 0
 
@@ -193,11 +192,10 @@ class _CayleyBall:
         while self.radius < radius and self.frontier:
             nxt = []
             for g in self.frontier:
-                for i, s in enumerate(self.gens):
+                for s in self.gens:
                     h = compose(g, s)
                     if h not in self.length:
                         self.length[h] = self.radius + 1
-                        self.parent[h] = (g, i)
                         nxt.append(h)
             self.frontier = nxt
             self.radius += 1
@@ -210,18 +208,6 @@ class _CayleyBall:
 @functools.cache
 def _ball(d: int) -> _CayleyBall:
     return _CayleyBall(d)
-
-
-def reduced_word(g: WeylElement) -> tuple[int, ...]:
-    """One reduced word (generator indices) for the W_a-part of g."""
-    w, _ = iota_decompose(g)
-    ball = _ball(g.d)
-    ball.extend_to(length(w))
-    word = []
-    while ball.length[w] > 0:
-        w, i = ball.parent[w]
-        word.append(i)
-    return tuple(reversed(word))
 
 
 def wa_elements(d: int, max_len: int) -> list[WeylElement]:
@@ -243,6 +229,16 @@ def _times_simple(window: list[int], i: int) -> None:
     else:
         d = len(window)
         window[0], window[-1] = window[-1] - d, window[0] + d
+
+
+def reduced_word(g: WeylElement) -> tuple[int, ...]:
+    """One reduced word (generator indices) for the W_a-part of g: strip
+    the least right descent of its window until none is left."""
+    window, word = _window(iota_decompose(g)[0]), []
+    while descents := [i for i in range(g.d) if _right_descent(window, i)]:
+        _times_simple(window, descents[0])
+        word.append(descents[0])
+    return tuple(reversed(word))
 
 
 BruhatData = tuple[int, int, tuple[int, ...]]

@@ -16,7 +16,7 @@ from linkedgrass import cli, independence
 from linkedgrass import quiver as qv
 from linkedgrass import weyl
 from linkedgrass.lattice import Configuration, InvariantError, chain_order, configuration
-from linkedgrass.verify import SHARED_EDGE_TRIANGLES
+from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
 
 OMEGA = {d: adm.standard_alcove(d) for d in (2, 3, 4)}
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -266,11 +266,11 @@ def test_r1_order_check_reports():
 
 def test_realizable_strata_counts():
     quiver = make_quiver([(0, 0), (1, 0), (2, 0)])
-    all_cols = adm.enumerate_admissible_collections(quiver, 1)
-    real = adm.realizable_strata(quiver, 1)
-    assert (len(all_cols), len(real)) == (9, 5)
+    table = adm.strata(quiver, 1)
+    real = [s for s in table if s.realizable]
+    assert (len(table), len(real)) == (9, 5)
     enum = {qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, 1, 2)}
-    assert {adm.stratum_rank_vector(c, quiver) for c in real} == enum
+    assert {s.rank for s in real} == enum
 
 
 def test_realizable_strata_six_vertex_branched_d5():
@@ -284,9 +284,9 @@ def test_realizable_strata_six_vertex_branched_d5():
             (0, 0, 0, 2, 0),
         ]
     )
-    cols = adm.enumerate_admissible_collections(quiver, 1)
-    assert len(cols) == 189
-    real = {adm.stratum_rank_vector(c, quiver) for c in adm.realizable_strata(quiver, 1)}
+    table = adm.strata(quiver, 1)
+    assert len(table) == 189
+    real = {s.rank for s in table if s.realizable}
     enum = {qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, 1, 2)}
     assert real == enum
     assert len(real) == 13
@@ -297,7 +297,7 @@ def test_independence_is_checked_once_per_realizability_pass(monkeypatch, capsys
     calls = []
     monkeypatch.setattr(independence, "weakly_independent", lambda q: calls.append(q) or check(q))
     quiver = make_quiver([(0, 0), (1, 0), (2, 0)])
-    assert len(adm.realizable_strata(quiver, 1)) == 5 and len(calls) == 1
+    assert sum(s.realizable for s in adm.strata(quiver, 1)) == 5 and len(calls) == 1
     calls.clear()
     assert cli.main(["admissible", str(CONFIGS / "branched-d4.json"), "--r", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -310,8 +310,47 @@ def test_realizability_rejects_dependent_configurations():
     phi = adm.stratum_rank_vector(adm.enumerate_admissible_collections(quiver, 1)[0], quiver)
     with pytest.raises(ValueError):
         adm.rank_vector_realizable(phi, quiver)
+    table = adm.strata(quiver, 1)
     with pytest.raises(ValueError):
-        adm.realizable_strata(quiver, 1)
+        table[0].realizable
+
+
+def config_r_cases():
+    """(name, r) for every `bench/configs` configuration at every valid r."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        d = Configuration.from_json(path.read_text()).d
+        yield from ((path.stem, r) for r in range(1, d))
+
+
+@pytest.mark.parametrize("name, r", list(config_r_cases()))
+def test_stratum_table_lists_collections_with_their_rank_vectors(name, r):
+    quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
+    oracle = [
+        (c, adm.stratum_rank_vector(c, quiver))
+        for c in adm.enumerate_admissible_collections(quiver, r)
+    ]
+    assert [(s.collection, s.rank) for s in adm.strata(quiver, r)] == oracle
+
+
+@pytest.mark.parametrize("name", sorted(WEAKLY_INDEPENDENT_INSTANCES))
+def test_stratum_table_realizable_flag_on_weakly_independent_instances(name):
+    verts, r = WEAKLY_INDEPENDENT_INSTANCES[name]
+    quiver = make_quiver(verts)
+    for s in adm.strata(quiver, r):
+        assert s.realizable == adm.rank_vector_realizable(s.rank, quiver)
+
+
+def test_strata_reads_no_realizability_and_admissible_one_per_stratum(monkeypatch, capsys):
+    check = adm.rank_vector_realizable
+    calls = []
+    monkeypatch.setattr(adm, "rank_vector_realizable", lambda *a: calls.append(a) or check(*a))
+    path = str(CONFIGS / "branched-d4.json")
+    assert cli.main(["strata", path, "--r", "1"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    assert cli.main(["admissible", path, "--r", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == report["count"] == len(report["strata"])
 
 
 def test_simplex_rank_realizable_examples():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -42,12 +43,32 @@ def test_analyze_non_convex_warns_but_succeeds(tmp_path, capsys):
     assert "warning" in report
 
 
+MALFORMED_CONFIGS = [
+    "{not json",
+    "[1,2]",
+    '"x"',
+    "null",
+    '{"d":2,"vertices":5}',
+    '{"d":2,"vertices":[["a",0]]}',
+    '{"d":2,"vertices":[[0.5,0]]}',
+    '{"d":2,"vertices":[[true,0]]}',
+    '{"d":2,"vertices":[]}',
+    '{"d":2,"vertices":[[]]}',
+    '{"d":null,"vertices":[[0,0]]}',
+]
+
+
 def test_analyze_malformed_input_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(SystemExit) as err:
-        cli.main(["analyze", str(path)])
-    assert err.value.code == 2
+    for text, command in itertools.product(MALFORMED_CONFIGS, ["analyze", "admissible", "strata"]):
+        path.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, str(path)])
+        assert err.value.code == 2, (text, command)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read configuration {path}: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_quiver_dot_output(tmp_path, capsys):

@@ -20,6 +20,14 @@ def make_quiver(vertices):
     return qv.Quiver(configuration(vertices))
 
 
+def ambient(quiver, p):
+    return qv.SubRep(p, {v: quiver.unit for v in quiver.vertices})
+
+
+def zero_rep(quiver, p):
+    return qv.SubRep(p, {v: () for v in quiver.vertices})
+
+
 OMEGA3 = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
 SEGMENT = [(0, 0), (1, 0)]
 PATH2 = [(0, 0), (1, 0), (2, 0)]
@@ -137,7 +145,7 @@ def test_two_step_composite_is_direct_map_or_zero(name):
 
 def test_ambient_ranks():
     quiver = make_quiver(OMEGA3)
-    M = qv.ambient(quiver, 2)
+    M = ambient(quiver, 2)
     phi = qv.rank_vector(M, quiver).as_dict()
     for u in quiver.vertices:
         assert phi[(u, u)] == 3
@@ -156,8 +164,8 @@ def test_ambient_ranks():
 def test_is_subrep():
     quiver = make_quiver(SEGMENT)
     p = 2
-    assert qv.is_subrep(qv.zero_rep(quiver, p), quiver) == (True, None)
-    assert qv.is_subrep(qv.ambient(quiver, p), quiver) == (True, None)
+    assert qv.is_subrep(zero_rep(quiver, p), quiver) == (True, None)
+    assert qv.is_subrep(ambient(quiver, p), quiver) == (True, None)
     bad = qv.SubRep(p, {(0, 0): gf.rref([(0, 1)], p), (1, 0): gf.rref([(1, 0)], p)})
     ok, witness = qv.is_subrep(bad, quiver)
     assert not ok and witness == ((0, 0), (1, 0))
@@ -166,12 +174,12 @@ def test_is_subrep():
 def test_generated():
     quiver = make_quiver(OMEGA3)
     p = 3
-    assert qv.generated(quiver, [], p) == qv.zero_rep(quiver, p)
+    assert qv.generated(quiver, [], p) == zero_rep(quiver, p)
     full = []
     for v in quiver.vertices:
         for k in range(quiver.d):
             full.append((v, tuple(1 if i == k else 0 for i in range(quiver.d))))
-    assert qv.generated(quiver, full, p) == qv.ambient(quiver, p)
+    assert qv.generated(quiver, full, p) == ambient(quiver, p)
     one = qv.generated(quiver, [((0, 0, 0), (1, 1, 1))], p)
     assert all(len(b) <= 1 for b in one.spaces.values())
     assert qv.is_subrep(one, quiver) == (True, None)
@@ -270,7 +278,7 @@ def test_generated_over_a_base_equals_generated_over_all_seeds(name, p):
         k = rng.randint(0, len(seeds))
         base = qv.generated(quiver, seeds[:k], p)
         assert generated_over_base(quiver, seeds[k:], p, base) == qv.generated(quiver, seeds, p)
-    full = qv.ambient(quiver, p)
+    full = ambient(quiver, p)
     assert generated_over_base(quiver, random_seeds(quiver, rng, p, 3), p, full) == full
 
 
@@ -296,7 +304,7 @@ def test_support_of_generated():
 def test_rank_vector_zero_and_single_generator():
     quiver = make_quiver(OMEGA3)
     p = 2
-    zero = qv.rank_vector(qv.zero_rep(quiver, p), quiver)
+    zero = qv.rank_vector(zero_rep(quiver, p), quiver)
     assert all(v == 0 for _, v in zero.entries)
     one = qv.generated(quiver, [((0, 0, 0), (1, 1, 1))], p)
     phi = qv.rank_vector(one, quiver).as_dict()
@@ -311,8 +319,8 @@ def test_rank_vector_zero_and_single_generator():
 def test_decompose_zero_and_ambient_segment():
     quiver = make_quiver(SEGMENT)
     p = 2
-    assert qv.decompose(qv.zero_rep(quiver, p), quiver) == []
-    summands = qv.decompose(qv.ambient(quiver, p), quiver)
+    assert qv.decompose(zero_rep(quiver, p), quiver) == []
+    summands = qv.decompose(ambient(quiver, p), quiver)
     types = qv.type_multiset(summands, quiver, p)
     assert len(summands) == 2
     assert all(t.is_projective(quiver) for t in types)
@@ -341,13 +349,13 @@ def test_decompose_random_reassembly_and_multiplicities(vertices):
 def test_decompose_rejects_dependent_configuration():
     quiver = make_quiver([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)])
     with pytest.raises(ValueError):
-        qv.decompose(qv.ambient(quiver, 2), quiver)
+        qv.decompose(ambient(quiver, 2), quiver)
 
 
 def test_enumerate_zero_dims():
     quiver = make_quiver(SEGMENT)
     reps = list(qv.enumerate_subreps(quiver, 0, 2))
-    assert reps == [qv.zero_rep(quiver, 2)]
+    assert reps == [zero_rep(quiver, 2)]
 
 
 def test_enumerate_segment_count_against_direct_oracle():
@@ -782,7 +790,7 @@ SABOTAGE = """
         qv._split_single_generators = lambda *args: split(*args) * 2
     quiver = qv.Quiver(configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)]))
     try:
-        qv.decompose(qv.ambient(quiver, 2), quiver)
+        qv.decompose(qv.SubRep(2, {v: quiver.unit for v in quiver.vertices}), quiver)
     except AssertionError as exc:
         print(type(exc).__name__, exc)
 """

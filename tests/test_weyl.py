@@ -171,6 +171,18 @@ def test_coxeter_parity():
             assert abs(weyl.length(weyl.compose(w, weyl.simple_reflection(3, i))) - lw) == 1
 
 
+@pytest.mark.parametrize("d, max_len", [(2, 6), (3, 6), (4, 6), (5, 5)])
+def test_reduced_word_is_a_reduced_word_of_the_affine_part(d, max_len):
+    for w in weyl.wa_elements(d, max_len):
+        for k in (0, 1, -2):
+            g = weyl.compose(w, weyl.iota_pow(d, k))
+            word = weyl.reduced_word(g)
+            product = weyl.identity(d)
+            for idx in word:
+                product = weyl.compose(product, weyl.simple_reflection(d, idx))
+            assert len(word) == weyl.length(g) and product == w
+
+
 def subword_leq(u, w, d):
     """Independent oracle: u <= w iff u is a product of a subword of a
     reduced word of w."""
