@@ -13,7 +13,6 @@ report.
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import json
 import sys
@@ -142,10 +141,8 @@ def cmd_strata(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
     quiver = qv.Quiver(config)
-    points: collections.Counter = collections.Counter()
     try:
-        for M in qv.enumerate_subreps(quiver, args.r, args.p, args.budget):
-            points[qv.rank_vector(M, quiver)] += 1
+        points = qv.rank_counts(quiver, args.r, args.p, args.budget)
     except qv.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

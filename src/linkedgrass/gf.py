@@ -10,8 +10,9 @@ The coordinate kernels that decomposition repeats are `functools.cache`s:
 `vanishing_on`, `project` and `complement`.  Their arguments are canonical
 rref tuples from small Grassmannians over small fields, so few distinct
 ones recur many times; a miss runs the plain elimination.  So are the
-subspace lists: `subspaces`, a whole Grassmannian, and `superspaces`, an
-interval of one.
+subspace lists: `subspaces`, a whole Grassmannian, `superspaces`, an
+interval of one, and `torus_orbits`, one member of each orbit of the
+diagonal torus on a Grassmannian, with the orbit's size.
 """
 
 from __future__ import annotations
@@ -230,7 +231,9 @@ def superspaces(inner: Basis, k: int, outer: Basis, p: int) -> tuple[Basis, ...]
     spaces C of F_p^dim(Q).  C.Q is again in rref, its pivots those of Q at
     C's pivots, and its first entry where two choices of C differ is that
     entry of C; so the spaces come in the order of `subspaces`, by
-    (pivot_columns(W/inner), W/inner), as in the full Grassmannian.
+    (pivot_columns(W/inner), W/inner), as in the full Grassmannian.  C.Q is
+    zero at inner's pivots, so clearing inner's rows at C.Q's pivots and
+    merging the two by pivot, as `insert` does, gives the rref of W.
     """
     if k < len(inner) or not all(contains(outer, row, p) for row in inner):
         return ()
@@ -241,5 +244,40 @@ def superspaces(inner: Basis, k: int, outer: Basis, p: int) -> tuple[Basis, ...]
             tuple(sum(c * x for c, x in zip(crow, col)) % p for col in zip(*quotient))
             for crow in coeffs
         ]
-        out.append(rref(list(inner) + lifted, p))
+        rows = list(lifted)
+        for row in inner:
+            for lift in lifted:
+                c = row[lift.index(1)]
+                if c:
+                    row = tuple((x - c * y) % p for x, y in zip(row, lift))
+            rows.append(row)
+        out.append(tuple(sorted(rows, key=lambda row: row.index(1))))
+    return tuple(out)
+
+
+@functools.cache
+def torus_orbits(n: int, k: int, p: int) -> tuple[tuple[Basis, int], ...]:
+    """(first member, size) of each orbit of the diagonal torus (F_p^*)^n on
+    the k-spaces of F_p^n, in the order of `subspaces`.
+
+    t.W keeps the pivots of W, so its rref rows are those of W times t, each
+    divided by t at its pivot, and no elimination is needed.  Scalars act
+    trivially, so the elements with t_0 = 1 sweep every orbit.
+    """
+    seen: set[Basis] = set()
+    out = []
+    units = range(1, p)
+    for space in subspaces(n, k, p):
+        if space in seen:
+            continue
+        orbit = set()
+        for tail in itertools.product(units, repeat=max(n - 1, 0)):
+            t = (1,) + tail
+            moved = []
+            for row in space:
+                inv = pow(t[row.index(1)], p - 2, p)
+                moved.append(tuple(x * s * inv % p for x, s in zip(row, t)))
+            orbit.add(tuple(moved))
+        seen |= orbit
+        out.append((space, len(orbit)))
     return tuple(out)

@@ -18,7 +18,9 @@ into summands generated by a single vector; `decompose` implements the
 constructive splitting, `deform_step` the rank-raising deformation toward
 projective points, and `enumerate_subreps` the brute-force oracle over the
 whole quiver Grassmannian, walking at each vertex the interval of spaces
-that close up with those already chosen.  Their kernels are coordinate
+that close up with those already chosen.  `rank_counts` counts the points
+per rank vector on the same walk, started from one space per orbit of the
+diagonal torus, which commutes with every map.  Their kernels are coordinate
 subspaces: the part of a space that a map kills is read off one echelon
 form with the support's columns moved first (`gf.vanishing_on`).
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gf, independence
 from .gf import Basis, Vec
@@ -550,20 +552,25 @@ def types_from_rank(phi: RankVector, quiver: Quiver) -> Optional[dict[SummandTyp
 # Brute-force enumeration of the quiver Grassmannian
 
 
-def enumerate_subreps(
+def _walk(
     quiver: Quiver,
     dims: dict[Vertex, int] | int,
     p: int,
-    budget: int = 10_000_000,
-) -> Iterator[SubRep]:
-    """Every sub-representation with the given dimension vector, exactly once.
+    budget: int,
+    first: Callable[[int], Iterable[tuple[Basis, int]]],
+) -> Iterator[tuple[dict[Vertex, Basis], int]]:
+    """(spaces, weight) for each sub-representation with the given dimension
+    vector whose space at the first visited vertex is offered by `first`,
+    which maps a dimension to (space, weight) pairs; each point carries the
+    weight of its first space, and `spaces` is reused between points.
 
-    Vertices are visited along the arrow structure.  At each vertex v the
-    spaces that close up with those already chosen form an interval: they
-    contain the images of the chosen in-neighbours' spaces and lie in the
-    preimages (`Quiver.pullback`) of the chosen out-neighbours' spaces.  So
-    `gf.superspaces` walks that interval and no candidate is tested; raises
-    BudgetExceeded when more than `budget` spaces are offered in all.
+    Vertices are visited along the arrow structure.  At each later vertex v
+    the spaces that close up with those already chosen form an interval:
+    they contain the images of the chosen in-neighbours' spaces and lie in
+    the preimages (`Quiver.pullback`) of the chosen out-neighbours' spaces.
+    So `gf.superspaces` walks that interval and no candidate is tested.
+    Each space offered spends the weight of its first space; BudgetExceeded
+    is raised when more than `budget` is spent in all.
     """
     gf.check_prime(p)
     dim_map = {v: dims for v in quiver.vertices} if isinstance(dims, int) else dict(dims)
@@ -584,30 +591,77 @@ def enumerate_subreps(
     # images and preimages of chosen spaces, memoised for this call only
     image = functools.cache(lambda u, v, basis: gf.project.__wrapped__(basis, quiver.coords[(u, v)], p))
     preimage = functools.cache(lambda v, u, basis: quiver.pullback(v, u, basis, p))
-    counter = [0]
+    spent = 0
+    chosen: dict[Vertex, Basis] = {}
 
-    def assign(idx: int, chosen: dict[Vertex, Basis]) -> Iterator[SubRep]:
+    def assign(idx: int, weight: int) -> Iterator[tuple[dict[Vertex, Basis], int]]:
+        nonlocal spent
         if idx == len(order):
-            yield SubRep(p, chosen)
+            yield chosen, weight
             return
         v = order[idx]
-        images = [image(u, v, chosen[u]) for u in ins[idx]]
-        lower = images[0] if len(images) == 1 else gf.rref([row for b in images for row in b], p)
-        pulled = [preimage(v, u, chosen[u]) for u in outs[idx]] or [quiver.unit]
-        upper = functools.reduce(lambda a, b: gf.intersect(a, b, p), pulled)
-        for space in gf.superspaces(lower, dim_map[v], upper, p):
-            counter[0] += 1
-            if counter[0] > budget:
+        if idx == 0:
+            choices = first(dim_map[v])
+        else:
+            images = [image(u, v, chosen[u]) for u in ins[idx]]
+            lower = images[0] if len(images) == 1 else gf.rref([row for b in images for row in b], p)
+            pulled = [preimage(v, u, chosen[u]) for u in outs[idx]] or [quiver.unit]
+            upper = functools.reduce(lambda a, b: gf.intersect(a, b, p), pulled)
+            choices = ((space, weight) for space in gf.superspaces(lower, dim_map[v], upper, p))
+        for space, w in choices:
+            spent += w
+            if spent > budget:
                 raise BudgetExceeded(f"enumeration exceeded budget {budget}")
             chosen[v] = space
-            yield from assign(idx + 1, chosen)
+            yield from assign(idx + 1, w)
             del chosen[v]
 
     try:
-        yield from assign(0, {})
+        yield from assign(0, 1)
     finally:  # `assign` is a reference cycle: free the memos without the cyclic GC
         image.cache_clear()
         preimage.cache_clear()
+
+
+def enumerate_subreps(
+    quiver: Quiver,
+    dims: dict[Vertex, int] | int,
+    p: int,
+    budget: int = 10_000_000,
+) -> Iterator[SubRep]:
+    """Every sub-representation with the given dimension vector, exactly once:
+    the brute-force oracle over the whole quiver Grassmannian.  Its first
+    vertex walks all of F_p^d as an interval, so every space offered counts
+    once against `budget` (see `_walk`)."""
+    for spaces, _ in _walk(
+        quiver, dims, p, budget, lambda k: ((s, 1) for s in gf.superspaces((), k, quiver.unit, p))
+    ):
+        yield SubRep(p, spaces)
+
+
+def rank_counts(
+    quiver: Quiver,
+    dims: dict[Vertex, int] | int,
+    p: int,
+    budget: int = 10_000_000,
+) -> dict[RankVector, int]:
+    """Number of sub-representations with the given dimension vector per
+    rank vector, walking one first-vertex space per torus orbit.
+
+    A diagonal matrix t commutes with every coordinate projection, so it
+    maps the points whose first space is S bijectively onto those whose
+    first space is t.S and keeps their ranks.  So each point over an orbit's
+    first member (`gf.torus_orbits`) counts with the orbit's size, and the
+    budget is spent as `enumerate_subreps` spends it.
+    """
+    counts: dict[RankVector, int] = {}
+    for spaces, weight in _walk(quiver, dims, p, budget, lambda k: gf.torus_orbits(quiver.d, k, p)):
+        rank = _assemble_ranks(
+            quiver.vertices,
+            tuple(_ranks_from(spaces[u], quiver.supports[u], p) for u in quiver.vertices),
+        )
+        counts[rank] = counts.get(rank, 0) + weight
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,7 @@ def suite_strata(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> dict:
         table = adm.strata(quiver, r)
         labels = {s.rank for s in table}
         realizable = {s.rank for s in table if s.realizable}
-        per_p = {
-            p: {qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, r, p, budget)}
-            for p in ps
-        }
+        per_p = {p: set(qv.rank_counts(quiver, r, p, budget)) for p in ps}
         stable = all(per_p[p] == per_p[ps[0]] for p in ps)
         contained = all(per_p[p] <= labels for p in ps)
         exact = all(per_p[p] == realizable for p in ps)
@@ -182,10 +179,7 @@ def suite_strata(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> dict:
     # not weakly independent: enumerated set must be a p-stable subset of labels
     quiver = _quiver(SHARED_EDGE_TRIANGLES)
     labels = {s.rank for s in adm.strata(quiver, 1)}
-    per_p = {
-        p: {qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, 1, p, budget)}
-        for p in ps
-    }
+    per_p = {p: set(qv.rank_counts(quiver, 1, p, budget)) for p in ps}
     ok = all(v <= labels for v in per_p.values()) and all(
         per_p[p] == per_p[ps[0]] for p in ps
     )
@@ -308,8 +302,8 @@ def suite_simplex(p: int = 2) -> dict:
         n = len(cycle) - 1
         dim_map = dict(zip(cycle, dims))
         image = set()
-        for M in qv.enumerate_subreps(quiver, dim_map, p):
-            rv = qv.rank_vector(M, quiver).as_dict()
+        for phi in qv.rank_counts(quiver, dim_map, p):
+            rv = phi.as_dict()
             key = []
             for i in range(n + 1):
                 for j in range(i + 1, i + n + 1):

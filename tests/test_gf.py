@@ -356,6 +356,81 @@ def test_superspaces_walk_the_interval_in_the_full_grassmannian_order(case):
         assert got == ()
 
 
+
+def superspaces_by_rref(inner, k, outer, p):
+    """The replaced construction of `gf.superspaces`: every member is the
+    rref of inner's rows together with the lifted rows C.Q."""
+    if k < len(inner) or not is_subspace(inner, outer, p):
+        return ()
+    quotient = gf.rref([gf.reduce_vec(row, inner, p) for row in outer], p)
+    out = []
+    for coeffs in gf.subspaces(len(quotient), k - len(inner), p):
+        lifted = [
+            tuple(sum(c * x for c, x in zip(crow, col)) % p for col in zip(*quotient))
+            for crow in coeffs
+        ]
+        out.append(gf.rref(list(inner) + lifted, p))
+    return tuple(out)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(interval_cases())
+def test_superspaces_merge_equals_the_rref_construction(case):
+    inner, k, outer, n, p = case
+    assert gf.superspaces(inner, k, identity(n), p) == superspaces_by_rref(inner, k, identity(n), p)
+    assert gf.superspaces(inner, k, outer, p) == superspaces_by_rref(inner, k, outer, p)
+
+
+def torus_act(t, space, p):
+    """t.W for a diagonal t, by elimination of the scaled rows."""
+    return gf.rref([tuple(x * s for x, s in zip(row, t)) for row in space], p)
+
+
+def connected_components(space, n):
+    """Components of the graph on the n columns that joins each row's pivot
+    to that row's other nonzero columns."""
+    parent = list(range(n))
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for row in space:
+        piv = row.index(1)
+        for c, x in enumerate(row):
+            if x:
+                parent[root(c)] = root(piv)
+    return len({root(c) for c in range(n)})
+
+
+@pytest.mark.parametrize(
+    "n,k,p", [(n, k, p) for p in (2, 3, 5) for n in range(1, 5 if p == 5 else 6) for k in range(n + 1)]
+)
+def test_torus_orbits_partition_the_grassmannian(n, k, p):
+    spaces = gf.subspaces(n, k, p)
+    position = {s: i for i, s in enumerate(spaces)}
+    torus = list(itertools.product(range(1, p), repeat=n))
+    orbits = gf.torus_orbits(n, k, p)
+    covered = set()
+    for first, size in orbits:
+        orbit = {torus_act(t, first, p) for t in torus}
+        assert len(orbit) == size == (p - 1) ** (n - connected_components(first, n))
+        assert min(orbit, key=position.get) == first
+        assert not orbit & covered
+        covered |= orbit
+    assert covered == set(spaces)
+    assert sum(size for _, size in orbits) == gf.gaussian_binomial(n, k, p)
+    assert [first for first, _ in orbits] == sorted((first for first, _ in orbits), key=position.get)
+    if p == 2:
+        assert orbits == tuple((s, 1) for s in spaces)
+
+
+def test_torus_orbit_counts():
+    assert [len(gf.torus_orbits(4, 2, p)) for p in (2, 3, 5)] == [35, 36, 38]
+    assert all(len(gf.torus_orbits(n, 1, p)) == 2**n - 1 for n in range(1, 6) for p in (2, 3, 5))
+
+
 @st.composite
 def span_pairs(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkedgrass import gf, independence
+from linkedgrass import cli, gf, independence
 from linkedgrass import quiver as qv
 from linkedgrass.lattice import Configuration, configuration
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, SIMPLEX_INSTANCES, WEAKLY_INDEPENDENT_INSTANCES
@@ -527,6 +528,97 @@ def test_budget_counts_the_spaces_offered(name, r, p, monkeypatch):
         with pytest.raises(qv.BudgetExceeded):
             expected.extend(enumerate_by_closure_test(quiver, r, p, budget=budget))
         assert got == expected
+
+
+
+def rank_count_cases():
+    """The bench configurations at 0 < r < d and p = 2, 3, 5; the d = 5 ones
+    at r = 1 and p <= 3."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        d = Configuration.from_json(path.read_text()).d
+        for p in (2, 3) if d == 5 else (2, 3, 5):
+            for r in range(1, 2 if d == 5 else d):
+                yield pytest.param(path.stem, r, p, id=f"{path.stem}-r{r}-p{p}")
+
+
+@pytest.mark.parametrize("name,r,p", list(rank_count_cases()))
+def test_rank_counts_equal_the_enumerated_count(name, r, p):
+    quiver = config_quiver(name)
+    expected = collections.Counter(qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, r, p))
+    assert qv.rank_counts(quiver, r, p) == dict(expected)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("verts,dims", SIMPLEX_INSTANCES)
+def test_rank_counts_on_dimension_vectors(verts, dims, p):
+    quiver = make_quiver(verts)
+    dim_map = dict(zip(quiver.simplices[0], dims))
+    expected = collections.Counter(
+        qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, dim_map, p)
+    )
+    assert qv.rank_counts(quiver, dim_map, p) == dict(expected)
+
+
+@pytest.mark.parametrize(
+    "name,r", [("triangle-d3", 1), ("alcove-d4", 2), ("branched-d4", 1), ("shared-edge-triangles", 1)]
+)
+@pytest.mark.parametrize("p", [3, 5])
+def test_torus_keeps_sub_representations_and_rank_vectors(name, r, p):
+    quiver = config_quiver(name)
+    rng = random.Random(p)
+    for M in qv.enumerate_subreps(quiver, r, p):
+        t = [rng.randrange(1, p) for _ in range(quiver.d)]
+        moved = qv.SubRep(
+            p,
+            {v: gf.rref([tuple(x * s for x, s in zip(row, t)) for row in b], p) for v, b in M.spaces.items()},
+        )
+        assert qv.is_subrep(moved, quiver)[0]
+        assert qv.rank_vector(moved, quiver) == qv.rank_vector(M, quiver)
+
+
+def spaces_offered(quiver, r, p, monkeypatch):
+    """How many spaces `enumerate_subreps` offers, all through `gf.superspaces`."""
+    superspaces = gf.superspaces
+    offered = 0
+
+    def counted(*args):
+        nonlocal offered
+        spaces = superspaces(*args)
+        offered += len(spaces)
+        return spaces
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gf, "superspaces", counted)
+        for _ in qv.enumerate_subreps(quiver, r, p):
+            pass
+    return offered
+
+
+def raises_budget(run):
+    try:
+        run()
+    except qv.BudgetExceeded:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("name", ["triangle-d3", "alcove-d4", "branched-d4"])
+def test_rank_counts_spend_the_budget_of_the_enumeration(name, p, r, monkeypatch, capsys):
+    """Each first space spends its orbit's size, so the weighted total is
+    the number of spaces the enumeration offers, and `strata --budget`
+    exits 2 exactly where the enumeration exceeds it."""
+    quiver = config_quiver(name)
+    offered = spaces_offered(quiver, r, p, monkeypatch)
+    for budget in (offered - 1, offered):
+        exceeded = budget < offered
+        assert raises_budget(lambda: list(qv.enumerate_subreps(quiver, r, p, budget))) == exceeded
+        assert raises_budget(lambda: qv.rank_counts(quiver, r, p, budget)) == exceeded
+        path = str(CONFIGS / f"{name}.json")
+        code = cli.main(["strata", path, "--r", str(r), "--p", str(p), "--budget", str(budget)])
+        assert code == (2 if exceeded else 0)
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("vertices", [PATH2, BRANCHED])
