@@ -23,13 +23,13 @@ r = 1
 table = adm.strata(quiver, r)
 print(f"\nadmissible strata for r={r}: {len(table)}")
 for s in table:
-    dim = adm.stratum_dimension(s.collection.faces[0], r)
+    dim = adm.stratum_dimension(s.collection.faces[0])
     offdiag = {f"{u}->{v}": x for (u, v), x in s.rank.entries if u != v and x}
     print(f"  dim {dim}  vectors {s.collection.faces[0].vectors}  nonzero ranks {offdiag}")
 
-tops = adm.top_strata([s.collection for s in table], quiver)
+tops = adm.top_strata([s.collection for s in table])
 print(f"\ntop strata (irreducible components): {len(tops)}, each of dimension "
-      f"{adm.stratum_dimension(tops[0].faces[0], r)}")
+      f"{adm.stratum_dimension(tops[0].faces[0])}")
 
 p = 2
 points = list(qv.enumerate_subreps(quiver, r, p))

@@ -2,14 +2,18 @@
 
 An admissible face of a maximal simplex perturbs each representative vector
 by a 0/1 vector with r ones, staying a face of the same type; it is indexed
-by a coset h * W_simplex in the extended affine Weyl group.  Collections
-glue faces across simplices through double-coset equality over the shared
-face stabilizers, and carry rank vectors (the table `strata` that every
-report reads), dimensions and the generalized Bruhat order.  Every double
-coset is compared in standard position: the simplex or shared face is
-conjugated onto a face of the standard alcove, whose stabilizer is
-standard parahoric.  The dimension-one stratification
-is the face complex of the configuration.
+by a coset h * W_simplex in the extended affine Weyl group.  Every double
+coset is keyed in standard position: the simplex or shared face is
+conjugated by g onto a face of the standard alcove, whose stabilizer W is
+standard parahoric, and the key is the minimum of W g^-1 h g W.  A face has
+one key, over its own simplex (`_standard_key`): faces with equal keys form
+one class, the generalized Bruhat order compares keys, and a one-simplex
+stratum's dimension is a length in the key's double coset.  Shifting by
+iota^-r, into W (g^-1 h g iota^-r) iota^r W iota^-r, would change neither:
+iota has length 0 and permutes the simple reflections.  Collections glue
+classes across simplices by their keys over the shared faces and carry
+rank vectors (the table `strata` that every report reads).  The
+dimension-one stratification is the face complex of the configuration.
 """
 
 from __future__ import annotations
@@ -165,9 +169,9 @@ def enumerate_admissible_collections(quiver: Quiver, r: int) -> list[AdmissibleC
 
     per_simplex: list[list[AdmissibleFace]] = []
     for simplex in simplices:
-        faces = admissible_faces(simplex, r)
         classes: dict[weyl.WeylElement, AdmissibleFace] = {}
-        for key, face in zip(_double_coset_keys(simplex, [f.coset for f in faces]), faces):
+        for face in admissible_faces(simplex, r):
+            key = _standard_key(face)
             if key not in classes or face.vectors < classes[key].vectors:
                 classes[key] = face
         per_simplex.append(sorted(classes.values(), key=lambda face: face.vectors))
@@ -257,39 +261,12 @@ def _double_coset_keys(face: Sequence[Vertex], cosets: Sequence[weyl.WeylElement
 
 
 @functools.cache
-def _to_standard_position(face: AdmissibleFace) -> tuple[list[Vec], weyl.WeylElement]:
-    """Conjugate the simplex to a standard face: returns (omega_I, g^-1 h g).
-
-    Lengths, the Bruhat order and double cosets are based at the standard
-    alcove, so coset comparisons and dimensions are read off after moving
-    the simplex onto omega_I by the element g of `_standard_frame`.
-    """
-    omega_i, g = _standard_frame(face.simplex)
-    return omega_i, weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
-
-
-def _standard_double_coset(
-    face: AdmissibleFace, r: int
-) -> tuple[weyl.WeylElement, weyl.ParahoricGroup, weyl.ParahoricGroup]:
-    """(h_std * iota^-r, W1, W2): the face's double coset in standard position.
-
-    W1 fixes the standard face omega_I the simplex is conjugated onto and W2
-    fixes iota^r . omega_I; there the double-coset order is the closure order
-    of the corresponding Schubert cells.
-    """
-    d = len(face.simplex[0])
-    omega_i, h_std = _to_standard_position(face)
-    w1 = weyl.face_stabilizer(omega_i)
-    w2 = weyl.face_stabilizer([weyl.act_class(weyl.iota_pow(d, r), om) for om in omega_i])
-    return weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2
-
-
-def _standard_keys(collection: AdmissibleCollection) -> tuple[weyl.WeylElement, ...]:
-    """Minimal representative of each face's standard-position double coset."""
-    return tuple(
-        weyl.double_coset_min(*_standard_double_coset(face, collection.r))
-        for face in collection.faces
-    )
+def _standard_key(face: AdmissibleFace) -> weyl.WeylElement:
+    """The face's key, `_double_coset_keys` over its own simplex: faces of
+    one simplex with equal keys form one class, the generalized Bruhat
+    order compares keys, and `stratum_dimension` reads the key's double
+    coset."""
+    return _double_coset_keys(face.simplex, [face.coset])[0]
 
 
 def _check_comparable(x: AdmissibleCollection, y: AdmissibleCollection) -> None:
@@ -299,22 +276,18 @@ def _check_comparable(x: AdmissibleCollection, y: AdmissibleCollection) -> None:
         raise InvariantError("collections over different simplices are not comparable")
 
 
-def generalized_bruhat_leq(
-    x: AdmissibleCollection, y: AdmissibleCollection, quiver: Quiver
-) -> bool:
+def generalized_bruhat_leq(x: AdmissibleCollection, y: AdmissibleCollection) -> bool:
     """Componentwise double-coset order over the maximal simplices,
-    compared on the standard-position keys of `_standard_keys`."""
+    compared on the faces' keys (`_standard_key`)."""
     _check_comparable(x, y)
-    return all(map(weyl.bruhat_leq, _standard_keys(x), _standard_keys(y)))
+    return all(map(weyl.bruhat_leq, map(_standard_key, x.faces), map(_standard_key, y.faces)))
 
 
-def top_strata(
-    collections: Sequence[AdmissibleCollection], quiver: Quiver
-) -> list[AdmissibleCollection]:
+def top_strata(collections: Sequence[AdmissibleCollection]) -> list[AdmissibleCollection]:
     """Maximal collections, among the given ones, under the generalized Bruhat order."""
     for c in collections:
         _check_comparable(collections[0], c)
-    keys = [[weyl.bruhat_data(g) for g in _standard_keys(c)] for c in collections]
+    keys = [[weyl.bruhat_data(_standard_key(f)) for f in c.faces] for c in collections]
 
     def leq(i: int, j: int) -> bool:
         return all(map(weyl.bruhat_leq_data, keys[i], keys[j]))
@@ -326,9 +299,11 @@ def top_strata(
     ]
 
 
-def stratum_dimension(face: AdmissibleFace, r: int) -> int:
-    """Dimension of a one-simplex stratum from the minmax representative length."""
-    return weyl.length(weyl.minmax_rep(*_standard_double_coset(face, r)))
+def stratum_dimension(face: AdmissibleFace) -> int:
+    """Dimension of a one-simplex stratum: the length of the longest minimal
+    representative in the double coset of the face's key."""
+    stab = weyl.face_stabilizer(_standard_frame(face.simplex)[0])
+    return weyl.length(weyl.minmax_rep(_standard_key(face), stab, stab))
 
 
 def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:

@@ -118,11 +118,11 @@ def cmd_admissible(args) -> int:
             "ranks": {f"{u}->{v}": val for (u, v), val in s.rank.entries if u != v},
         }
         if len(quiver.simplices) == 1:
-            entry["dimension"] = adm.stratum_dimension(s.collection.faces[0], args.r)
+            entry["dimension"] = adm.stratum_dimension(s.collection.faces[0])
         if quiver.is_weakly_independent:
             entry["realizable"] = s.realizable
         strata.append(entry)
-    tops = adm.top_strata([s.collection for s in table], quiver)
+    tops = adm.top_strata([s.collection for s in table])
     report = {
         "r": args.r,
         "strata": strata,
@@ -141,11 +141,7 @@ def cmd_strata(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
     quiver = qv.Quiver(config)
-    try:
-        points = qv.rank_counts(quiver, args.r, args.p, args.budget)
-    except qv.BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    points = qv.rank_counts(quiver, args.r, args.p, args.budget)
     labels = {s.rank for s in adm.strata(quiver, args.r)}
     strata = []
     for rank, count in sorted(points.items(), key=lambda kv: kv[0].entries):

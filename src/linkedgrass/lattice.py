@@ -121,16 +121,10 @@ def is_convex(config: Configuration) -> tuple[bool, list[Vertex]]:
 
 
 def convex_closure(config: Configuration) -> Configuration:
-    verts = set(config.vertices)
-    while True:
-        new = set()
-        for u, v in combinations(sorted(verts), 2):
-            for w in convex_hull_pair(u, v):
-                if w not in verts:
-                    new.add(w)
-        if not new:
-            return Configuration(config.d, tuple(sorted(verts)))
-        verts |= new
+    """Add the missing hull classes (`is_convex`) until none is missing."""
+    while missing := is_convex(config)[1]:
+        config = Configuration(config.d, config.vertices + tuple(missing))
+    return config
 
 
 def maximal_simplices(config: Configuration) -> list[tuple[Vertex, ...]]:

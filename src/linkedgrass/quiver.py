@@ -50,8 +50,9 @@ from .lattice import (
 )
 
 
-class BudgetExceeded(Exception):
-    """Enumeration left the configured candidate budget."""
+class BudgetExceeded(ValueError):
+    """Enumeration left the configured candidate budget: a bad argument, so
+    the command line reports it as an error."""
 
 
 class DeformationError(Exception):
@@ -345,17 +346,21 @@ def _assemble_ranks(vertices: tuple[Vertex, ...], rows: tuple[tuple[int, ...], .
     )
 
 
-def rank_vector(M: SubRep, quiver: Quiver) -> RankVector:
-    """Rank of every map u -> v on M, read off the rref basis at u.
+def _ranks(quiver: Quiver, spaces: dict[Vertex, Basis], p: int) -> RankVector:
+    """Rank of every map u -> v on the rref spaces, read off the space at u.
 
     The row of u depends only on the space at u and the maps out of u, so
     it is memoised (`_ranks_from`), and so is the rank vector of each tuple
     of rows (`_assemble_ranks`).
     """
     return _assemble_ranks(
-        quiver.vertices,
-        tuple(_ranks_from(M.spaces[u], quiver.supports[u], M.p) for u in quiver.vertices),
+        quiver.vertices, tuple(_ranks_from(spaces[u], quiver.supports[u], p) for u in quiver.vertices)
     )
+
+
+def rank_vector(M: SubRep, quiver: Quiver) -> RankVector:
+    """Rank of every map u -> v on M (`_ranks`)."""
+    return _ranks(quiver, M.spaces, M.p)
 
 
 def support_of_generated(quiver: Quiver, v: Vertex, vector: Vec, p: int) -> frozenset[Vertex]:
@@ -656,10 +661,7 @@ def rank_counts(
     """
     counts: dict[RankVector, int] = {}
     for spaces, weight in _walk(quiver, dims, p, budget, lambda k: gf.torus_orbits(quiver.d, k, p)):
-        rank = _assemble_ranks(
-            quiver.vertices,
-            tuple(_ranks_from(spaces[u], quiver.supports[u], p) for u in quiver.vertices),
-        )
+        rank = _ranks(quiver, spaces, p)
         counts[rank] = counts.get(rank, 0) + weight
     return counts
 

@@ -115,8 +115,8 @@ def suite_components(d: int = 4) -> dict:
     for dd in range(2, d + 1):
         quiver = _quiver(adm.standard_alcove(dd))
         for r in range(1, dd):
-            tops = adm.top_strata(adm.enumerate_admissible_collections(quiver, r), quiver)
-            dims = {adm.stratum_dimension(c.faces[0], r) for c in tops}
+            tops = adm.top_strata(adm.enumerate_admissible_collections(quiver, r))
+            dims = {adm.stratum_dimension(c.faces[0]) for c in tops}
             ok = len(tops) == math.comb(dd, r) and dims == {r * (dd - r)}
             results[f"d{dd}-r{r}"] = {"tops": len(tops), "dims": sorted(dims), "ok": ok}
             passed = passed and ok
@@ -126,7 +126,7 @@ def suite_components(d: int = 4) -> dict:
 def _order_equivalence(quiver: qv.Quiver, r: int) -> bool:
     table = adm.strata(quiver, r)
     return all(
-        adm.generalized_bruhat_leq(x.collection, y.collection, quiver) == x.rank.leq(y.rank)
+        adm.generalized_bruhat_leq(x.collection, y.collection) == x.rank.leq(y.rank)
         for x, y in itertools.product(table, repeat=2)
     )
 

@@ -194,29 +194,29 @@ def test_generalized_order_reflexive_and_top_translations_incomparable():
     quiver = make_quiver(OMEGA[3])
     cols = adm.enumerate_admissible_collections(quiver, 1)
     for c in cols:
-        assert adm.generalized_bruhat_leq(c, c, quiver)
-    tops = adm.top_strata(cols, quiver)
+        assert adm.generalized_bruhat_leq(c, c)
+    tops = adm.top_strata(cols)
     assert len(tops) == 3
     for x, y in itertools.combinations(tops, 2):
-        assert not adm.generalized_bruhat_leq(x, y, quiver)
-        assert not adm.generalized_bruhat_leq(y, x, quiver)
+        assert not adm.generalized_bruhat_leq(x, y)
+        assert not adm.generalized_bruhat_leq(y, x)
 
 
 def test_single_vertex_configuration_has_one_stratum():
     quiver = make_quiver([(0, 0, 0)])
     cols = adm.enumerate_admissible_collections(quiver, 1)
     assert len(cols) == 1
-    assert len(adm.top_strata(cols, quiver)) == 1
+    assert len(adm.top_strata(cols)) == 1
 
 
 def test_stratum_dimensions_monotone_and_extreme():
     quiver = make_quiver(OMEGA[3])
     cols = adm.enumerate_admissible_collections(quiver, 1)
-    dims = {c: adm.stratum_dimension(c.faces[0], 1) for c in cols}
+    dims = {c: adm.stratum_dimension(c.faces[0]) for c in cols}
     assert min(dims.values()) == 0
     assert max(dims.values()) == 2
     for x, y in itertools.product(cols, repeat=2):
-        if adm.generalized_bruhat_leq(x, y, quiver):
+        if adm.generalized_bruhat_leq(x, y):
             assert dims[x] <= dims[y]
 
 
@@ -224,9 +224,9 @@ def test_stratum_dimensions_monotone_and_extreme():
 def test_top_dimension_attained_exactly_on_top_strata(d, r):
     quiver = make_quiver(OMEGA[d])
     cols = adm.enumerate_admissible_collections(quiver, r)
-    tops = set(adm.top_strata(cols, quiver))
+    tops = set(adm.top_strata(cols))
     for c in cols:
-        dim = adm.stratum_dimension(c.faces[0], r)
+        dim = adm.stratum_dimension(c.faces[0])
         assert dim <= r * (d - r)
         assert (dim == r * (d - r)) == (c in tops)
 
@@ -238,7 +238,7 @@ def test_one_simplex_strata_have_p_to_the_dimension_points(name, r, p):
     quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
     cols = adm.enumerate_admissible_collections(quiver, r)
     expected = {
-        adm.stratum_rank_vector(c, quiver): p ** adm.stratum_dimension(c.faces[0], r) for c in cols
+        adm.stratum_rank_vector(c, quiver): p ** adm.stratum_dimension(c.faces[0]) for c in cols
     }
     points = collections.Counter(
         qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, r, p)
@@ -446,9 +446,9 @@ def test_top_strata_match_pairwise_generalized_order(name, r):
     leq = adm.generalized_bruhat_leq
     pairwise = [
         x for x in cols
-        if not any(y is not x and leq(x, y, quiver) and not leq(y, x, quiver) for y in cols)
+        if not any(y is not x and leq(x, y) and not leq(y, x) for y in cols)
     ]
-    assert adm.top_strata(cols, quiver) == pairwise
+    assert adm.top_strata(cols) == pairwise
 
 
 def test_generalized_order_rejects_incomparable_collections():
@@ -456,9 +456,9 @@ def test_generalized_order_rejects_incomparable_collections():
     x = adm.enumerate_admissible_collections(quiver, 1)[0]
     y = adm.enumerate_admissible_collections(quiver, 2)[0]
     with pytest.raises(InvariantError, match="r = 1 and r = 2"):
-        adm.generalized_bruhat_leq(x, y, quiver)
+        adm.generalized_bruhat_leq(x, y)
     with pytest.raises(InvariantError, match="r = 1 and r = 2"):
-        adm.top_strata([x, y], quiver)
+        adm.top_strata([x, y])
 
 
 def solve_face_map_search(source, target, d):
@@ -473,7 +473,7 @@ def solve_face_map_search(source, target, d):
 
 
 def standard_types_search(face):
-    """Oracle: the type loop over i0 that `_to_standard_position` replaced."""
+    """Oracle: the type loop over i0 that `_standard_frame` replaced."""
     d = len(face.simplex[0])
     sums = [sum(v) for v in face.simplex]
     for i0 in range(d - (sums[-1] - sums[0])):
@@ -487,7 +487,7 @@ def test_solve_face_map_matches_search_on_configs(monkeypatch):
     calls = []
     solve = adm._solve_face_map
     monkeypatch.setattr(adm, "_solve_face_map", lambda *args: calls.append(args) or solve(*args))
-    adm._to_standard_position.cache_clear()
+    adm._standard_key.cache_clear()
     paths, faces = sorted(CONFIGS.glob("*.json")), []
     assert len(paths) == 12
     for path in paths:
@@ -495,13 +495,55 @@ def test_solve_face_map_matches_search_on_configs(monkeypatch):
         for simplex in quiver.simplices:
             for r in range(1, quiver.d):
                 for face in adm.admissible_faces(simplex, r):
-                    assert adm._to_standard_position(face)[0] == standard_types_search(face)
+                    omega_i = standard_types_search(face)
+                    assert adm._standard_frame(face.simplex)[0] == omega_i
+                    g = solve_face_map_search(omega_i, face.simplex, len(omega_i[0]))
+                    stab = weyl.face_stabilizer(omega_i)
+                    h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
+                    assert adm._standard_key(face) == weyl.double_coset_min(h_std, stab, stab)
                     faces.append(face)
-    # one call per face from admissible_faces, one per distinct face from the memo
-    assert len(faces) == 1006 and len(calls) == len(faces) + len(set(faces))
+    # one call per face from admissible_faces and from _standard_frame, one
+    # per distinct face from the memo
+    assert len(faces) == 1006 and len(calls) == 2 * len(faces) + len(set(faces))
     for source, target, d in calls:
         g = solve(source, target, d)
         assert g is not None and g == solve_face_map_search(source, target, d)
+
+
+def shifted_double_coset(face, r):
+    """Oracle: the face's double coset W1 (g^-1 h g iota^-r) W2 with W2 the
+    stabilizer of iota^r . omega_I, as the order and dimensions once read it."""
+    d = len(face.simplex[0])
+    omega_i, g = adm._standard_frame(face.simplex)
+    h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
+    w1 = weyl.face_stabilizer(omega_i)
+    w2 = weyl.face_stabilizer([weyl.act_class(weyl.iota_pow(d, r), om) for om in omega_i])
+    return weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2
+
+
+def test_face_keys_equal_the_iota_shifted_double_cosets_on_configs():
+    # the key times iota^-r is the shifted minimum, with the same minmax
+    # length, and pairs of faces of one simplex compare alike
+    paths, count = sorted(CONFIGS.glob("*.json")), 0
+    assert len(paths) == 12
+    for path in paths:
+        quiver = qv.Quiver(Configuration.from_json(path.read_text()))
+        for simplex in quiver.simplices:
+            for r in range(1, quiver.d):
+                faces = adm.admissible_faces(simplex, r)
+                keys = [adm._standard_key(face) for face in faces]
+                shifted = [shifted_double_coset(face, r) for face in faces]
+                old = [weyl.double_coset_min(*coset) for coset in shifted]
+                shift = weyl.iota_pow(quiver.d, -r)
+                for face, key, old_key, coset in zip(faces, keys, old, shifted):
+                    assert old_key == weyl.compose(key, shift)
+                    assert adm.stratum_dimension(face) == weyl.length(weyl.minmax_rep(*coset))
+                data = [weyl.bruhat_data(k) for k in keys]
+                old_data = [weyl.bruhat_data(k) for k in old]
+                for i, j in itertools.product(range(len(faces)), repeat=2):
+                    assert weyl.bruhat_leq_data(data[i], data[j]) == weyl.bruhat_leq_data(old_data[i], old_data[j])
+                count += len(faces)
+    assert count == 1006
 
 
 @st.composite
@@ -537,7 +579,7 @@ NO_FACE_MAP = """
     face = admissible.admissible_faces(admissible.standard_alcove(3), 1)[0]
     admissible._solve_face_map = lambda source, target, d: None
     for call in (lambda: admissible.admissible_faces(face.simplex, 1),
-                 lambda: admissible._to_standard_position(face)):
+                 lambda: admissible._standard_key(face)):
         try:
             call()
         except AssertionError as exc:

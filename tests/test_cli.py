@@ -168,6 +168,15 @@ def test_strata_budget_exceeded_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["strata", "verify"])
+def test_budget_exceeded_is_a_one_line_error(capsys, command):
+    target = str(CONFIGS / "alcove-d3.json") if command == "strata" else "strata"
+    code = cli.main([command, target, "--budget", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: enumeration exceeded budget 5\n"
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     code = cli.main(["verify", "nonsense"])
     capsys.readouterr()

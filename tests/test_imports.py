@@ -69,7 +69,7 @@ def test_no_module_level_memo_dicts():
         ("weyl", "_stabilizer"),
         ("weyl", "double_coset_min"),
         ("weyl", "minmax_rep"),
-        ("admissible", "_to_standard_position"),
+        ("admissible", "_standard_key"),
         ("gf", "subspaces"),
         ("gf", "superspaces"),
         ("gf", "vanishing_on"),

@@ -579,6 +579,31 @@ def test_double_coset_min_has_no_descents_in_the_parahorics(case):
     assert rep == double_coset_min_oracle(g, w1, w2)
 
 
+@st.composite
+def iota_shifts(draw):
+    """An element g, a standard parahoric W, a second element and a power of iota."""
+    g, w, _ = draw(standard_double_cosets())
+    d = g.d
+    sigma = draw(st.permutations(range(1, d + 1)))
+    h = weyl.WeylElement(tuple(sigma), tuple(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))))
+    return g, h, w, draw(st.integers(-2 * d, 2 * d))
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(iota_shifts())
+def test_right_iota_shift_keeps_double_cosets_lengths_and_order(case):
+    # iota^k has length 0 and conjugates W onto the stabilizer of iota^k . F
+    g, h, w, k = case
+    shift, back = weyl.iota_pow(g.d, k), weyl.iota_pow(g.d, -k)
+    w_k = weyl.face_stabilizer([weyl.act_class(shift, v) for v in w.face])
+    rep = weyl.double_coset_min(g, w, w)
+    assert weyl.double_coset_min(weyl.compose(g, back), w, w_k) == weyl.compose(rep, back)
+    assert weyl.length(weyl.minmax_rep(weyl.compose(g, back), w, w_k)) == weyl.length(weyl.minmax_rep(g, w, w))
+    for u in (rep, h):
+        assert weyl.bruhat_leq(weyl.compose(u, shift), weyl.compose(g, shift)) == weyl.bruhat_leq(u, g)
+    assert weyl.bruhat_leq(rep, g)
+
+
 def partition(keys):
     """The classes of indices with equal keys."""
     classes = {}
