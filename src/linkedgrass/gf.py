@@ -10,9 +10,9 @@ The coordinate kernels that decomposition repeats are `functools.cache`s:
 `vanishing_on`, `project` and `complement`.  Their arguments are canonical
 rref tuples from small Grassmannians over small fields, so few distinct
 ones recur many times; a miss runs the plain elimination.  So are the
-subspace lists: `subspaces`, a whole Grassmannian, `superspaces`, an
-interval of one, and `torus_orbits`, one member of each orbit of the
-diagonal torus on a Grassmannian, with the orbit's size.
+subspace lists: `subspaces`, a whole Grassmannian, and `superspaces`, an
+interval of one.  `torus_rep` keeps one member of each orbit of a
+coordinate torus on such a list, reading the member's entries alone.
 """
 
 from __future__ import annotations
@@ -255,29 +255,28 @@ def superspaces(inner: Basis, k: int, outer: Basis, p: int) -> tuple[Basis, ...]
     return tuple(out)
 
 
-@functools.cache
-def torus_orbits(n: int, k: int, p: int) -> tuple[tuple[Basis, int], ...]:
-    """(first member, size) of each orbit of the diagonal torus (F_p^*)^n on
-    the k-spaces of F_p^n, in the order of `subspaces`.
+def torus_rep(space: Basis, blocks: tuple[int, ...], p: int) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(orbit size, stabilizer's blocks) when `space` is the member kept from
+    its orbit under the diagonal matrices constant on `blocks` (a label per
+    coordinate), else None.
 
-    t.W keeps the pivots of W, so its rref rows are those of W times t, each
-    divided by t at its pivot, and no elimination is needed.  Scalars act
-    trivially, so the elements with t_0 = 1 sweep every orbit.
+    Such a t keeps the pivots of W: its rref row pivoting at c is W's row
+    times t over t_c, so each nonzero entry is scaled by t at its column
+    over t at its pivot.  Read row by row, left to right, the entries that
+    first join two blocks form a spanning forest of the blocks W links, so
+    t gives them any nonzero values and fixes W only if constant on the
+    merged blocks.  So one member has 1 at each, the orbit has
+    (p - 1)^joins members, and the merged blocks are the stabilizer's.
     """
-    seen: set[Basis] = set()
-    out = []
-    units = range(1, p)
-    for space in subspaces(n, k, p):
-        if space in seen:
-            continue
-        orbit = set()
-        for tail in itertools.product(units, repeat=max(n - 1, 0)):
-            t = (1,) + tail
-            moved = []
-            for row in space:
-                inv = pow(t[row.index(1)], p - 2, p)
-                moved.append(tuple(x * s * inv % p for x, s in zip(row, t)))
-            orbit.add(tuple(moved))
-        seen |= orbit
-        out.append((space, len(orbit)))
-    return tuple(out)
+    labels = list(blocks)
+    joins = 0
+    for row in space:
+        piv = row.index(1)
+        for c, x in enumerate(row):
+            a, b = labels[piv], labels[c]
+            if x and a != b:
+                if x != 1:
+                    return None
+                joins += 1
+                labels = [a if label == b else label for label in labels]
+    return (p - 1) ** joins, tuple(labels)

@@ -19,10 +19,11 @@ constructive splitting, `deform_step` the rank-raising deformation toward
 projective points, and `enumerate_subreps` the brute-force oracle over the
 whole quiver Grassmannian, walking at each vertex the interval of spaces
 that close up with those already chosen.  `rank_counts` counts the points
-per rank vector on the same walk, started from one space per orbit of the
-diagonal torus, which commutes with every map.  Their kernels are coordinate
-subspaces: the part of a space that a map kills is read off one echelon
-form with the support's columns moved first (`gf.vanishing_on`).
+per rank vector on the same walk, keeping one space per orbit of the
+diagonal matrices that fix the spaces chosen so far, which commute with
+every map.  Their kernels are coordinate subspaces: the part of a space
+that a map kills is read off one echelon form with the support's columns
+moved first (`gf.vanishing_on`).
 
 Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import gf, independence
 from .gf import Basis, Vec
@@ -562,20 +563,25 @@ def _walk(
     dims: dict[Vertex, int] | int,
     p: int,
     budget: int,
-    first: Callable[[int], Iterable[tuple[Basis, int]]],
+    blocks: tuple[int, ...],
 ) -> Iterator[tuple[dict[Vertex, Basis], int]]:
-    """(spaces, weight) for each sub-representation with the given dimension
-    vector whose space at the first visited vertex is offered by `first`,
-    which maps a dimension to (space, weight) pairs; each point carries the
-    weight of its first space, and `spaces` is reused between points.
+    """(spaces, weight) for one sub-representation with the given dimension
+    vector per orbit of the diagonal matrices constant on `blocks` (a label
+    per coordinate), weighted by the orbit's size; `spaces` is reused.
 
-    Vertices are visited along the arrow structure.  At each later vertex v
-    the spaces that close up with those already chosen form an interval:
-    they contain the images of the chosen in-neighbours' spaces and lie in
-    the preimages (`Quiver.pullback`) of the chosen out-neighbours' spaces.
-    So `gf.superspaces` walks that interval and no candidate is tested.
-    Each space offered spends the weight of its first space; BudgetExceeded
-    is raised when more than `budget` is spent in all.
+    Vertices are visited along the arrow structure.  At each vertex v the
+    spaces that close up with those already chosen form an interval: they
+    contain the images of the chosen in-neighbours' spaces and lie in the
+    preimages (`Quiver.pullback`) of the chosen out-neighbours' spaces.  So
+    `gf.superspaces` walks that interval and no candidate is tested.
+
+    Diagonal matrices commute with every coordinate projection, so those
+    fixing the spaces chosen so far (constant on the blocks passed down)
+    permute the interval; `gf.torus_rep` keeps one member per orbit and
+    passes down its stabilizer's blocks.  Each space kept spends the orbit
+    size of the partial point it completes, the number of spaces one block
+    offers over that orbit; BudgetExceeded is raised when more than
+    `budget` is spent in all.
     """
     gf.check_prime(p)
     dim_map = {v: dims for v in quiver.vertices} if isinstance(dims, int) else dict(dims)
@@ -599,30 +605,30 @@ def _walk(
     spent = 0
     chosen: dict[Vertex, Basis] = {}
 
-    def assign(idx: int, weight: int) -> Iterator[tuple[dict[Vertex, Basis], int]]:
+    def assign(idx: int, weight: int, blocks: tuple) -> Iterator[tuple[dict[Vertex, Basis], int]]:
         nonlocal spent
         if idx == len(order):
             yield chosen, weight
             return
         v = order[idx]
-        if idx == 0:
-            choices = first(dim_map[v])
-        else:
-            images = [image(u, v, chosen[u]) for u in ins[idx]]
-            lower = images[0] if len(images) == 1 else gf.rref([row for b in images for row in b], p)
-            pulled = [preimage(v, u, chosen[u]) for u in outs[idx]] or [quiver.unit]
-            upper = functools.reduce(lambda a, b: gf.intersect(a, b, p), pulled)
-            choices = ((space, weight) for space in gf.superspaces(lower, dim_map[v], upper, p))
-        for space, w in choices:
-            spent += w
+        images = [image(u, v, chosen[u]) for u in ins[idx]]
+        lower = images[0] if len(images) == 1 else gf.rref([row for b in images for row in b], p)
+        pulled = [preimage(v, u, chosen[u]) for u in outs[idx]] or [quiver.unit]
+        upper = functools.reduce(lambda a, b: gf.intersect(a, b, p), pulled)
+        for space in gf.superspaces(lower, dim_map[v], upper, p):
+            kept = gf.torus_rep(space, blocks, p)
+            if kept is None:
+                continue
+            size, merged = kept
+            spent += weight * size
             if spent > budget:
                 raise BudgetExceeded(f"enumeration exceeded budget {budget}")
             chosen[v] = space
-            yield from assign(idx + 1, w)
+            yield from assign(idx + 1, weight * size, merged)
             del chosen[v]
 
     try:
-        yield from assign(0, 1)
+        yield from assign(0, 1, blocks)
     finally:  # `assign` is a reference cycle: free the memos without the cyclic GC
         image.cache_clear()
         preimage.cache_clear()
@@ -635,12 +641,10 @@ def enumerate_subreps(
     budget: int = 10_000_000,
 ) -> Iterator[SubRep]:
     """Every sub-representation with the given dimension vector, exactly once:
-    the brute-force oracle over the whole quiver Grassmannian.  Its first
-    vertex walks all of F_p^d as an interval, so every space offered counts
-    once against `budget` (see `_walk`)."""
-    for spaces, _ in _walk(
-        quiver, dims, p, budget, lambda k: ((s, 1) for s in gf.superspaces((), k, quiver.unit, p))
-    ):
+    the brute-force oracle over the whole quiver Grassmannian.  Only scalars
+    are constant on one block, and they fix every space, so every space
+    offered is kept and counts once against `budget` (see `_walk`)."""
+    for spaces, _ in _walk(quiver, dims, p, budget, (0,) * quiver.d):
         yield SubRep(p, spaces)
 
 
@@ -651,16 +655,11 @@ def rank_counts(
     budget: int = 10_000_000,
 ) -> dict[RankVector, int]:
     """Number of sub-representations with the given dimension vector per
-    rank vector, walking one first-vertex space per torus orbit.
-
-    A diagonal matrix t commutes with every coordinate projection, so it
-    maps the points whose first space is S bijectively onto those whose
-    first space is t.S and keeps their ranks.  So each point over an orbit's
-    first member (`gf.torus_orbits`) counts with the orbit's size, and the
-    budget is spent as `enumerate_subreps` spends it.
-    """
+    rank vector.  The whole diagonal torus keeps ranks, so each point `_walk`
+    yields from singleton blocks counts with the size of its torus orbit,
+    and the budget is spent as `enumerate_subreps` spends it."""
     counts: dict[RankVector, int] = {}
-    for spaces, weight in _walk(quiver, dims, p, budget, lambda k: gf.torus_orbits(quiver.d, k, p)):
+    for spaces, weight in _walk(quiver, dims, p, budget, tuple(range(quiver.d))):
         rank = _ranks(quiver, spaces, p)
         counts[rank] = counts.get(rank, 0) + weight
     return counts

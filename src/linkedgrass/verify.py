@@ -231,8 +231,10 @@ def suite_decomposition(trials: int = 1000, seed: int = 7, ps: Sequence[int] = (
 
 def _phi_classes(quiver: qv.Quiver, r: int, p: int, budget: int) -> dict:
     classes = {}
-    for M in qv.enumerate_subreps(quiver, r, p, budget):
-        classes.setdefault(qv.rank_vector(M, quiver), M)
+    for spaces, _ in qv._walk(quiver, r, p, budget, tuple(range(quiver.d))):
+        rank = qv._ranks(quiver, spaces, p)
+        if rank not in classes:
+            classes[rank] = qv.SubRep(p, dict(spaces))
     return classes
 
 

@@ -318,3 +318,14 @@ def test_admissible_report_is_byte_identical(capsys, name, args):
     code, out = run(capsys, ["admissible", str(CONFIGS / f"{name}.json"), *args.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ADMISSIBLE_DIGESTS[(name, args)]
+
+
+# sha256 of the stdout of `verify all`, recorded before each suite's
+# representatives were taken from one point per torus orbit
+VERIFY_ALL_DIGEST = "9840676aad4f38c97ab25fe794039ff6754b1832cd7beb700f2d42c1973aae0b"
+
+
+def test_verify_all_report_is_byte_identical(capsys):
+    code, out = run(capsys, ["verify", "all"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST

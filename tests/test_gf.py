@@ -404,31 +404,95 @@ def connected_components(space, n):
     return len({root(c) for c in range(n)})
 
 
+def kept_members(spaces, blocks, p):
+    """(space, orbit size, stabilizer's blocks) for each space `gf.torus_rep` keeps."""
+    return [(space, *kept) for space in spaces if (kept := gf.torus_rep(space, blocks, p)) is not None]
+
+
 @pytest.mark.parametrize(
     "n,k,p", [(n, k, p) for p in (2, 3, 5) for n in range(1, 5 if p == 5 else 6) for k in range(n + 1)]
 )
 def test_torus_orbits_partition_the_grassmannian(n, k, p):
     spaces = gf.subspaces(n, k, p)
-    position = {s: i for i, s in enumerate(spaces)}
     torus = list(itertools.product(range(1, p), repeat=n))
-    orbits = gf.torus_orbits(n, k, p)
+    kept = kept_members(spaces, tuple(range(n)), p)
     covered = set()
-    for first, size in orbits:
-        orbit = {torus_act(t, first, p) for t in torus}
-        assert len(orbit) == size == (p - 1) ** (n - connected_components(first, n))
-        assert min(orbit, key=position.get) == first
+    for space, size, _ in kept:
+        orbit = {torus_act(t, space, p) for t in torus}
+        assert len(orbit) == size == (p - 1) ** (n - connected_components(space, n))
         assert not orbit & covered
         covered |= orbit
     assert covered == set(spaces)
-    assert sum(size for _, size in orbits) == gf.gaussian_binomial(n, k, p)
-    assert [first for first, _ in orbits] == sorted((first for first, _ in orbits), key=position.get)
+    assert sum(size for _, size, _ in kept) == gf.gaussian_binomial(n, k, p)
     if p == 2:
-        assert orbits == tuple((s, 1) for s in spaces)
+        assert [(space, size) for space, size, _ in kept] == [(s, 1) for s in spaces]
 
 
 def test_torus_orbit_counts():
-    assert [len(gf.torus_orbits(4, 2, p)) for p in (2, 3, 5)] == [35, 36, 38]
-    assert all(len(gf.torus_orbits(n, 1, p)) == 2**n - 1 for n in range(1, 6) for p in (2, 3, 5))
+    def orbits(n, k, p):
+        return len(kept_members(gf.subspaces(n, k, p), tuple(range(n)), p))
+
+    assert [orbits(4, 2, p) for p in (2, 3, 5)] == [35, 36, 38]
+    assert all(orbits(n, 1, p) == 2**n - 1 for n in range(1, 6) for p in (2, 3, 5))
+
+
+def block_partition(labels):
+    """The set partition of the coordinates that equal labels name."""
+    return {frozenset(c for c, x in enumerate(labels) if x == label) for label in labels}
+
+
+@st.composite
+def blocked_interval_cases(draw):
+    """An interval whose ends are spanned by rows each inside one block of a
+    drawn partition, so the diagonal matrices constant on the blocks keep
+    both ends and permute the interval.  The outer end is F_p^n half the
+    time, the inner end lies in it half the time, and k lies strictly
+    between their dimensions when it can."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, {3: 5, 5: 4, 7: 3}[p]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    blocks = tuple(rng.randrange(n) for _ in range(n))
+
+    def blocked_rows(count):
+        rows = []
+        for _ in range(count):
+            block = rng.choice(blocks)
+            rows.append(tuple(rng.randrange(p) if x == block else 0 for x in blocks))
+        return rows
+
+    outer_rows = list(identity(n)) if rng.random() < 0.5 else blocked_rows(rng.randint(1, n + 1))
+    if rng.random() < 0.5:
+        inner_rows = [row for row in outer_rows if rng.random() < 0.3]
+    else:
+        inner_rows = blocked_rows(rng.randint(0, 2))
+    inner, outer = gf.rref(inner_rows, p), gf.rref(outer_rows, p)
+    low, high = len(inner), max(len(inner), len(outer))
+    k = rng.randint(low + 1, high - 1) if high - low >= 2 else rng.randint(low, high)
+    return inner, k, outer, blocks, p
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(blocked_interval_cases())
+def test_torus_rep_keeps_one_member_per_orbit_of_the_blocked_torus(case):
+    inner, k, outer, blocks, p = case
+    names = sorted(set(blocks))
+    torus = [
+        tuple(dict(zip(names, values))[label] for label in blocks)
+        for values in itertools.product(range(1, p), repeat=len(names))
+    ]
+    interval = gf.superspaces(inner, k, outer, p)
+    covered = set()
+    for space, size, merged in kept_members(interval, blocks, p):
+        orbit = {torus_act(t, space, p) for t in torus}
+        assert len(orbit) == size
+        assert not orbit & covered
+        covered |= orbit
+        stabilizer = [t for t in torus if torus_act(t, space, p) == space]
+        assert block_partition(merged) == {
+            frozenset(j for j in range(len(blocks)) if all(t[i] == t[j] for t in stabilizer))
+            for i in range(len(blocks))
+        }
+    assert covered == set(interval)
 
 
 @st.composite

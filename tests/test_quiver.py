@@ -559,6 +559,36 @@ def test_rank_counts_on_dimension_vectors(verts, dims, p):
     assert qv.rank_counts(quiver, dim_map, p) == dict(expected)
 
 
+def fixed_point_cases():
+    """The bench configurations at 0 < r < d, the d = 5 ones at r = 1."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        d = Configuration.from_json(path.read_text()).d
+        for r in range(1, 2 if d == 5 else d):
+            yield pytest.param(path.stem, r, id=f"{path.stem}-r{r}")
+
+
+@pytest.mark.parametrize("name,r", list(fixed_point_cases()))
+def test_weight_one_points_are_the_torus_fixed_points(name, r):
+    """At p >= 3 a point's orbit has size 1 exactly when the torus fixes it,
+    that is when every row of every space is a unit vector: so per rank
+    vector the weight-1 points of the walk from singleton blocks are the
+    monomial points, as many at p = 5 as at p = 3."""
+    quiver = config_quiver(name)
+    monomial = collections.Counter(
+        qv.rank_vector(M, quiver)
+        for M in qv.enumerate_subreps(quiver, r, 3)
+        if all(row.count(0) == quiver.d - 1 for b in M.spaces.values() for row in b)
+    )
+    singletons = tuple(range(quiver.d))
+    for p in (3, 5):
+        fixed = collections.Counter(
+            qv._ranks(quiver, spaces, p)
+            for spaces, weight in qv._walk(quiver, r, p, 10_000_000, singletons)
+            if weight == 1
+        )
+        assert fixed == monomial
+
+
 @pytest.mark.parametrize(
     "name,r", [("triangle-d3", 1), ("alcove-d4", 2), ("branched-d4", 1), ("shared-edge-triangles", 1)]
 )
