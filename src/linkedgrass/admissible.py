@@ -123,21 +123,19 @@ def standard_alcove(d: int) -> tuple[Vertex, ...]:
 
 
 def admissibility_equivalence_check(
-    r: int, d: int, length_cap: int = 8, iota_range: int = 1
+    r: int, d: int, length_cap: int = 8
 ) -> tuple[bool, Optional[weyl.WeylElement]]:
     """Agreement of the Bruhat-side and coordinate-side admissibility tests.
 
     Quantifies over all extended elements w * iota^s with l(w) <= length_cap
-    and s within iota_range of the residues 0..d-1 around r.
+    and s in -1..d or in {r - d, r, r + d}.
     """
     omega = standard_alcove(d)
     mu_translations = [
         weyl.translation(tuple(perm))
         for perm in sorted(set(itertools.permutations([1] * r + [0] * (d - r))))
     ]
-    exponents = sorted(
-        set(range(-iota_range, d + iota_range)) | {r - d, r, r + d}
-    )
+    exponents = sorted(set(range(-1, d + 1)) | {r - d, r, r + d})
     for w in weyl.wa_elements(d, length_cap):
         for s in exponents:
             g = weyl.compose(w, weyl.iota_pow(d, s))

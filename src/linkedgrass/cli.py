@@ -7,7 +7,8 @@ error (any other uncaught exception, reported on stderr by its traceback and
 a last line `internal error: ...`).  Reports are deterministic for a fixed
 invocation (sorted JSON keys; `verify --seed` seeds the only random
 generator); `verify` prints its per-suite timings to stderr, never into the
-report.
+report.  `--format dot` is offered only where something is drawn: analyze
+and quiver draw the quiver, admissible the Hasse diagram of its strata.
 """
 
 from __future__ import annotations
@@ -44,10 +45,8 @@ def _check_r(r: int, config: Configuration) -> None:
         raise SystemExit(2)
 
 
-def _emit(report: dict, fmt: str, dot: str | None = None) -> None:
-    if fmt == "dot" and dot is not None:
-        print(dot)
-    elif fmt == "text":
+def _emit(report: dict, fmt: str) -> None:
+    if fmt == "text":
         for key, value in sorted(report.items()):
             print(f"{key}: {value}")
     else:
@@ -63,7 +62,6 @@ def cmd_analyze(args) -> int:
         "convex": convex,
         "missing": [list(v) for v in missing],
     }
-    dot = None
     if convex:
         quiver = qv.Quiver(config)
         ok, certs = ind.weakly_independent(quiver)
@@ -80,10 +78,12 @@ def cmd_analyze(args) -> int:
             structure = ind.validate_structure(quiver)
             report["cycles"] = structure.cycle_count
             report["structure_ok"] = structure.ok
-        dot = quiver.to_dot()
     else:
         report["warning"] = "configuration is not convex; closure needed"
-    _emit(report, args.format, dot)
+    if args.format == "dot" and convex:
+        print(quiver.to_dot())
+    else:
+        _emit(report, args.format)
     return 0
 
 
@@ -129,11 +129,11 @@ def cmd_admissible(args) -> int:
         "count": len(table),
         "top_count": len(tops),
     }
-    dot = None
     if args.format == "dot":
         ranks = [s.rank for s in table]
-        dot = hasse_dot("hasse", ranks, [f"s{i}" for i in range(len(ranks))], qv.RankVector.leq)
-    _emit(report, args.format, dot)
+        print(hasse_dot("hasse", ranks, [f"s{i}" for i in range(len(ranks))], qv.RankVector.leq))
+    else:
+        _emit(report, args.format)
     return 0
 
 
@@ -259,20 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "dot", "text"], default="json")
+    def common(p, draws=False):
+        p.add_argument("--format", choices=["json", "dot", "text"] if draws else ["json", "text"], default="json")
 
     p_analyze = sub.add_parser("analyze", help="convexity, simplices, quiver, independence")
     p_analyze.add_argument("config")
-    common(p_analyze)
+    common(p_analyze, draws=True)
 
     p_quiver = sub.add_parser("quiver", help="export the quiver with shifts and supports")
     p_quiver.add_argument("config")
-    common(p_quiver)
+    common(p_quiver, draws=True)
 
     p_adm = sub.add_parser("admissible", help="admissible collections, ranks, dimensions")
     p_adm.add_argument("config")
-    common(p_adm)
+    common(p_adm, draws=True)
     p_adm.add_argument("--r", type=int, default=1)
 
     p_strata = sub.add_parser(
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--p", type=prime, default=None)
-    p_verify.add_argument("--format", choices=["json", "dot", "text"], default="json")
+    common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=None)
     p_verify.add_argument("--len-cap", type=int, default=None, dest="len_cap")

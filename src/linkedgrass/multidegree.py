@@ -1,10 +1,11 @@
 """Multidegrees on a dual graph under twisting.
 
-A twist at a vertex adds the negated Laplacian column: +1 on each neighbour,
--deg(v) at v.  Twists commute, twisting every vertex once is the identity,
-and on a connected graph the twist vector between equivalent multidegrees is
-unique once one coordinate is pinned to zero.  Concentrated multidegrees and
-the finite compatibility set drive the limit-linear-series bookkeeping; the
+Twist counts c act by one Laplacian product, w -> w - L c; twisting every
+vertex once is the identity, and on a connected graph the twist vector
+between equivalent multidegrees is unique once one coordinate is pinned to
+zero.  Concentration is Dhar's burning, decided by a greedy order, and the
+compatibility set is a closed-form integer test per point (Baker-Norine
+reduced divisors); both drive the limit-linear-series bookkeeping, and the
 complete-graph family is built in as a worked instance.
 """
 
@@ -14,6 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 Multidegree = tuple[int, ...]
@@ -41,18 +43,22 @@ class DualGraph:
             frontier = [0]
             while frontier:
                 v = frontier.pop()
-                for u in self.neighbors(v):
+                for u in self.adjacency[v]:
                     if u not in reached:
                         reached.add(u)
                         frontier.append(u)
             if len(reached) != self.n:
                 raise ValueError("graph is not connected")
 
-    def neighbors(self, v: int) -> list[int]:
-        return [b if a == v else a for a, b in self.edges if v in (a, b)]
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbours of each vertex, in increasing order."""
+        return tuple(
+            tuple(b if a == v else a for a, b in self.edges if v in (a, b)) for v in range(self.n)
+        )
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self.adjacency[v])
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
@@ -60,86 +66,69 @@ class DualGraph:
     @staticmethod
     def from_json(text: str) -> "DualGraph":
         data = json.loads(text)
-        return DualGraph(int(data["n"]), tuple(tuple(e) for e in data["edges"]))
+        if not isinstance(data, dict):
+            raise ValueError("a dual graph is a JSON object")
+        n, edges = data.get("n"), data.get("edges")
+        if type(n) is not int or n < 1:
+            raise ValueError("n must be a positive integer")
+        if not (
+            isinstance(edges, list)
+            and all(isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges)
+        ):
+            raise ValueError("edges must be a list of two-integer lists")
+        return DualGraph(n, tuple(map(tuple, edges)))
 
 
 def complete_graph(n: int) -> DualGraph:
     return DualGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def twist_at(graph: DualGraph, w: Sequence[int], v: int) -> Multidegree:
-    out = list(w)
-    out[v] -= graph.degree(v)
-    for u in graph.neighbors(v):
-        out[u] += 1
-    return tuple(out)
-
-
-def negative_twist_at(graph: DualGraph, w: Sequence[int], v: int) -> Multidegree:
-    out = list(w)
-    out[v] += graph.degree(v)
-    for u in graph.neighbors(v):
-        out[u] -= 1
-    return tuple(out)
-
-
 def apply_twists(graph: DualGraph, w: Sequence[int], counts: Sequence[int]) -> Multidegree:
-    out = tuple(w)
-    for v, c in enumerate(counts):
-        for _ in range(abs(c)):
-            out = twist_at(graph, out, v) if c > 0 else negative_twist_at(graph, out, v)
-    return out
+    """w - L counts: each v gives deg(v) counts[v] and receives counts[u] from each neighbour u."""
+    return tuple(
+        x - graph.degree(v) * counts[v] + sum(counts[u] for u in graph.adjacency[v])
+        for v, x in enumerate(w)
+    )
+
+
+def twist_at(graph: DualGraph, w: Sequence[int], v: int) -> Multidegree:
+    return apply_twists(graph, w, [int(u == v) for u in range(graph.n)])
 
 
 def is_concentrated(
     graph: DualGraph, w: Sequence[int], v: int
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Search for an ordering from v along which later degrees go negative."""
-    n = graph.n
-    start = tuple(w)
-    seen: set[frozenset[int]] = set()
+    """The greedy burning order from v, if every vertex burns.
 
-    def search(used: frozenset[int], current: Multidegree, order: tuple[int, ...]):
-        if len(used) == n:
-            return order
-        if used in seen:
-            return None
-        seen.add(used)
-        last = order[-1]
-        current = negative_twist_at(graph, current, last)
-        for nxt in range(n):
-            if nxt in used:
-                continue
-            if current[nxt] < 0:
-                hit = search(used | {nxt}, current, order + (nxt,))
-                if hit is not None:
-                    return hit
-        return None
-
-    if n == 1:
-        return True, (v,)
-    hit = search(frozenset([v]), start, (v,))
-    return (hit is not None), hit
+    After untwisting at the vertices used so far, the least vertex not used
+    yet whose degree is negative comes next.  Degrees outside the used set
+    only fall as it grows, so a vertex stays eligible once it is, and the
+    greedy order exists exactly when some order does; it is the order a
+    depth-first search over vertices in increasing order finds.
+    """
+    order = [v]
+    while len(order) < graph.n:
+        current = apply_twists(graph, w, [-1 if u in order else 0 for u in range(graph.n)])
+        nxt = next((u for u in range(graph.n) if u not in order and current[u] < 0), None)
+        if nxt is None:
+            return False, None
+        order.append(nxt)
+    return True, tuple(order)
 
 
-def _solve_reduced(
-    graph: DualGraph, rhs: Sequence[int], forbidden: int
-) -> Optional[list[Fraction]]:
-    """Solve L a = rhs with a[forbidden] = 0 by exact elimination."""
+def _solve_reduced(graph: DualGraph, rhs: Sequence[int], forbidden: int) -> list[Fraction]:
+    """Solve L a = rhs off the row of `forbidden`, with a[forbidden] = 0, by
+    exact elimination.  The reduced Laplacian of a connected graph is
+    invertible (matrix-tree theorem), so a pivot always exists."""
     idx = [v for v in range(graph.n) if v != forbidden]
-    lap = {
-        (a, b): Fraction(
-            graph.degree(a) if a == b else (-1 if (min(a, b), max(a, b)) in graph.edges else 0)
-        )
+    mat = [
+        [Fraction(graph.degree(a) if a == b else -1 if b in graph.adjacency[a] else 0) for b in idx]
+        + [Fraction(rhs[a])]
         for a in idx
-        for b in idx
-    }
-    mat = [[lap[(a, b)] for b in idx] + [Fraction(rhs[a])] for a in idx]
+    ]
     m = len(idx)
     for col in range(m):
-        piv = next((r for r in range(col, m) if mat[r][col] != 0), None)
-        if piv is None:
-            return None
+        piv = next(r for r in range(col, m) if mat[r][col] != 0)
         mat[col], mat[piv] = mat[piv], mat[col]
         inv = 1 / mat[col][col]
         mat[col] = [x * inv for x in mat[col]]
@@ -165,17 +154,10 @@ def solve_twist(
     pinning a[forbidden] = 0 makes the solution unique; None means the target
     is not reachable this way.
     """
-    if sum(w) != sum(target):
-        return None
-    rhs = [a - b for a, b in zip(w, target)]  # L a = w - target
-    sol = _solve_reduced(graph, rhs, forbidden)
-    if sol is None:
-        return None
-    if any(x.denominator != 1 for x in sol):
+    sol = _solve_reduced(graph, [a - b for a, b in zip(w, target)], forbidden)  # L a = w - target
+    if any(x.denominator != 1 or x < 0 for x in sol):
         return None
     counts = tuple(int(x) for x in sol)
-    if any(x < 0 for x in counts):
-        return None
     if apply_twists(graph, w, counts) != tuple(target):
         return None
     return counts
@@ -185,34 +167,36 @@ def vbar_set(
     graph: DualGraph,
     w0: Sequence[int],
     concentrated: dict[int, Sequence[int]],
-    widen: int = 0,
 ) -> list[Multidegree]:
     """Twist-equivalent multidegrees from which every concentrated w_v stays
-    reachable without twisting at v, enumerated over the nonnegative box."""
+    reachable without twisting at v.
+
+    Let L b_v = w0 - w_v with b_v[v] = 0.  Then w0 - L c reaches w_v by the
+    twist vector b_v - c + c_v 1, the unique one that is zero at v, so it is
+    a member exactly when c_u - c_v <= b_v[u] for every u.  The scan runs
+    over the box of the normalized b_v - min(b_v), which holds every member
+    once every vertex has a w_v: shift c so that its minimum 0 falls at some
+    vertex m; then c_u = c_u - c_m <= b_m[u] <= b_m[u] - min(b_m), as
+    b_m[m] = 0.
+    """
     w0 = tuple(w0)
     for v, w_v in concentrated.items():
-        ok, _ = is_concentrated(graph, w_v, v)
-        if not ok:
+        if not is_concentrated(graph, w_v, v)[0]:
             raise ValueError(f"multidegree {w_v} is not concentrated on {v}")
-    box = [0] * graph.n
+    bases = {}
     for v, w_v in concentrated.items():
         base = _solve_reduced(graph, [a - b for a, b in zip(w0, w_v)], v)
-        if base is None or any(x.denominator != 1 for x in base):
+        bases[v] = [int(x) for x in base]
+        if bases[v] != base or apply_twists(graph, w0, bases[v]) != tuple(w_v):
             raise ValueError(f"{w_v} is not twist-equivalent to {w0}")
-        shift = min(base)
-        normalized = [int(x - shift) for x in base]
-        box = [max(b, x) for b, x in zip(box, normalized)]
-    box = [b + widen for b in box]
-    members: set[Multidegree] = set()
-    for counts in itertools.product(*[range(b + 1) for b in box]):
-        w = apply_twists(graph, w0, counts)
-        if w in members:
-            continue
-        if all(
-            solve_twist(graph, w, w_v, v) is not None for v, w_v in concentrated.items()
-        ):
-            members.add(w)
-    return sorted(members)
+    box = [max([0] + [b[u] - min(b) for b in bases.values()]) for u in range(graph.n)]
+    return sorted(
+        {
+            apply_twists(graph, w0, c)
+            for c in itertools.product(*[range(b + 1) for b in box])
+            if all(c[u] - c[v] <= b[u] for v, b in bases.items() for u in range(graph.n))
+        }
+    )
 
 
 @dataclass

@@ -220,6 +220,43 @@ def test_multidegree_kn_missing_n_exits_2(capsys):
     assert code == 2
 
 
+MALFORMED_GRAPHS = [
+    "{not json",
+    "[1]",
+    "null",
+    '{"n": 2, "edges": [[0, "x"]]}',
+    '{"n": 2, "edges": [[0, 1.5]]}',
+    '{"n": 2, "edges": 5}',
+    '{"n": 2, "edges": [[0, 1, 1]]}',
+    '{"n": 2, "edges": [[true, 1]]}',
+    '{"n": 2.7, "edges": [[0, 1]]}',
+    '{"n": true, "edges": [[0, 1]]}',
+    '{"n": 0, "edges": []}',
+    '{"edges": [[0, 1]]}',
+    '{"n": 3, "edges": [[0, 1]]}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_GRAPHS)
+def test_multidegree_malformed_graph_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    code = cli.main(["multidegree", str(path), "--w0", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot read graph {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["strata", "config.json"], ["verify", "kn"], ["multidegree", "kn"]])
+def test_format_dot_only_where_something_is_drawn(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main([*argv, "--format", "dot"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "argument --format: invalid choice: 'dot'" in captured.err
+
+
 def test_admissible_dot_is_the_hasse_diagram(tmp_path, capsys):
     # strata s0, s2 are the two top strata; s1 lies below both
     path = write_config(tmp_path, "omega.json", 2, [[0, 0], [1, 0]])
@@ -296,6 +333,27 @@ def test_strata_report_is_byte_identical(capsys, name, r, p):
     code, out = run(capsys, ["strata", str(CONFIGS / f"{name}.json"), "--r", str(r), "--p", str(p)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STRATA_DIGESTS[(name, r, p)]
+
+
+# sha256 of the stdout of `multidegree SOURCE ARGS...`, recorded before twists
+# became one Laplacian action and vbar_set a closed-form membership test
+MULTIDEGREE_GRAPH = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 2]]}
+MULTIDEGREE_DIGESTS = {
+    ("kn", "--n 4"): "afab291f3d92dc31504d35210d52d5bd332080b0ddb4ecb767c07c442162e409",
+    ("kn", "--n 6"): "fb5dcff7408a1a194ae9718f970d5c165e48e4efcc42a852bedea176fb78cf9d",
+    ("graph", "--w0 1,1,0,-1"): "b5684933f0815dec38edad53ff6841baefad8bdc014c147ac96afa030a01f6ef",
+}
+
+
+@pytest.mark.parametrize("source, args", sorted(MULTIDEGREE_DIGESTS))
+def test_multidegree_report_is_byte_identical(tmp_path, capsys, source, args):
+    target = source
+    if source == "graph":
+        target = tmp_path / "graph.json"
+        target.write_text(json.dumps(MULTIDEGREE_GRAPH))
+    code, out = run(capsys, ["multidegree", str(target), *args.split()])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MULTIDEGREE_DIGESTS[(source, args)]
 
 
 # sha256 of the stdout of `admissible CFG ARGS...`, recorded before each
