@@ -5,14 +5,15 @@ by a 0/1 vector with r ones, staying a face of the same type; it is indexed
 by a coset h * W_simplex in the extended affine Weyl group.  Every double
 coset is keyed in standard position: the simplex or shared face is
 conjugated by g onto a face of the standard alcove, whose stabilizer W is
-standard parahoric, and the key is the minimum of W g^-1 h g W.  A face has
-one key, over its own simplex (`_standard_key`): faces with equal keys form
-one class, the generalized Bruhat order compares keys, and a one-simplex
-stratum's dimension is a length in the key's double coset.  Shifting by
-iota^-r, into W (g^-1 h g iota^-r) iota^r W iota^-r, would change neither:
-iota has length 0 and permutes the simple reflections.  Collections glue
-classes across simplices by their keys over the shared faces and carry
-rank vectors (the table `strata` that every report reads).  The
+standard parahoric (a frame solved once per simplex), and the key is the
+minimum of W g^-1 h g W.  A face has one key, over its own simplex
+(`_standard_key`): faces with equal keys form one class, the generalized
+Bruhat order compares keys, and a one-simplex stratum's dimension is a
+length in the key's double coset.  Shifting by iota^-r, into
+W (g^-1 h g iota^-r) iota^r W iota^-r, would change neither: iota has
+length 0 and permutes the simple reflections.  Collections glue classes
+across simplices by their keys over the shared faces and carry rank
+vectors (the table `strata` that every report reads).  The
 dimension-one stratification is the face complex of the configuration.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import gf, weyl
-from .lattice import InvariantError, Vertex, canonicalize, chain_order, classes_adjacent, convex_hull_pair
+from .lattice import InvariantError, Vertex, canonicalize, chain_order, classes_adjacent
 from .quiver import (
     Quiver,
     RankVector,
@@ -200,61 +201,44 @@ def enumerate_admissible_collections(quiver: Quiver, r: int) -> list[AdmissibleC
 
 
 def stratum_rank_vector(collection: AdmissibleCollection, quiver: Quiver) -> RankVector:
-    """Rank vector of the stratum: in-simplex ranks from the increments,
-    extended to all pairs by hull propagation."""
-    r = collection.r
-    data: dict[tuple[Vertex, Vertex], int] = {}
-    for v in quiver.vertices:
-        data[(v, v)] = r
+    """Rank vector of the stratum: in-simplex ranks counted off the increments
+    (the increment's ones inside the map's support), extended to all pairs
+    along `Quiver.hull_plan`."""
+    data = dict.fromkeys(((v, v) for v in quiver.vertices), collection.r)
     for face in collection.faces:
-        eps = face.increments
-        for a, u in enumerate(face.simplex):
-            for b, v in enumerate(face.simplex):
-                if u == v:
-                    continue
-                support = quiver.trans[(u, v)].support
-                value = sum(1 for k in support if eps[a][k - 1] == 1)
-                if data.setdefault((u, v), value) != value:
+        for u, eps in zip(face.simplex, face.increments):
+            ones = sum(1 << k for k, e in enumerate(eps) if e)
+            for v in face.simplex:
+                value = (ones & quiver.masks[(u, v)]).bit_count()
+                if u != v and data.setdefault((u, v), value) != value:
                     raise InvariantError("inconsistent glued rank at shared pair")
-    remaining = [
-        (u, v)
-        for u in quiver.vertices
-        for v in quiver.vertices
-        if (u, v) not in data
-    ]
-    while remaining:
-        progressed = []
-        for u, v in remaining:
-            w = convex_hull_pair(u, v)[1]
-            if (u, w) in data:
-                data[(u, v)] = data[(u, w)]
-                progressed.append((u, v))
-        remaining = [pair for pair in remaining if pair not in data]
-        if not progressed:
-            raise InvariantError("hull propagation stalled")
+    for pair, source in quiver.hull_plan:
+        data[pair] = data[source]
     return RankVector.from_dict(data)
 
 
-def _standard_frame(simplex: Sequence[Vertex]) -> tuple[list[Vec], weyl.WeylElement]:
-    """(omega_I, g) with g . omega_I = simplex, a chain-ordered simplex.
+@functools.cache
+def _standard_frame(
+    simplex: tuple[Vertex, ...],
+) -> tuple[tuple[Vec, ...], weyl.WeylElement, weyl.WeylElement, weyl.ParahoricGroup]:
+    """(omega_I, g, g^-1, W) with g . omega_I = simplex, a chain-ordered
+    simplex, and W the stabilizer of omega_I: solved once per simplex.
 
     The chain order steps by nested 0/1 vectors, so the standard face
     omega_I has the types sum(v) - sum(v_0).
     """
     d = len(simplex[0])
-    types = [sum(v) - sum(simplex[0]) for v in simplex]
-    omega_i = [tuple(1 if k < i else 0 for k in range(d)) for i in types]
+    omega_i = tuple(tuple(1 if k < sum(v) - sum(simplex[0]) else 0 for k in range(d)) for v in simplex)
     g = _solve_face_map(omega_i, simplex, d)
     if g is None:
         raise InvariantError(f"no Weyl element maps {omega_i} to {simplex}")
-    return omega_i, g
+    return omega_i, g, weyl.invert(g), weyl.face_stabilizer(omega_i)
 
 
-def _double_coset_keys(face: Sequence[Vertex], cosets: Sequence[weyl.WeylElement]) -> list:
+def _double_coset_keys(face: tuple[Vertex, ...], cosets: Sequence[weyl.WeylElement]) -> list:
     """The minimum of g^-1 W_F h W_F g per h, W_F the stabilizer of the chain-ordered
     face and g from `_standard_frame`: equal keys mean equal double cosets."""
-    omega_i, g = _standard_frame(face)
-    g_inv, stab = weyl.invert(g), weyl.face_stabilizer(omega_i)
+    _, g, g_inv, stab = _standard_frame(face)
     return [weyl.double_coset_min(weyl.compose(weyl.compose(g_inv, h), g), stab, stab) for h in cosets]
 
 
@@ -300,7 +284,7 @@ def top_strata(collections: Sequence[AdmissibleCollection]) -> list[AdmissibleCo
 def stratum_dimension(face: AdmissibleFace) -> int:
     """Dimension of a one-simplex stratum: the length of the longest minimal
     representative in the double coset of the face's key."""
-    stab = weyl.face_stabilizer(_standard_frame(face.simplex)[0])
+    stab = _standard_frame(face.simplex)[3]
     return weyl.length(weyl.minmax_rep(_standard_key(face), stab, stab))
 
 

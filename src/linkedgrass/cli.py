@@ -8,7 +8,8 @@ a last line `internal error: ...`).  Reports are deterministic for a fixed
 invocation (sorted JSON keys; `verify --seed` seeds the only random
 generator); `verify` prints its per-suite timings to stderr, never into the
 report.  `--format dot` is offered only where something is drawn: analyze
-and quiver draw the quiver, admissible the Hasse diagram of its strata.
+and quiver draw the quiver (a non-convex configuration has none: exit 2),
+admissible the Hasse diagram of its strata.
 """
 
 from __future__ import annotations
@@ -53,8 +54,18 @@ def _emit(report: dict, fmt: str) -> None:
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
 
 
+def _rank_entries(quiver: qv.Quiver):
+    """The report of a rank vector: its off-diagonal ranks keyed "u->v",
+    with the key strings built once per quiver."""
+    names = {(u, v): f"{u}->{v}" for u in quiver.vertices for v in quiver.vertices if u != v}
+    return lambda rank: {names[pair]: val for pair, val in rank.entries if pair in names}
+
+
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
+    if args.format == "dot":
+        print(qv.Quiver(config).to_dot())
+        return 0
     convex, missing = is_convex(config)
     report = {
         "d": config.d,
@@ -80,28 +91,25 @@ def cmd_analyze(args) -> int:
             report["structure_ok"] = structure.ok
     else:
         report["warning"] = "configuration is not convex; closure needed"
-    if args.format == "dot" and convex:
-        print(quiver.to_dot())
-    else:
-        _emit(report, args.format)
+    _emit(report, args.format)
     return 0
 
 
 def cmd_quiver(args) -> int:
     config = _load_config(args.config)
     quiver = qv.Quiver(config)
-    if args.format == "json":
-        report = {
-            "arrows": [[list(u), list(v)] for u, v in quiver.arrows],
-            "transitions": [
-                [list(u), list(v), t.n, sorted(t.support)]
-                for (u, v), t in sorted(quiver.trans.items())
-                if u != v
-            ],
-        }
-        _emit(report, "json")
-    else:
+    if args.format == "dot":
         print(quiver.to_dot())
+        return 0
+    report = {
+        "arrows": [[list(u), list(v)] for u, v in quiver.arrows],
+        "transitions": [
+            [list(u), list(v), t.n, sorted(t.support)]
+            for (u, v), t in sorted(quiver.trans.items())
+            if u != v
+        ],
+    }
+    _emit(report, args.format)
     return 0
 
 
@@ -110,12 +118,13 @@ def cmd_admissible(args) -> int:
     _check_r(args.r, config)
     quiver = qv.Quiver(config)
     table = adm.strata(quiver, args.r)
+    ranks = _rank_entries(quiver)
     strata = []
     for idx, s in enumerate(table):
         entry = {
             "index": idx,
             "faces": [[list(v) for v in f.vectors] for f in s.collection.faces],
-            "ranks": {f"{u}->{v}": val for (u, v), val in s.rank.entries if u != v},
+            "ranks": ranks(s.rank),
         }
         if len(quiver.simplices) == 1:
             entry["dimension"] = adm.stratum_dimension(s.collection.faces[0])
@@ -130,8 +139,7 @@ def cmd_admissible(args) -> int:
         "top_count": len(tops),
     }
     if args.format == "dot":
-        ranks = [s.rank for s in table]
-        print(hasse_dot("hasse", ranks, [f"s{i}" for i in range(len(ranks))], qv.RankVector.leq))
+        print(hasse_dot("hasse", [s.rank for s in table], [f"s{i}" for i in range(len(table))], qv.RankVector.leq))
     else:
         _emit(report, args.format)
     return 0
@@ -143,10 +151,11 @@ def cmd_strata(args) -> int:
     quiver = qv.Quiver(config)
     points = qv.rank_counts(quiver, args.r, args.p, args.budget)
     labels = {s.rank for s in adm.strata(quiver, args.r)}
+    ranks = _rank_entries(quiver)
     strata = []
     for rank, count in sorted(points.items(), key=lambda kv: kv[0].entries):
         entry = {
-            "ranks": {f"{u}->{v}": val for (u, v), val in rank.entries if u != v},
+            "ranks": ranks(rank),
             "points": count,
             "is_stratum_label": rank in labels,
         }

@@ -267,7 +267,10 @@ def torus_rep(space: Basis, blocks: tuple[int, ...], p: int) -> Optional[tuple[i
     t gives them any nonzero values and fixes W only if constant on the
     merged blocks.  So one member has 1 at each, the orbit has
     (p - 1)^joins members, and the merged blocks are the stabilizer's.
+    Over F_2 the torus is trivial: every space is kept, alone in its orbit.
     """
+    if p == 2:
+        return 1, blocks
     labels = list(blocks)
     joins = 0
     for row in space:

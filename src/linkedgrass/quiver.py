@@ -28,12 +28,16 @@ moved first (`gf.vanishing_on`).
 Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
 decomposition gate reads), the single-generator summand types
-(`summand_types`) and where each non-projective type dies (`death_data`).
+(`summand_types`), where each non-projective type dies (`death_data`), the
+integer forms `types_from_rank` evaluates (`rank_forms`) and the order in
+which stratum ranks spread over convex hulls (`hull_plan`).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -45,6 +49,7 @@ from .lattice import (
     InvariantError,
     TransitionData,
     Vertex,
+    convex_hull_pair,
     is_convex,
     maximal_simplices,
     transition,
@@ -163,6 +168,52 @@ class Quiver:
                 raise InvariantError(f"summand type must die on exactly one cycle, got {len(hits)}")
             out[t] = hits[0]
         return out
+
+    @functools.cached_property
+    def rank_forms(self) -> tuple[tuple[tuple[SummandType, tuple], ...], tuple[tuple, ...]]:
+        """(A, C), sparse integer forms over a rank vector's values x, each
+        row a tuple of (index into `RankVector.entries`, coefficient).  A
+        pairs each summand type with its multiplicity form, the values of the
+        linear `multiplicities_from_rank` on the unit vectors of the pairs it
+        reads.  C is the nonzero rows of I - B.A, B the pairs that each type
+        maps onto a line, so C.x = 0 says the multiset A.x reproduces x."""
+        index = {pair: j for j, pair in enumerate(itertools.product(self.vertices, repeat=2))}
+        sparse = lambda row: tuple((j, x) for j, x in sorted(row.items()) if x)
+        a = []
+        for t in self.summand_types:
+            unit = collections.defaultdict(int)  # zero, and keeps the pairs read
+            multiplicities_from_rank(unit, t, self)
+            row = {}
+            for pair in list(unit):
+                unit[pair] = 1
+                row[index[pair]] = multiplicities_from_rank(unit, t, self)
+                unit[pair] = 0
+            a.append(sparse(row))
+        c = {pair: collections.Counter({j: 1}) for pair, j in index.items()}
+        for t, row in zip(self.summand_types, a):
+            # a single-generator summand maps u -> w onto a line exactly when both
+            # lie in its support and the map from its root to w factors through u
+            for u, w in itertools.product(t.support, repeat=2):
+                if u == w or self.factors_through(t.root, u, w):
+                    c[(u, w)].subtract(dict(row))
+        return tuple(zip(self.summand_types, a)), tuple(filter(None, map(sparse, c.values())))
+
+    @functools.cached_property
+    def hull_plan(self) -> tuple[tuple[tuple[Vertex, Vertex], tuple[Vertex, Vertex]], ...]:
+        """(pair, pair whose rank it copies) for each pair in no common
+        maximal simplex, in an order that resolves: (u, v) copies (u, w), w
+        the vertex after u on their convex hull.  InvariantError if it stalls."""
+        known = {(u, v) for s in self.simplices for u in s for v in s} | {(v, v) for v in self.vertices}
+        pairs = [pair for pair in itertools.product(self.vertices, repeat=2) if pair not in known]
+        hull = {(u, v): (u, convex_hull_pair(u, v)[1]) for u, v in pairs}
+        plan = []
+        while hull:
+            ready = [pair for pair, source in hull.items() if source in known]
+            if not ready:
+                raise InvariantError("hull propagation stalled")
+            plan += [(pair, hull.pop(pair)) for pair in ready]
+            known.update(ready)
+        return tuple(plan)
 
     def cycles_at(self, v: Vertex) -> list[tuple[Vertex, ...]]:
         """Each maximal simplex through v as its quiver cycle, rotated to start at v."""
@@ -532,26 +583,19 @@ def multiplicities_from_rank(
 
 def types_from_rank(phi: RankVector, quiver: Quiver) -> Optional[dict[SummandType, int]]:
     """The summand type multiset of every rep with rank vector phi: the
-    nonzero `multiplicities_from_rank`.  None when no rep has phi: some
-    multiplicity is negative, or the multiset misses a rank of phi (on the
-    diagonal, a dimension).  Only valid over locally weakly independent
-    configurations, where the decomposition theory applies.
+    nonzero multiplicities A.x over phi's values x (`Quiver.rank_forms`).
+    None when no rep has phi: some multiplicity is negative, or some row of
+    C is nonzero, so the multiset misses a rank of phi (on the diagonal, a
+    dimension).  Only valid over locally weakly independent configurations,
+    where the decomposition theory applies.
     """
     quiver.require_weakly_independent()
-    ranks = phi.as_dict()
-    types = {t: multiplicities_from_rank(ranks, t, quiver) for t in quiver.summand_types}
-    if min(types.values()) < 0:
+    x = [rank for _, rank in phi.entries]
+    forms, checks = quiver.rank_forms
+    types = [(t, sum(c * x[j] for j, c in row)) for t, row in forms]
+    if any(m < 0 for _, m in types) or any(sum(c * x[j] for j, c in row) for row in checks):
         return None
-    types = {t: m for t, m in types.items() if m}
-    # a single-generator summand maps u -> w onto a line exactly when both lie
-    # in its support and the map from its root to w factors through u
-    predicted = dict.fromkeys(ranks, 0)
-    for t, m in types.items():
-        for u in t.support:
-            for w in t.support:
-                if u == w or quiver.factors_through(t.root, u, w):
-                    predicted[(u, w)] += m
-    return types if predicted == ranks else None
+    return {t: m for t, m in types if m}
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,7 @@ def test_solve_face_map_matches_search_on_configs(monkeypatch):
     solve = adm._solve_face_map
     monkeypatch.setattr(adm, "_solve_face_map", lambda *args: calls.append(args) or solve(*args))
     adm._standard_key.cache_clear()
+    adm._standard_frame.cache_clear()
     paths, faces = sorted(CONFIGS.glob("*.json")), []
     assert len(paths) == 12
     for path in paths:
@@ -496,15 +497,16 @@ def test_solve_face_map_matches_search_on_configs(monkeypatch):
             for r in range(1, quiver.d):
                 for face in adm.admissible_faces(simplex, r):
                     omega_i = standard_types_search(face)
-                    assert adm._standard_frame(face.simplex)[0] == omega_i
+                    assert list(adm._standard_frame(face.simplex)[0]) == omega_i
                     g = solve_face_map_search(omega_i, face.simplex, len(omega_i[0]))
                     stab = weyl.face_stabilizer(omega_i)
                     h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
                     assert adm._standard_key(face) == weyl.double_coset_min(h_std, stab, stab)
                     faces.append(face)
-    # one call per face from admissible_faces and from _standard_frame, one
-    # per distinct face from the memo
-    assert len(faces) == 1006 and len(calls) == 2 * len(faces) + len(set(faces))
+    # one call per face from admissible_faces, one per distinct simplex from
+    # the frame memo, which the key memo reads
+    simplices = {face.simplex for face in faces}
+    assert len(faces) == 1006 and len(calls) == len(faces) + len(simplices) == 1006 + 14
     for source, target, d in calls:
         g = solve(source, target, d)
         assert g is not None and g == solve_face_map_search(source, target, d)
@@ -514,7 +516,7 @@ def shifted_double_coset(face, r):
     """Oracle: the face's double coset W1 (g^-1 h g iota^-r) W2 with W2 the
     stabilizer of iota^r . omega_I, as the order and dimensions once read it."""
     d = len(face.simplex[0])
-    omega_i, g = adm._standard_frame(face.simplex)
+    omega_i, g, _, _ = adm._standard_frame(face.simplex)
     h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
     w1 = weyl.face_stabilizer(omega_i)
     w2 = weyl.face_stabilizer([weyl.act_class(weyl.iota_pow(d, r), om) for om in omega_i])
@@ -598,4 +600,81 @@ def test_missing_face_map_raises_under_python_O():
         "optimize 1\n"
         "InvariantError admissible.py extend\n"
         "InvariantError admissible.py _standard_frame\n"
+    )
+
+
+def stratum_rank_vector_oracle(collection, quiver):
+    """The body `stratum_rank_vector` had before `Quiver.hull_plan`: each
+    in-simplex rank counted over the map's support, then every other pair
+    copied from its hull neighbour in rounds until none is left."""
+    from linkedgrass.lattice import convex_hull_pair
+
+    data = {(v, v): collection.r for v in quiver.vertices}
+    for face in collection.faces:
+        for u, eps in zip(face.simplex, face.increments):
+            for v in face.simplex:
+                if u != v:
+                    value = sum(1 for k in quiver.trans[(u, v)].support if eps[k - 1] == 1)
+                    assert data.setdefault((u, v), value) == value
+    remaining = [(u, v) for u in quiver.vertices for v in quiver.vertices if (u, v) not in data]
+    while remaining:
+        for u, v in remaining:
+            w = convex_hull_pair(u, v)[1]
+            if (u, w) in data:
+                data[(u, v)] = data[(u, w)]
+        assert len(data) > len(quiver.vertices) ** 2 - len(remaining)
+        remaining = [pair for pair in remaining if pair not in data]
+    return qv.RankVector.from_dict(data)
+
+
+def test_stratum_rank_vector_matches_old_hull_propagation_on_configs():
+    paths, count = sorted(CONFIGS.glob("*.json")), 0
+    assert len(paths) == 12
+    for path in paths:
+        quiver = qv.Quiver(Configuration.from_json(path.read_text()))
+        assert quiver.hull_plan is quiver.hull_plan
+        for r in range(1, quiver.d):
+            for col in adm.enumerate_admissible_collections(quiver, r):
+                assert adm.stratum_rank_vector(col, quiver) == stratum_rank_vector_oracle(col, quiver)
+                count += 1
+    assert count == 811
+
+
+GLUE_ERRORS = """
+    import itertools
+    import sys
+    import traceback
+    from pathlib import Path
+    from linkedgrass import admissible, quiver
+    from linkedgrass.lattice import configuration
+
+    print("optimize", sys.flags.optimize)
+    config = configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)])  # two triangles on an edge
+    q = quiver.Quiver(config)
+    cols = admissible.enumerate_admissible_collections(q, 1)
+    unglued = (
+        admissible.AdmissibleCollection(1, (a.faces[0], b.faces[1])) for a, b in itertools.product(cols, repeat=2)
+    )
+    q.hull_plan  # planned before the hull is broken: no pair resolves after
+    quiver.convex_hull_pair = lambda u, v: [u, v]
+    for call in (lambda: [admissible.stratum_rank_vector(c, q) for c in unglued],
+                 lambda: quiver.Quiver(config).hull_plan):
+        try:
+            call()
+        except AssertionError as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            print(type(exc).__name__, Path(frame.filename).name, frame.name, exc)
+"""
+
+
+def test_stratum_rank_vector_checks_survive_python_O():
+    src = Path(adm.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(GLUE_ERRORS)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == (
+        "optimize 1\n"
+        "InvariantError admissible.py stratum_rank_vector inconsistent glued rank at shared pair\n"
+        "InvariantError quiver.py hull_plan hull propagation stalled\n"
     )

@@ -79,6 +79,24 @@ def test_quiver_dot_output(tmp_path, capsys):
     assert "supp" in out
 
 
+def test_quiver_text_is_the_text_report(tmp_path, capsys):
+    path = write_config(tmp_path, "omega.json", 2, [[0, 0], [1, 0]])
+    code, out = run(capsys, ["quiver", path, "--format", "text"])
+    assert code == 0
+    assert out == "arrows: [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]\ntransitions: [[[0, 0], [1, 0], 0, [2]], [[1, 0], [0, 0], 1, [1]]]\n"
+    code, json_out = run(capsys, ["quiver", path])
+    report = json.loads(json_out)
+    assert out == "".join(f"{key}: {value}\n" for key, value in sorted(report.items()))
+
+
+def test_analyze_dot_of_a_non_convex_configuration_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "gap.json", 2, [[0, 0], [2, 0]])
+    code = cli.main(["analyze", path, "--format", "dot"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: configuration is not convex; missing [(1, 0)]\n"
+
+
 def test_admissible_counts(tmp_path, capsys):
     path = write_config(tmp_path, "omega.json", 2, [[0, 0], [1, 0]])
     code, out = run(capsys, ["admissible", path, "--r", "1"])

@@ -70,6 +70,7 @@ def test_no_module_level_memo_dicts():
         ("weyl", "double_coset_min"),
         ("weyl", "minmax_rep"),
         ("admissible", "_standard_key"),
+        ("admissible", "_standard_frame"),
         ("gf", "subspaces"),
         ("gf", "superspaces"),
         ("gf", "vanishing_on"),

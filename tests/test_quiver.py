@@ -876,6 +876,76 @@ def test_death_data_match_old_derivation_on_configs():
     assert checked > 0
 
 
+def types_from_rank_oracle(phi, quiver):
+    """The body `types_from_rank` had before `Quiver.rank_forms`: every
+    multiplicity from `multiplicities_from_rank`, then the ranks the
+    multiset predicts compared with phi."""
+    ranks = phi.as_dict()
+    types = {t: qv.multiplicities_from_rank(ranks, t, quiver) for t in quiver.summand_types}
+    if min(types.values()) < 0:
+        return None
+    types = {t: m for t, m in types.items() if m}
+    predicted = dict.fromkeys(ranks, 0)
+    for t, m in types.items():
+        for u in t.support:
+            for w in t.support:
+                if u == w or quiver.factors_through(t.root, u, w):
+                    predicted[(u, w)] += m
+    return types if predicted == ranks else None
+
+
+def test_types_from_rank_matches_old_body_on_labels_and_perturbations():
+    # every stratum label of the 11 weakly independent configurations at every
+    # r, and each label moved by +1 or -1 at each entry in turn
+    from linkedgrass import admissible
+
+    vectors, realizable = 0, 0
+    for name in CONFIG_NAMES:
+        quiver = config_quiver(name)
+        if not quiver.is_weakly_independent:
+            assert name == "shared-edge-triangles"
+            continue
+        for r in range(1, quiver.d):
+            for label in {s.rank for s in admissible.strata(quiver, r)}:
+                entries = list(label.entries)
+                moved = [
+                    qv.RankVector(tuple(entries[:i] + [(pair, value + step)] + entries[i + 1 :]))
+                    for i, (pair, value) in enumerate(entries)
+                    for step in (1, -1)
+                ]
+                for phi in [label, *moved]:
+                    types = qv.types_from_rank(phi, quiver)
+                    assert types == types_from_rank_oracle(phi, quiver)
+                    vectors += 1
+                    realizable += types is not None
+    assert (vectors, realizable) == (30211, 5594)
+
+
+# (rows, nonzeros) of C: none on one simplex, where the multiset always
+# reproduces the ranks; the glued configurations check some pairs
+CHECK_ROWS = {"branched-d4": (4, 8), "branched-d5": (4, 8), "path-d2": (2, 4), "path-d3": (2, 4)}
+
+
+def test_rank_forms_check_rows_and_multiplicities_on_configs():
+    rng = random.Random(21)
+    checked = 0
+    for name in CONFIG_NAMES:
+        quiver = config_quiver(name)
+        if not quiver.is_weakly_independent:
+            continue
+        forms, checks = quiver.rank_forms
+        assert quiver.rank_forms is quiver.rank_forms
+        assert (len(checks), sum(map(len, checks))) == CHECK_ROWS.get(name, (0, 0))
+        assert [t for t, _ in forms] == list(quiver.summand_types)
+        pairs = [(u, v) for u in quiver.vertices for v in quiver.vertices]
+        for _ in range(20):  # A is linear: its rows agree with the formula anywhere
+            x = [rng.randint(-3, 6) for _ in pairs]
+            for t, row in forms:
+                assert sum(c * x[j] for j, c in row) == qv.multiplicities_from_rank(dict(zip(pairs, x)), t, quiver)
+        checked += 1
+    assert checked == 11
+
+
 def test_subrep_json_roundtrip():
     quiver = make_quiver(SEGMENT)
     M = qv.generated(quiver, [((0, 0), (1, 1))], 3)
