@@ -2,7 +2,8 @@
 
 Subcommands: analyze, quiver, admissible, strata, verify, multidegree.
 Exit codes: 0 success, 1 verification failure, 2 input or usage error
-(malformed configuration, non-prime --p, --r outside 0 < r < d), 3 internal
+(malformed configuration, non-prime --p, --r outside 0 < r < d, a `verify`
+--d, --n, --trials or --len-cap below its least value), 3 internal
 error (any other uncaught exception, reported on stderr by its traceback and
 a last line `internal error: ...`).  Reports are deterministic for a fixed
 invocation (sorted JSON keys; `verify --seed` seeds the only random
@@ -149,14 +150,14 @@ def cmd_strata(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
     quiver = qv.Quiver(config)
-    points = qv.rank_counts(quiver, args.r, args.p, args.budget)
+    classes = qv.rank_classes(quiver, args.r, args.p, args.budget)
     labels = {s.rank for s in adm.strata(quiver, args.r)}
     ranks = _rank_entries(quiver)
     strata = []
-    for rank, count in sorted(points.items(), key=lambda kv: kv[0].entries):
+    for rank, row in sorted(classes.items(), key=lambda kv: kv[0].entries):
         entry = {
             "ranks": ranks(rank),
-            "points": count,
+            "points": row.points,
             "is_stratum_label": rank in labels,
         }
         if quiver.is_weakly_independent:
@@ -172,8 +173,8 @@ def cmd_strata(args) -> int:
     report = {
         "r": args.r,
         "p": args.p,
-        "classes": len(points),
-        "points": sum(points.values()),
+        "classes": len(classes),
+        "points": sum(row.points for row in classes.values()),
         "strata": strata,
         "cross_check_ok": not mismatch,
     }
@@ -260,6 +261,19 @@ def prime(text: str) -> int:
     return p
 
 
+def at_least(low: int):
+    """argparse type of an integer option whose values below `low` would
+    leave a suite nothing to check."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -297,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite")
-    p_verify.add_argument("--d", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=None)
+    p_verify.add_argument("--d", type=at_least(2), default=None)
+    p_verify.add_argument("--n", type=at_least(2), default=None)
+    p_verify.add_argument("--trials", type=at_least(1), default=None)
     p_verify.add_argument("--p", type=prime, default=None)
     common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=None)
-    p_verify.add_argument("--len-cap", type=int, default=None, dest="len_cap")
+    p_verify.add_argument("--len-cap", type=at_least(0), default=None, dest="len_cap")
 
     p_md = sub.add_parser("multidegree", help="twists, concentration, compatibility sets")
     p_md.add_argument("source", help="'kn' or a graph JSON path")

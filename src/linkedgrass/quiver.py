@@ -18,12 +18,12 @@ into summands generated by a single vector; `decompose` implements the
 constructive splitting, `deform_step` the rank-raising deformation toward
 projective points, and `enumerate_subreps` the brute-force oracle over the
 whole quiver Grassmannian, walking at each vertex the interval of spaces
-that close up with those already chosen.  `rank_counts` counts the points
-per rank vector on the same walk, keeping one space per orbit of the
-diagonal matrices that fix the spaces chosen so far, which commute with
-every map.  Their kernels are coordinate subspaces: the part of a space
-that a map kills is read off one echelon form with the support's columns
-moved first (`gf.vanishing_on`).
+that close up with those already chosen.  `rank_classes` builds the class
+table on the same walk, the number of points per rank vector and the first
+point of each, keeping one space per orbit of the diagonal matrices that
+fix the spaces chosen so far, which commute with every map.  Their kernels
+are coordinate subspaces: the part of a space that a map kills is read off
+one echelon form with the support's columns moved first (`gf.vanishing_on`).
 
 Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
@@ -40,7 +40,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import gf, independence
 from .gf import Basis, Vec
@@ -108,7 +108,6 @@ class Quiver:
             u: tuple(w for (x, w) in self.arrows if x == u) for u in self.vertices
         }
         self.simplices: tuple[tuple[Vertex, ...], ...] = tuple(maximal_simplices(config))
-        self._entry_cache: dict[tuple[Vertex, tuple[Vertex, ...]], Vertex] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -231,23 +230,21 @@ class Quiver:
                 return cycle
         raise ValueError(f"{z} is not an in-neighbour of {v} on any cycle")
 
-    def entry_vertex(self, w: Vertex, simplex: tuple[Vertex, ...]) -> Vertex:
-        """The unique simplex vertex through which every map into w factors."""
-        key = (w, simplex)
-        if key in self._entry_cache:
-            return self._entry_cache[key]
-        if w in simplex:
-            self._entry_cache[key] = w
-            return w
-        hits = [
-            c
-            for c in simplex
-            if all(self.factors_through(x, c, w) for x in simplex)
-        ]
-        if len(hits) != 1:
-            raise InvariantError(f"entry vertex into {simplex} not unique for {w}: {hits}")
-        self._entry_cache[key] = hits[0]
-        return hits[0]
+    @functools.cached_property
+    def entry_vertex(self) -> Callable[[Vertex, tuple[Vertex, ...]], Vertex]:
+        """entry_vertex(w, simplex): the unique simplex vertex through which
+        every map into w factors, memoised for this quiver."""
+
+        @functools.cache
+        def entry_vertex(w: Vertex, simplex: tuple[Vertex, ...]) -> Vertex:
+            if w in simplex:
+                return w
+            hits = [c for c in simplex if all(self.factors_through(x, c, w) for x in simplex)]
+            if len(hits) != 1:
+                raise InvariantError(f"entry vertex into {simplex} not unique for {w}: {hits}")
+            return hits[0]
+
+        return entry_vertex
 
     # -- linear data -------------------------------------------------------
 
@@ -692,21 +689,33 @@ def enumerate_subreps(
         yield SubRep(p, spaces)
 
 
-def rank_counts(
+class RankClass(NamedTuple):
+    """One rank vector's row of the class table (`rank_classes`)."""
+
+    points: int  # sub-representations with this rank vector
+    point: SubRep  # the first of them that the walk yields
+
+
+def rank_classes(
     quiver: Quiver,
     dims: dict[Vertex, int] | int,
     p: int,
     budget: int = 10_000_000,
-) -> dict[RankVector, int]:
-    """Number of sub-representations with the given dimension vector per
-    rank vector.  The whole diagonal torus keeps ranks, so each point `_walk`
-    yields from singleton blocks counts with the size of its torus orbit,
-    and the budget is spent as `enumerate_subreps` spends it."""
+) -> dict[RankVector, RankClass]:
+    """The class table: per rank vector of the sub-representations with the
+    given dimension vector, their number and one of them.  The whole
+    diagonal torus keeps ranks, so each point `_walk` yields from singleton
+    blocks counts with the size of its torus orbit, and the budget is spent
+    as `enumerate_subreps` spends it."""
     counts: dict[RankVector, int] = {}
+    first: dict[RankVector, SubRep] = {}
     for spaces, weight in _walk(quiver, dims, p, budget, tuple(range(quiver.d))):
         rank = _ranks(quiver, spaces, p)
-        counts[rank] = counts.get(rank, 0) + weight
-    return counts
+        if rank not in counts:
+            counts[rank] = 0
+            first[rank] = SubRep(p, spaces)
+        counts[rank] += weight
+    return {rank: RankClass(count, first[rank]) for rank, count in counts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ both run these.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -164,7 +165,7 @@ def suite_strata(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> dict:
         table = adm.strata(quiver, r)
         labels = {s.rank for s in table}
         realizable = {s.rank for s in table if s.realizable}
-        per_p = {p: set(qv.rank_counts(quiver, r, p, budget)) for p in ps}
+        per_p = {p: set(qv.rank_classes(quiver, r, p, budget)) for p in ps}
         stable = all(per_p[p] == per_p[ps[0]] for p in ps)
         contained = all(per_p[p] <= labels for p in ps)
         exact = all(per_p[p] == realizable for p in ps)
@@ -179,7 +180,7 @@ def suite_strata(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> dict:
     # not weakly independent: enumerated set must be a p-stable subset of labels
     quiver = _quiver(SHARED_EDGE_TRIANGLES)
     labels = {s.rank for s in adm.strata(quiver, 1)}
-    per_p = {p: set(qv.rank_counts(quiver, 1, p, budget)) for p in ps}
+    per_p = {p: set(qv.rank_classes(quiver, 1, p, budget)) for p in ps}
     ok = all(v <= labels for v in per_p.values()) and all(
         per_p[p] == per_p[ps[0]] for p in ps
     )
@@ -229,15 +230,6 @@ def suite_decomposition(trials: int = 1000, seed: int = 7, ps: Sequence[int] = (
     return _report("decomposition", passed, trials=trials, seed=seed, checks=results)
 
 
-def _phi_classes(quiver: qv.Quiver, r: int, p: int, budget: int) -> dict:
-    classes = {}
-    for spaces, _ in qv._walk(quiver, r, p, budget, tuple(range(quiver.d))):
-        rank = qv._ranks(quiver, spaces, p)
-        if rank not in classes:
-            classes[rank] = qv.SubRep(p, dict(spaces))
-    return classes
-
-
 def suite_degeneration(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> dict:
     """Whenever ranks are comparable, deformation chains reach the target,
     each step realizing its predicted increment exactly."""
@@ -246,9 +238,9 @@ def suite_degeneration(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> 
     for name, (verts, r) in WEAKLY_INDEPENDENT_INSTANCES.items():
         quiver = _quiver(verts)
         for p in ps:
-            classes = _phi_classes(quiver, r, p, budget)
+            classes = qv.rank_classes(quiver, r, p, budget)
             chains = failures = 0
-            for phi, M in classes.items():
+            for phi, (_, M) in classes.items():
                 for phi2 in classes:
                     if phi != phi2 and phi.leq(phi2):
                         chains += 1
@@ -268,10 +260,10 @@ def suite_projective(ps: Sequence[int] = (2, 3), budget: int = 10_000_000) -> di
     for name, (verts, r) in WEAKLY_INDEPENDENT_INSTANCES.items():
         quiver = _quiver(verts)
         for p in ps:
-            classes = _phi_classes(quiver, r, p, budget)
+            classes = qv.rank_classes(quiver, r, p, budget)
             phis = list(classes)
             mismatches = 0
-            for phi, M in classes.items():
+            for phi, (_, M) in classes.items():
                 is_max = not any(phi != o and phi.leq(o) for o in phis)
                 step = qv.deform_step(M, quiver)
                 if (step is None) != is_max:
@@ -304,7 +296,7 @@ def suite_simplex(p: int = 2) -> dict:
         n = len(cycle) - 1
         dim_map = dict(zip(cycle, dims))
         image = set()
-        for phi in qv.rank_counts(quiver, dim_map, p):
+        for phi in qv.rank_classes(quiver, dim_map, p):
             rv = phi.as_dict()
             key = []
             for i in range(n + 1):
@@ -396,9 +388,5 @@ def run_suite(name: str, **kwargs) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
     fn = SUITES[name]
-    accepted = {
-        k: v
-        for k, v in kwargs.items()
-        if v is not None and k in fn.__code__.co_varnames[: fn.__code__.co_argcount]
-    }
-    return fn(**accepted)
+    params = inspect.signature(fn).parameters
+    return fn(**{k: v for k, v in kwargs.items() if v is not None and k in params})

@@ -17,10 +17,9 @@ w(i) = sigma(i) + d * trans_{sigma(i)} (Shi 1986; Bjorner-Brenti, GTM 231,
 section 8.3), which right multiplication by iota leaves unchanged.  The
 Bruhat order follows the lifting property (Bjorner-Brenti, GTM 231, Prop.
 2.2.7): while l(u) < l(w), w steps down by a right descent s, and u by s
-when s is a descent of u too; then u <= w iff u == w.  A reduced word
-strips right descents off the window.  Breadth-first search in the Cayley
-graph enumerates W_a by length and is the oracle the closed forms are
-tested against.
+when s is a descent of u too; then u <= w iff u == w.  Breadth-first
+search in the Cayley graph enumerates W_a by length and is the oracle the
+closed forms are tested against.
 
 Double cosets W_K g W_J are taken of standard parahorics, the stabilizers
 of standard-alcove faces (any other raises InvariantError), so W_K is
@@ -83,10 +82,6 @@ def act(g: WeylElement, a: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("dimension mismatch")
     moved = perm_apply(g.sigma, a)
     return tuple(x + t for x, t in zip(moved, g.trans))
-
-
-def act_class(g: WeylElement, cls: Sequence[int]) -> tuple[int, ...]:
-    return canonicalize(act(g, cls))
 
 
 def compose(g: WeylElement, h: WeylElement) -> WeylElement:
@@ -229,16 +224,6 @@ def _times_simple(window: list[int], i: int) -> None:
     else:
         d = len(window)
         window[0], window[-1] = window[-1] - d, window[0] + d
-
-
-def reduced_word(g: WeylElement) -> tuple[int, ...]:
-    """One reduced word (generator indices) for the W_a-part of g: strip
-    the least right descent of its window until none is left."""
-    window, word = _window(iota_decompose(g)[0]), []
-    while descents := [i for i in range(g.d) if _right_descent(window, i)]:
-        _times_simple(window, descents[0])
-        word.append(descents[0])
-    return tuple(reversed(word))
 
 
 BruhatData = tuple[int, int, tuple[int, ...]]

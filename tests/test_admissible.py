@@ -15,7 +15,7 @@ from linkedgrass import admissible as adm
 from linkedgrass import cli, independence
 from linkedgrass import quiver as qv
 from linkedgrass import weyl
-from linkedgrass.lattice import Configuration, InvariantError, chain_order, configuration
+from linkedgrass.lattice import Configuration, InvariantError, canonicalize, chain_order, configuration
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
 
 OMEGA = {d: adm.standard_alcove(d) for d in (2, 3, 4)}
@@ -519,7 +519,7 @@ def shifted_double_coset(face, r):
     omega_i, g, _, _ = adm._standard_frame(face.simplex)
     h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
     w1 = weyl.face_stabilizer(omega_i)
-    w2 = weyl.face_stabilizer([weyl.act_class(weyl.iota_pow(d, r), om) for om in omega_i])
+    w2 = weyl.face_stabilizer([canonicalize(weyl.act(weyl.iota_pow(d, r), om)) for om in omega_i])
     return weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2
 
 

@@ -294,6 +294,25 @@ def test_strata_non_prime_p_exits_2(tmp_path, capsys, p):
     assert stderr.splitlines()[-1].endswith(f"argument --p: invalid prime value: '{p}'")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kn", "--n", "0"], "argument --n: must be at least 2, got 0"),
+        (["components", "--d", "1"], "argument --d: must be at least 2, got 1"),
+        (["admissibility", "--len-cap", "-1"], "argument --len-cap: must be at least 0, got -1"),
+        (["weyl", "--trials", "-1"], "argument --trials: must be at least 1, got -1"),
+        (["weyl", "--d", "1"], "argument --d: must be at least 2, got 1"),
+        (["weyl", "--d", "two"], "argument --d: invalid integer value: 'two'"),
+    ],
+)
+def test_verify_options_that_check_nothing_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(message)
+
+
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     def broken(args):
         raise AssertionError("invariant broken")

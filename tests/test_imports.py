@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 import linkedgrass
+from linkedgrass.lattice import configuration
+from linkedgrass.quiver import Quiver
 
 SOURCES = sorted(Path(linkedgrass.__file__).parent.glob("*.py"))
 
@@ -32,9 +34,11 @@ def test_no_bare_asserts(path):
 
 
 def memo_dict_lines(tree):
-    """Lines binding an empty dict literal to a module-level underscore name."""
+    """Lines binding an empty dict literal to a module-level underscore name
+    or, anywhere, to an underscore attribute of `self`."""
+    module_level = set(map(id, tree.body))
     lines = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign):
@@ -42,14 +46,31 @@ def memo_dict_lines(tree):
         else:
             continue
         empty = isinstance(node.value, ast.Dict) and not node.value.keys
-        if empty and any(isinstance(t, ast.Name) and t.id.startswith("_") for t in targets):
+        if empty and any(
+            isinstance(t, ast.Name) and t.id.startswith("_") and id(node) in module_level
+            or isinstance(t, ast.Attribute) and t.attr.startswith("_") and ast.unparse(t.value) == "self"
+            for t in targets
+        ):
             lines.append(node.lineno)
-    return lines
+    return sorted(lines)
 
 
 def test_memo_dict_guard_flags_hand_rolled_tables():
     tree = ast.parse("_A: dict[int, int] = {}\n_B = {}\nC = {}\n_D = {1: 2}\ndef f():\n    _E = {}\n")
     assert memo_dict_lines(tree) == [1, 2]
+
+
+def test_memo_dict_guard_flags_tables_on_self():
+    tree = ast.parse(
+        "class Q:\n"
+        "    def __init__(self, other):\n"
+        "        self._a: dict[int, int] = {}\n"
+        "        self._b = {}\n"
+        "        self.c = {}\n"
+        "        self._d = {1: 2}\n"
+        "        other._e = {}\n"
+    )
+    assert memo_dict_lines(tree) == [3, 4]
 
 
 def test_no_module_level_memo_dicts():
@@ -83,3 +104,57 @@ def test_no_module_level_memo_dicts():
 def test_memos_answer_cache_info_and_cache_clear(module, name):
     memo = getattr(importlib.import_module(f"linkedgrass.{module}"), name)
     assert memo.cache_info().maxsize is None and callable(memo.cache_clear)
+
+
+def test_entry_vertex_memo_lives_on_its_quiver():
+    quiver = Quiver(configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)]))
+    memo = quiver.entry_vertex
+    assert memo.cache_info().maxsize is None and callable(memo.cache_clear)
+    assert Quiver(quiver.config).entry_vertex is not memo
+
+
+def private_reads(path):
+    """`module._name` reads and `from .module import _name` imports, in one
+    source file, of a single-underscore name of another package module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    found = [
+        f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and private(node.attr)
+    ]
+    found += [
+        f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if private(alias.name)
+    ]
+    return found
+
+
+def test_private_read_guard_flags_underscore_names_of_other_modules(tmp_path):
+    path = tmp_path / "snippet.py"
+    path.write_text(
+        "from . import quiver as qv\n"
+        "from . import gf\n"
+        "from .lattice import _hidden, shown\n"
+        "qv._walk\n"
+        "gf.rref.__wrapped__\n"
+        "qv.rank_vector\n"
+        "self._key\n"
+    )
+    assert private_reads(path) == ["snippet.py:4 qv._walk", "snippet.py:3 lattice._hidden"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert [hit for path in SOURCES for hit in private_reads(path)] == []

@@ -541,11 +541,15 @@ def rank_count_cases():
                 yield pytest.param(path.stem, r, p, id=f"{path.stem}-r{r}-p{p}")
 
 
+def class_points(classes):
+    return {rank: row.points for rank, row in classes.items()}
+
+
 @pytest.mark.parametrize("name,r,p", list(rank_count_cases()))
 def test_rank_counts_equal_the_enumerated_count(name, r, p):
     quiver = config_quiver(name)
     expected = collections.Counter(qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, r, p))
-    assert qv.rank_counts(quiver, r, p) == dict(expected)
+    assert class_points(qv.rank_classes(quiver, r, p)) == dict(expected)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -556,7 +560,35 @@ def test_rank_counts_on_dimension_vectors(verts, dims, p):
     expected = collections.Counter(
         qv.rank_vector(M, quiver) for M in qv.enumerate_subreps(quiver, dim_map, p)
     )
-    assert qv.rank_counts(quiver, dim_map, p) == dict(expected)
+    assert class_points(qv.rank_classes(quiver, dim_map, p)) == dict(expected)
+
+
+def first_point_per_class(quiver, r, p, budget):
+    """Oracle: the first point per rank vector that the walk from singleton
+    blocks yields, collected apart from the counts."""
+    classes = {}
+    for spaces, _ in qv._walk(quiver, r, p, budget, tuple(range(quiver.d))):
+        rank = qv._ranks(quiver, spaces, p)
+        if rank not in classes:
+            classes[rank] = qv.SubRep(p, dict(spaces))
+    return classes
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "verts,r",
+    list(WEAKLY_INDEPENDENT_INSTANCES.values()) + [(SHARED_EDGE_TRIANGLES, 1)],
+    ids=list(WEAKLY_INDEPENDENT_INSTANCES) + ["shared-edge-triangles"],
+)
+def test_rank_classes_keep_the_first_point_of_each_class(verts, r, p):
+    quiver = make_quiver(verts)
+    classes = qv.rank_classes(quiver, r, p)
+    for rank, row in classes.items():
+        assert qv.rank_vector(row.point, quiver) == rank
+        assert row.point.dims() == {v: r for v in quiver.vertices}
+        assert qv.is_subrep(row.point, quiver) == (True, None)
+    oracle = first_point_per_class(quiver, r, p, 10_000_000)
+    assert [(rank, row.point) for rank, row in classes.items()] == list(oracle.items())
 
 
 def fixed_point_cases():
@@ -644,7 +676,7 @@ def test_rank_counts_spend_the_budget_of_the_enumeration(name, p, r, monkeypatch
     for budget in (offered - 1, offered):
         exceeded = budget < offered
         assert raises_budget(lambda: list(qv.enumerate_subreps(quiver, r, p, budget))) == exceeded
-        assert raises_budget(lambda: qv.rank_counts(quiver, r, p, budget)) == exceeded
+        assert raises_budget(lambda: qv.rank_classes(quiver, r, p, budget)) == exceeded
         path = str(CONFIGS / f"{name}.json")
         code = cli.main(["strata", path, "--r", str(r), "--p", str(p), "--budget", str(budget)])
         assert code == (2 if exceeded else 0)
@@ -1031,6 +1063,31 @@ def test_split_check_survives_python_O():
         "optimize 1\n"
         "InvariantError _split_single_generators split vector landed in the kept kernel sum\n"
     )
+
+
+NO_UNIQUE_ENTRY = """
+    import sys
+    from linkedgrass import quiver as qv
+    from linkedgrass.lattice import configuration
+
+    print("optimize", sys.flags.optimize)
+    quiver = qv.Quiver(configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)]))
+    quiver.factors_through = lambda u, k, v: True  # every simplex vertex is an entry
+    try:
+        quiver.entry_vertex(quiver.vertices[2], quiver.vertices[:2])
+    except AssertionError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_entry_vertex_check_survives_python_O():
+    src = Path(qv.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(NO_UNIQUE_ENTRY)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.startswith("optimize 1\nInvariantError entry vertex into ")
+    assert "not unique" in result.stdout
 
 
 def map_image(quiver, u, v, rows, p):
