@@ -2,15 +2,21 @@
 
 Subcommands: analyze, quiver, admissible, strata, verify, multidegree.
 Exit codes: 0 success, 1 verification failure, 2 input or usage error
-(malformed configuration, non-prime --p, --r outside 0 < r < d, a `verify`
---d, --n, --trials or --len-cap below its least value), 3 internal
-error (any other uncaught exception, reported on stderr by its traceback and
-a last line `internal error: ...`).  Reports are deterministic for a fixed
-invocation (sorted JSON keys; `verify --seed` seeds the only random
-generator); `verify` prints its per-suite timings to stderr, never into the
-report.  `--format dot` is offered only where something is drawn: analyze
-and quiver draw the quiver (a non-convex configuration has none: exit 2),
-admissible the Hasse diagram of its strata.
+(malformed configuration, non-prime --p, --r outside 0 < r < d, a --budget
+below 0, a `verify` --d, --n, --trials or --len-cap below its least value),
+3 internal error (any other uncaught exception, reported on stderr by its
+traceback and a last line `internal error: ...`).  Reports are
+deterministic for a fixed invocation (sorted JSON keys; `verify --seed`
+seeds the only random generator); `verify` prints its per-suite timings to
+stderr, never into the report.  `--format dot` is offered only where
+something is drawn: analyze and quiver draw the quiver (a non-convex
+configuration has none: exit 2), admissible the Hasse diagram of its strata.
+
+Each configuration's quiver and stratum tables are built once per process
+(`_quiver`, `_strata`, caches keyed on the configuration's value), so the
+facts they cache serve every prime and command that reads them.  JSON
+reports are written by `_dumps`, byte for byte the stdlib's indented
+layout, with each container of scalars encoded in C.
 """
 
 from __future__ import annotations
@@ -47,12 +53,71 @@ def _check_r(r: int, config: Configuration) -> None:
         raise SystemExit(2)
 
 
+@functools.cache
+def _flat(level: int):
+    """The C encoder of `json.dumps(..., sort_keys=True, default=str)` that
+    starts each item after the first on a new line at indent `level`."""
+    return json.encoder.c_make_encoder(
+        None, str, json.encoder.encode_basestring_ascii, None, ": ", ",\n" + "  " * level, True, False, True
+    )
+
+
+def _dumps(value, level: int = 0) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2, default=str)`, byte for
+    byte, for a value nested `level` deep.  The stdlib writes any indented
+    value in pure Python; here each non-empty container of scalars is one C
+    encoder call, with its items separated by a newline and the indent, and
+    only the containers above them are written in Python.  Tuples are lists,
+    and non-str keys are converted as `json` converts them."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.encoder.encode_basestring_ascii(value) if type(value) is str else "".join(_flat(0)(value, 0))
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    children = value.values() if isinstance(value, dict) else value
+    for x in children:
+        if isinstance(x, (dict, list, tuple)):
+            break
+    else:
+        return brackets[0] + inner + "".join(_flat(level + 1)(value, 0))[1:-1] + inner[:-2] + brackets[1]
+    if isinstance(value, dict):
+        parts = [_key(k) + ": " + _dumps(x, level + 1) for k, x in sorted(value.items())]
+    else:
+        parts = [_dumps(x, level + 1) for x in value]
+    return brackets[0] + inner + ("," + inner).join(parts) + inner[:-2] + brackets[1]
+
+
+def _key(key) -> str:
+    """A dict key as `json` writes it, quoted: a str as is, an int, float,
+    bool or None as its JSON text."""
+    if isinstance(key, str):
+        return json.encoder.encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return json.encoder.encode_basestring_ascii(_dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "text":
         for key, value in sorted(report.items()):
             print(f"{key}: {value}")
     else:
-        print(json.dumps(report, sort_keys=True, indent=2, default=str))
+        print(_dumps(report))
+
+
+@functools.cache
+def _quiver(config: Configuration) -> qv.Quiver:
+    """The quiver of a configuration, built once per process: its cached
+    facts then serve every command, prime and r that reads it."""
+    return qv.Quiver(config)
+
+
+@functools.cache
+def _strata(config: Configuration, r: int) -> tuple[adm.Stratum, ...]:
+    """The stratum table of a configuration at r, built once per process
+    (`admissible.strata` itself builds a fresh table per call)."""
+    return tuple(adm.strata(_quiver(config), r))
 
 
 def _rank_entries(quiver: qv.Quiver):
@@ -65,7 +130,7 @@ def _rank_entries(quiver: qv.Quiver):
 def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     if args.format == "dot":
-        print(qv.Quiver(config).to_dot())
+        print(_quiver(config).to_dot())
         return 0
     convex, missing = is_convex(config)
     report = {
@@ -75,7 +140,7 @@ def cmd_analyze(args) -> int:
         "missing": [list(v) for v in missing],
     }
     if convex:
-        quiver = qv.Quiver(config)
+        quiver = _quiver(config)
         ok, certs = ind.weakly_independent(quiver)
         report.update(
             {
@@ -98,7 +163,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_quiver(args) -> int:
     config = _load_config(args.config)
-    quiver = qv.Quiver(config)
+    quiver = _quiver(config)
     if args.format == "dot":
         print(quiver.to_dot())
         return 0
@@ -117,8 +182,8 @@ def cmd_quiver(args) -> int:
 def cmd_admissible(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
-    quiver = qv.Quiver(config)
-    table = adm.strata(quiver, args.r)
+    quiver = _quiver(config)
+    table = _strata(config, args.r)
     ranks = _rank_entries(quiver)
     strata = []
     for idx, s in enumerate(table):
@@ -149,9 +214,9 @@ def cmd_admissible(args) -> int:
 def cmd_strata(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
-    quiver = qv.Quiver(config)
+    quiver = _quiver(config)
     classes = qv.rank_classes(quiver, args.r, args.p, args.budget)
-    labels = {s.rank for s in adm.strata(quiver, args.r)}
+    labels = {s.rank for s in _strata(config, args.r)}
     ranks = _rank_entries(quiver)
     strata = []
     for rank, row in sorted(classes.items(), key=lambda kv: kv[0].entries):
@@ -263,7 +328,7 @@ def prime(text: str) -> int:
 
 def at_least(low: int):
     """argparse type of an integer option whose values below `low` would
-    leave a suite nothing to check."""
+    leave a suite nothing to check or a walk nothing to spend."""
 
     def integer(text: str) -> int:
         value = int(text)
@@ -307,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_strata)
     p_strata.add_argument("--r", type=int, default=1)
     p_strata.add_argument("--p", type=prime, default=2)
-    p_strata.add_argument("--budget", type=int, default=10_000_000)
+    p_strata.add_argument("--budget", type=at_least(0), default=10_000_000)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite")
@@ -317,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", type=prime, default=None)
     common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=None)
+    p_verify.add_argument("--budget", type=at_least(0), default=None)
     p_verify.add_argument("--len-cap", type=at_least(0), default=None, dest="len_cap")
 
     p_md = sub.add_parser("multidegree", help="twists, concentration, compatibility sets")

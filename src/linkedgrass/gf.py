@@ -12,7 +12,8 @@ rref tuples from small Grassmannians over small fields, so few distinct
 ones recur many times; a miss runs the plain elimination.  So are the
 subspace lists: `subspaces`, a whole Grassmannian, and `superspaces`, an
 interval of one.  `torus_rep` keeps one member of each orbit of a
-coordinate torus on such a list, reading the member's entries alone.
+coordinate torus on such a list, reading the member's entries alone, and
+`torus_reps` builds the kept members of a whole Grassmannian and no other.
 """
 
 from __future__ import annotations
@@ -283,3 +284,40 @@ def torus_rep(space: Basis, blocks: tuple[int, ...], p: int) -> Optional[tuple[i
                 joins += 1
                 labels = [a if label == b else label for label in labels]
     return (p - 1) ** joins, tuple(labels)
+
+
+@functools.cache
+def torus_reps(n: int, k: int, blocks: tuple[int, ...], p: int) -> tuple[tuple[Basis, int, tuple[int, ...]], ...]:
+    """(space, orbit size, stabilizer's blocks) for each k-space of F_p^n that
+    `torus_rep` keeps, in the order of `subspaces`, building no other.
+
+    The free entries of each pivot pattern are filled left to right, row by
+    row, as `subspaces` orders them, under the block labelling that the
+    entries so far leave.  An entry that joins two blocks is kept only at
+    0 and at 1, and a 1 merges the two; an entry inside one block, and
+    every entry over F_2, where `torus_rep` keeps all, takes all p values.
+    """
+    out = []
+
+    def fill(free, rows, at, labels, size):
+        if at == len(free):
+            out.append((tuple(map(tuple, rows)), size, labels))
+            return
+        row, piv, c = free[at]
+        a, b = labels[piv], labels[c]
+        if p == 2 or a == b:
+            for x in range(p):
+                row[c] = x
+                fill(free, rows, at + 1, labels, size)
+        else:
+            row[c] = 0
+            fill(free, rows, at + 1, labels, size)
+            row[c] = 1
+            fill(free, rows, at + 1, tuple(a if label == b else label for label in labels), size * (p - 1))
+        row[c] = 0
+
+    for pivots in itertools.combinations(range(n), k):
+        rows = [[int(c == piv) for c in range(n)] for piv in pivots]
+        free = [(row, piv, c) for row, piv in zip(rows, pivots) for c in range(piv + 1, n) if c not in pivots]
+        fill(free, rows, 0, tuple(blocks), 1)
+    return tuple(out)

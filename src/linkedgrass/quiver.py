@@ -21,9 +21,11 @@ whole quiver Grassmannian, walking at each vertex the interval of spaces
 that close up with those already chosen.  `rank_classes` builds the class
 table on the same walk, the number of points per rank vector and the first
 point of each, keeping one space per orbit of the diagonal matrices that
-fix the spaces chosen so far, which commute with every map.  Their kernels
-are coordinate subspaces: the part of a space that a map kills is read off
-one echelon form with the support's columns moved first (`gf.vanishing_on`).
+fix the spaces chosen so far, which commute with every map; where the
+interval is a whole Grassmannian only those spaces are built
+(`gf.torus_reps`).  Their kernels are coordinate subspaces: the part of a
+space that a map kills is read off one echelon form with the support's
+columns moved first (`gf.vanishing_on`).
 
 Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
@@ -619,10 +621,11 @@ def _walk(
     Diagonal matrices commute with every coordinate projection, so those
     fixing the spaces chosen so far (constant on the blocks passed down)
     permute the interval; `gf.torus_rep` keeps one member per orbit and
-    passes down its stabilizer's blocks.  Each space kept spends the orbit
-    size of the partial point it completes, the number of spaces one block
-    offers over that orbit; BudgetExceeded is raised when more than
-    `budget` is spent in all.
+    passes down its stabilizer's blocks.  When the interval is the whole
+    Grassmannian, `gf.torus_reps` lists the kept members alone, and no other
+    is built.  Each space kept spends the orbit size of the partial point it
+    completes, the number of spaces one block offers over that orbit;
+    BudgetExceeded is raised when more than `budget` is spent in all.
     """
     gf.check_prime(p)
     dim_map = {v: dims for v in quiver.vertices} if isinstance(dims, int) else dict(dims)
@@ -656,11 +659,15 @@ def _walk(
         lower = images[0] if len(images) == 1 else gf.rref([row for b in images for row in b], p)
         pulled = [preimage(v, u, chosen[u]) for u in outs[idx]] or [quiver.unit]
         upper = functools.reduce(lambda a, b: gf.intersect(a, b, p), pulled)
-        for space in gf.superspaces(lower, dim_map[v], upper, p):
-            kept = gf.torus_rep(space, blocks, p)
-            if kept is None:
-                continue
-            size, merged = kept
+        if not lower and upper == quiver.unit:
+            members = gf.torus_reps(quiver.d, dim_map[v], blocks, p)
+        else:
+            members = (
+                (space, *kept)
+                for space in gf.superspaces(lower, dim_map[v], upper, p)
+                if (kept := gf.torus_rep(space, blocks, p)) is not None
+            )
+        for space, size, merged in members:
             spent += weight * size
             if spent > budget:
                 raise BudgetExceeded(f"enumeration exceeded budget {budget}")
@@ -706,16 +713,20 @@ def rank_classes(
     given dimension vector, their number and one of them.  The whole
     diagonal torus keeps ranks, so each point `_walk` yields from singleton
     blocks counts with the size of its torus orbit, and the budget is spent
-    as `enumerate_subreps` spends it."""
-    counts: dict[RankVector, int] = {}
-    first: dict[RankVector, SubRep] = {}
+    as `enumerate_subreps` spends it.  Points are tallied by their rank
+    rows (`_ranks_from`), and each class's rank vector is assembled once."""
+    counts: dict[tuple[tuple[int, ...], ...], int] = {}
+    first: dict[tuple[tuple[int, ...], ...], SubRep] = {}
     for spaces, weight in _walk(quiver, dims, p, budget, tuple(range(quiver.d))):
-        rank = _ranks(quiver, spaces, p)
-        if rank not in counts:
-            counts[rank] = 0
-            first[rank] = SubRep(p, spaces)
-        counts[rank] += weight
-    return {rank: RankClass(count, first[rank]) for rank, count in counts.items()}
+        rows = tuple(_ranks_from(spaces[u], quiver.supports[u], p) for u in quiver.vertices)
+        if rows not in counts:
+            counts[rows] = 0
+            first[rows] = SubRep(p, spaces)
+        counts[rows] += weight
+    return {
+        _assemble_ranks(quiver.vertices, rows): RankClass(count, first[rows])
+        for rows, count in counts.items()
+    }
 
 
 # ---------------------------------------------------------------------------

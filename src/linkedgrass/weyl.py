@@ -134,23 +134,6 @@ def translation(v: Sequence[int]) -> WeylElement:
     return WeylElement(tuple(range(1, len(v) + 1)), tuple(v))
 
 
-def in_affine(g: WeylElement) -> bool:
-    return sum(g.trans) == 0
-
-
-def iota_decompose(g: WeylElement) -> tuple[WeylElement, int]:
-    """Unique w in W_a and exponent k with g = w * iota^k.
-
-    k equals sum(g.trans) exactly; its residue mod d is the class of g in
-    the cyclic quotient over W_a and central shifts by (1,...,1).
-    """
-    k = sum(g.trans)
-    w = compose(g, iota_pow(g.d, -k))
-    if not in_affine(w):
-        raise InvariantError(f"{w} is not in the affine Weyl group")
-    return w, k
-
-
 # ---------------------------------------------------------------------------
 # Lengths, the Cayley ball of W_a and the Bruhat order
 

@@ -292,7 +292,15 @@ def test_realizable_strata_six_vertex_branched_d5():
     assert len(real) == 13
 
 
+def clear_cli_tables():
+    """The command line keeps one quiver and stratum table per configuration:
+    clear them, so the facts an earlier test read do not hide the calls."""
+    cli._strata.cache_clear()
+    cli._quiver.cache_clear()
+
+
 def test_independence_is_checked_once_per_realizability_pass(monkeypatch, capsys):
+    clear_cli_tables()
     check = independence.weakly_independent
     calls = []
     monkeypatch.setattr(independence, "weakly_independent", lambda q: calls.append(q) or check(q))
@@ -341,6 +349,7 @@ def test_stratum_table_realizable_flag_on_weakly_independent_instances(name):
 
 
 def test_strata_reads_no_realizability_and_admissible_one_per_stratum(monkeypatch, capsys):
+    clear_cli_tables()
     check = adm.rank_vector_realizable
     calls = []
     monkeypatch.setattr(adm, "rank_vector_realizable", lambda *a: calls.append(a) or check(*a))

@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkedgrass import cli
 from linkedgrass import quiver as qv
@@ -173,10 +175,10 @@ def test_strata_shares_rank_rows_between_points(capsys):
 
 def test_strata_assembles_each_rank_vector_once(capsys):
     qv._assemble_ranks.cache_clear()
-    code, _ = run(capsys, ["strata", str(CONFIGS / "alcove-d4.json"), "--r", "2", "--p", "3"])
+    code, out = run(capsys, ["strata", str(CONFIGS / "alcove-d4.json"), "--r", "2", "--p", "3"])
     assert code == 0
     info = qv._assemble_ranks.cache_info()
-    assert info.hits > info.misses > 0
+    assert info.misses == json.loads(out)["classes"] > 1
 
 
 def test_strata_budget_exceeded_exits_2(tmp_path, capsys):
@@ -303,6 +305,7 @@ def test_strata_non_prime_p_exits_2(tmp_path, capsys, p):
         (["weyl", "--trials", "-1"], "argument --trials: must be at least 1, got -1"),
         (["weyl", "--d", "1"], "argument --d: must be at least 2, got 1"),
         (["weyl", "--d", "two"], "argument --d: invalid integer value: 'two'"),
+        (["strata", "--budget", "-1"], "argument --budget: must be at least 0, got -1"),
     ],
 )
 def test_verify_options_that_check_nothing_exit_2(capsys, argv, message):
@@ -311,6 +314,15 @@ def test_verify_options_that_check_nothing_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert err.value.code == 2 and captured.out == ""
     assert captured.err.splitlines()[-1].endswith(message)
+
+
+def test_strata_negative_budget_exits_2_before_walking(capsys, monkeypatch):
+    monkeypatch.setattr(qv, "rank_classes", lambda *args: pytest.fail("walked"))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["strata", str(CONFIGS / "alcove-d3.json"), "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("argument --budget: must be at least 0, got -1")
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -424,3 +436,30 @@ def test_verify_all_report_is_byte_identical(capsys):
     code, out = run(capsys, ["verify", "all"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
+
+
+json_scalars = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(st.characters(min_codepoint=0, max_codepoint=0x2FFF) | st.sampled_from('"\\\n\t\x00')),
+    st.frozensets(st.integers(), max_size=2),  # no JSON type: written as its str
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+        st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(json_values)
+def test_dumps_is_the_indented_json_layout_byte_for_byte(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2, default=str)

@@ -495,6 +495,21 @@ def test_torus_rep_keeps_one_member_per_orbit_of_the_blocked_torus(case):
     assert covered == set(interval)
 
 
+def labellings(n):
+    """Singleton, single, paired and alternating block labels of n coordinates."""
+    return sorted({tuple(range(n)), (0,) * n, tuple(c // 2 for c in range(n)), tuple(c % 2 for c in range(n))})
+
+
+@pytest.mark.parametrize(
+    "n,k,p", [(n, k, p) for p in (2, 3, 5, 7) for n in range(1, 6) for k in range(n + 1)]
+)
+def test_torus_reps_are_the_kept_members_of_the_whole_grassmannian(n, k, p):
+    # the uncached bodies, so the p = 7 lists are freed with the test
+    full = gf.superspaces.__wrapped__((), k, identity(n), p)
+    for blocks in labellings(n):
+        assert list(gf.torus_reps.__wrapped__(n, k, blocks, p)) == kept_members(full, blocks, p)
+
+
 @st.composite
 def span_pairs(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))

@@ -94,6 +94,7 @@ def test_no_module_level_memo_dicts():
         ("admissible", "_standard_frame"),
         ("gf", "subspaces"),
         ("gf", "superspaces"),
+        ("gf", "torus_reps"),
         ("gf", "vanishing_on"),
         ("gf", "project"),
         ("gf", "complement"),

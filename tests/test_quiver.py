@@ -501,24 +501,35 @@ def test_enumerate_subreps_equals_closure_filter_on_dimension_vectors(verts, dim
     )
 
 
+def spaces_offered(quiver, r, p, monkeypatch):
+    """How many spaces `enumerate_subreps` offers: the members that
+    `gf.superspaces` and `gf.torus_reps` return, since one block keeps all."""
+    offered = 0
+
+    def counted(kernel):
+        def members(*args):
+            nonlocal offered
+            out = kernel(*args)
+            offered += len(out)
+            return out
+
+        return members
+
+    with monkeypatch.context() as patch:
+        for name in ("superspaces", "torus_reps"):
+            patch.setattr(gf, name, counted(getattr(gf, name)))
+        for _ in qv.enumerate_subreps(quiver, r, p):
+            pass
+    return offered
+
+
 @pytest.mark.parametrize("name,r,p", [("triangle-d3", 1, 3), ("branched-d4", 2, 2), ("alcove-d4", 1, 2)])
 def test_budget_counts_the_spaces_offered(name, r, p, monkeypatch):
     """Every space offered closes up, so the budget is spent exactly as the
     closure filter spends it on the candidates that pass."""
     quiver = config_quiver(name)
     oracle = list(enumerate_by_closure_test(quiver, r, p))
-    superspaces = gf.superspaces
-    offered = 0
-
-    def counted(*args):
-        nonlocal offered
-        spaces = superspaces(*args)
-        offered += len(spaces)
-        return spaces
-
-    monkeypatch.setattr(gf, "superspaces", counted)
-    assert list(qv.enumerate_subreps(quiver, r, p)) == oracle
-    monkeypatch.undo()
+    offered = spaces_offered(quiver, r, p, monkeypatch)
     assert list(qv.enumerate_subreps(quiver, r, p, budget=offered)) == oracle
     assert list(enumerate_by_closure_test(quiver, r, p, budget=offered)) == oracle
     for budget in (0, 1, offered // 3, offered - 1):
@@ -529,6 +540,53 @@ def test_budget_counts_the_spaces_offered(name, r, p, monkeypatch):
             expected.extend(enumerate_by_closure_test(quiver, r, p, budget=budget))
         assert got == expected
 
+
+def torus_reps_by_filter(n, k, blocks, p):
+    """The replaced whole-Grassmannian step of `_walk`: build every member
+    of the interval and keep those that `gf.torus_rep` keeps."""
+    unit = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    return tuple(
+        (space, *kept)
+        for space in gf.superspaces((), k, unit, p)
+        if (kept := gf.torus_rep(space, blocks, p)) is not None
+    )
+
+
+def walk_within(quiver, r, p, budget, blocks):
+    """The (spaces, weight) pairs `_walk` yields within `budget`, then None
+    if it exceeds it."""
+    out = []
+    try:
+        for spaces, weight in qv._walk(quiver, r, p, budget, blocks):
+            out.append((dict(spaces), weight))
+    except qv.BudgetExceeded:
+        out.append(None)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,r,p",
+    [
+        ("triangle-d3", 1, 3), ("alcove-d4", 2, 3), ("alcove-d4", 1, 5), ("branched-d4", 2, 2),
+        ("shared-edge-triangles", 1, 3),
+    ],
+)
+def test_walk_with_torus_reps_equals_the_filtered_interval(name, r, p, monkeypatch):
+    """Whole Grassmannians from `gf.torus_reps` leave the walk as it was:
+    the same points and weights in the same order, from one block and from
+    singletons, and the budget exceeded at the same point."""
+    quiver = config_quiver(name)
+    labellings = [(0,) * quiver.d, tuple(range(quiver.d))]
+    budgets = [0, 1, 5, 20, 100, 500, 10_000_000]
+
+    def walks():
+        return [walk_within(quiver, r, p, budget, blocks) for blocks in labellings for budget in budgets]
+
+    fast, points = walks(), list(qv.enumerate_subreps(quiver, r, p))
+    with monkeypatch.context() as patch:
+        patch.setattr(gf, "torus_reps", torus_reps_by_filter)
+        assert fast == walks()
+        assert points == list(qv.enumerate_subreps(quiver, r, p))
 
 
 def rank_count_cases():
@@ -636,24 +694,6 @@ def test_torus_keeps_sub_representations_and_rank_vectors(name, r, p):
         )
         assert qv.is_subrep(moved, quiver)[0]
         assert qv.rank_vector(moved, quiver) == qv.rank_vector(M, quiver)
-
-
-def spaces_offered(quiver, r, p, monkeypatch):
-    """How many spaces `enumerate_subreps` offers, all through `gf.superspaces`."""
-    superspaces = gf.superspaces
-    offered = 0
-
-    def counted(*args):
-        nonlocal offered
-        spaces = superspaces(*args)
-        offered += len(spaces)
-        return spaces
-
-    with monkeypatch.context() as patch:
-        patch.setattr(gf, "superspaces", counted)
-        for _ in qv.enumerate_subreps(quiver, r, p):
-            pass
-    return offered
 
 
 def raises_budget(run):

@@ -25,6 +25,19 @@ def rand_elem(rng, d, spread=2):
     return weyl.WeylElement(tuple(sigma), tuple(rng.randint(-spread, spread) for _ in range(d)))
 
 
+def in_affine(g):
+    """Whether g lies in the affine Weyl group W_a: its translation sums to 0."""
+    return sum(g.trans) == 0
+
+
+def iota_decompose(g):
+    """The unique w in W_a and exponent k with g = w * iota^k; k is sum(g.trans)."""
+    k = sum(g.trans)
+    w = weyl.compose(g, weyl.iota_pow(g.d, -k))
+    assert in_affine(w)
+    return w, k
+
+
 def test_action_examples():
     assert weyl.act(weyl.iota(3), (0, 0, 0)) == (1, 0, 0)
     d = 6
@@ -63,16 +76,16 @@ def test_group_axioms_random():
 
 
 def test_iota_decompose():
-    assert weyl.iota_decompose(weyl.identity(3)) == (weyl.identity(3), 0)
+    assert iota_decompose(weyl.identity(3)) == (weyl.identity(3), 0)
     for d in (2, 3, 4):
         for r in range(1, d):
-            w, k = weyl.iota_decompose(weyl.translation(tuple([1] * r + [0] * (d - r))))
+            w, k = iota_decompose(weyl.translation(tuple([1] * r + [0] * (d - r))))
             assert k == r and sum(w.trans) == 0
     rng = random.Random(3)
     for _ in range(300):
         d = rng.randint(2, 5)
         g = rand_elem(rng, d)
-        w, k = weyl.iota_decompose(g)
+        w, k = iota_decompose(g)
         assert sum(w.trans) == 0
         assert weyl.compose(w, weyl.iota_pow(d, k)) == g
 
@@ -150,7 +163,7 @@ def test_affine_weyl_group_axioms(case):
     assert weyl.compose(weyl.compose(g, h), k) == weyl.compose(g, weyl.compose(h, k))
     assert weyl.compose(g, e) == g == weyl.compose(e, g)
     assert weyl.compose(g, weyl.invert(g)) == e == weyl.compose(weyl.invert(g), g)
-    assert weyl.in_affine(weyl.compose(g, h)) and weyl.in_affine(weyl.invert(g))
+    assert in_affine(weyl.compose(g, h)) and in_affine(weyl.invert(g))
 
 
 @settings(max_examples=300, derandomize=True, database=None)
@@ -174,7 +187,7 @@ def test_coxeter_parity():
 def reduced_word(g):
     """One reduced word (generator indices) for the W_a-part of g: strip
     the least right descent of its window until none is left."""
-    window, word = weyl._window(weyl.iota_decompose(g)[0]), []
+    window, word = weyl._window(iota_decompose(g)[0]), []
     while descents := [i for i in range(g.d) if weyl._right_descent(window, i)]:
         weyl._times_simple(window, descents[0])
         word.append(descents[0])
@@ -258,7 +271,7 @@ def downset(w):
 def downset_leq(u, w):
     if sum(u.trans) != sum(w.trans):
         return False
-    return weyl.iota_decompose(u)[0] in downset(weyl.iota_decompose(w)[0])
+    return iota_decompose(u)[0] in downset(iota_decompose(w)[0])
 
 
 @pytest.mark.parametrize("d,radius", [(2, 7), (3, 5), (4, 4), (5, 3)])
