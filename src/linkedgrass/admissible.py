@@ -2,19 +2,22 @@
 
 An admissible face of a maximal simplex perturbs each representative vector
 by a 0/1 vector with r ones, staying a face of the same type; it is indexed
-by a coset h * W_simplex in the extended affine Weyl group.  Every double
-coset is keyed in standard position: the simplex or shared face is
-conjugated by g onto a face of the standard alcove, whose stabilizer W is
-standard parahoric (a frame solved once per simplex), and the key is the
-minimum of W g^-1 h g W.  A face has one key, over its own simplex
-(`_standard_key`): faces with equal keys form one class, the generalized
-Bruhat order compares keys, and a one-simplex stratum's dimension is a
-length in the key's double coset.  Shifting by iota^-r, into
+by a coset h * W_simplex in the extended affine Weyl group.  Faces are built
+vertex by vertex, each increment tested against the masks of the bits that
+the previous and first vectors force to 1 and to 0.  Every double coset is
+keyed in standard position: the simplex or shared face is conjugated by g
+onto a face of the standard alcove, whose stabilizer W is standard
+parahoric (a frame solved once per simplex), and the key is the minimum of
+W g^-1 h g W.  A face has one key, over its own simplex (`_standard_key`):
+faces with equal keys form one class, the generalized Bruhat order compares
+keys, and a one-simplex stratum's dimension is Kilmoyer's length in the
+key's double coset (`weyl.minmax_length`).  Shifting by iota^-r, into
 W (g^-1 h g iota^-r) iota^r W iota^-r, would change neither: iota has
 length 0 and permutes the simple reflections.  Collections glue classes
 across simplices by their keys over the shared faces and carry rank
-vectors (the table `strata` that every report reads).  The
-dimension-one stratification is the face complex of the configuration.
+vectors (the table `strata` that every report reads); `top_strata` sweeps
+them by decreasing total key length.  The dimension-one stratification is
+the face complex of the configuration.
 """
 
 from __future__ import annotations
@@ -91,14 +94,16 @@ def admissible_faces(simplex: Sequence[Vertex], r: int) -> list[AdmissibleFace]:
     if not 0 < r < d:
         raise ValueError(f"need 0 < r < d, got r={r}, d={d}")
     increments = [
-        tuple(1 if i in ones else 0 for i in range(d))
+        (sum(1 << i for i in ones), tuple(1 if i in ones else 0 for i in range(d)))
         for ones in itertools.combinations(range(d), r)
     ]
     out = []
 
     def extend(vectors: tuple[Vec, ...]) -> None:
-        # depth-first in product order, pruning on a <= b <= a + 1 between
-        # consecutive vectors and b <= a + 1 from the first to the last
+        # depth-first in product order; a <= b <= a + 1 between consecutive
+        # vectors and b <= a + 1 from the first to the last give the masks of
+        # the increment's bits that must be 1 (ones) and 0 (zeros): chain
+        # vertices differ by 0/1 vectors, so a - rep is -1, 0 or 1
         if len(vectors) == len(chain):
             coset = _solve_face_map(chain, vectors, d)
             if coset is None:
@@ -106,14 +111,16 @@ def admissible_faces(simplex: Sequence[Vertex], r: int) -> list[AdmissibleFace]:
             out.append(AdmissibleFace(chain, vectors, coset))
             return
         rep = chain[len(vectors)]
-        last = len(vectors) == len(chain) - 1
-        for inc in increments:
-            vec = tuple(x + e for x, e in zip(rep, inc))
-            if vectors and not all(a <= b <= a + 1 for a, b in zip(vectors[-1], vec)):
-                continue
-            if last and vectors and not all(b <= a + 1 for a, b in zip(vectors[0], vec)):
-                continue
-            extend(vectors + (vec,))
+        last, ones, zeros = len(vectors) == len(chain) - 1, 0, 0
+        for c, x in enumerate(rep if vectors else ()):
+            step = vectors[-1][c] - x
+            ones |= (step == 1) << c
+            zeros |= (min(step, vectors[0][c] - x if last else step) == -1) << c
+        if ones & zeros:  # a coordinate that admits neither 0 nor 1
+            return
+        for mask, inc in increments:
+            if mask & ones == ones and not mask & zeros:
+                extend(vectors + (tuple(x + e for x, e in zip(rep, inc)),))
 
     extend(())
     return out
@@ -238,8 +245,10 @@ def _standard_frame(
 def _double_coset_keys(face: tuple[Vertex, ...], cosets: Sequence[weyl.WeylElement]) -> list:
     """The minimum of g^-1 W_F h W_F g per h, W_F the stabilizer of the chain-ordered
     face and g from `_standard_frame`: equal keys mean equal double cosets."""
-    _, g, g_inv, stab = _standard_frame(face)
-    return [weyl.double_coset_min(weyl.compose(weyl.compose(g_inv, h), g), stab, stab) for h in cosets]
+    omega_i, g, g_inv, stab = _standard_frame(face)
+    if omega_i != face:  # else g is the identity
+        cosets = [weyl.compose(weyl.compose(g_inv, h), g) for h in cosets]
+    return [weyl.double_coset_min(h, stab, stab) for h in cosets]
 
 
 @functools.cache
@@ -266,26 +275,27 @@ def generalized_bruhat_leq(x: AdmissibleCollection, y: AdmissibleCollection) -> 
 
 
 def top_strata(collections: Sequence[AdmissibleCollection]) -> list[AdmissibleCollection]:
-    """Maximal collections, among the given ones, under the generalized Bruhat order."""
+    """Maximal collections, among the given ones, under the generalized Bruhat
+    order.  A strictly larger collection has a strictly larger total key
+    length, and every collection lies below a maximal one, so, by decreasing
+    total, each is compared only with the maxima kept of larger total."""
     for c in collections:
         _check_comparable(collections[0], c)
     keys = [[weyl.bruhat_data(_standard_key(f)) for f in c.faces] for c in collections]
-
-    def leq(i: int, j: int) -> bool:
-        return all(map(weyl.bruhat_leq_data, keys[i], keys[j]))
-
-    return [
-        x
-        for i, x in enumerate(collections)
-        if not any(j != i and leq(i, j) and not leq(j, i) for j in range(len(collections)))
-    ]
+    total = [sum(data[1] for data in key) for key in keys]
+    maxima: list[int] = []
+    for i in sorted(range(len(collections)), key=lambda i: -total[i]):
+        larger = itertools.takewhile(lambda j: total[j] > total[i], maxima)
+        if not any(all(map(weyl.bruhat_leq_data, keys[i], keys[j])) for j in larger):
+            maxima.append(i)
+    return [collections[i] for i in sorted(maxima)]
 
 
 def stratum_dimension(face: AdmissibleFace) -> int:
     """Dimension of a one-simplex stratum: the length of the longest minimal
-    representative in the double coset of the face's key."""
+    representative in the double coset of the face's key (`weyl.minmax_length`)."""
     stab = _standard_frame(face.simplex)[3]
-    return weyl.length(weyl.minmax_rep(_standard_key(face), stab, stab))
+    return weyl.minmax_length(_standard_key(face), stab, stab)
 
 
 def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:

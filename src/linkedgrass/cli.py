@@ -12,9 +12,9 @@ stderr, never into the report.  `--format dot` is offered only where
 something is drawn: analyze and quiver draw the quiver (a non-convex
 configuration has none: exit 2), admissible the Hasse diagram of its strata.
 
-Each configuration's quiver and stratum tables are built once per process
-(`_quiver`, `_strata`, caches keyed on the configuration's value), so the
-facts they cache serve every prime and command that reads them.  JSON
+Each configuration's quiver and stratum labels are built once per process
+(`_quiver`, `_stratum_labels`, caches keyed on the configuration's value),
+so they serve every prime and command that reads them.  JSON
 reports are written by `_dumps`, byte for byte the stdlib's indented
 layout, with each container of scalars encoded in C.
 """
@@ -114,10 +114,10 @@ def _quiver(config: Configuration) -> qv.Quiver:
 
 
 @functools.cache
-def _strata(config: Configuration, r: int) -> tuple[adm.Stratum, ...]:
-    """The stratum table of a configuration at r, built once per process
-    (`admissible.strata` itself builds a fresh table per call)."""
-    return tuple(adm.strata(_quiver(config), r))
+def _stratum_labels(config: Configuration, r: int) -> frozenset[qv.RankVector]:
+    """The rank vectors of a configuration's stratum table at r, the labels
+    `strata` checks at every prime, found once per process."""
+    return frozenset(s.rank for s in adm.strata(_quiver(config), r))
 
 
 def _rank_entries(quiver: qv.Quiver):
@@ -183,7 +183,7 @@ def cmd_admissible(args) -> int:
     config = _load_config(args.config)
     _check_r(args.r, config)
     quiver = _quiver(config)
-    table = _strata(config, args.r)
+    table = adm.strata(quiver, args.r)
     ranks = _rank_entries(quiver)
     strata = []
     for idx, s in enumerate(table):
@@ -216,7 +216,7 @@ def cmd_strata(args) -> int:
     _check_r(args.r, config)
     quiver = _quiver(config)
     classes = qv.rank_classes(quiver, args.r, args.p, args.budget)
-    labels = {s.rank for s in _strata(config, args.r)}
+    labels = _stratum_labels(config, args.r)
     ranks = _rank_entries(quiver)
     strata = []
     for rank, row in sorted(classes.items(), key=lambda kv: kv[0].entries):

@@ -23,12 +23,13 @@ closed forms are tested against.
 
 Double cosets W_K g W_J are taken of standard parahorics, the stabilizers
 of standard-alcove faces (any other raises InvariantError), so W_K is
-generated by simple reflections.  The unique minimum is the element with
-no left descent in K and no right descent in J, which descent reaches in
-l(g) - l(min) steps; with L = {s in K : x^-1 s x in J} for that minimum x,
-Kilmoyer's theorem gives the longest minimal left-coset representative in
-closed form, w0(K) w0(L) x (Carter, Finite Groups of Lie Type, 1985,
-section 2.7; Bjorner-Brenti, GTM 231, section 2.4).
+generated by simple reflections.  The unique minimum x has no left descent
+in K and no right descent in J; one walk on g's window reaches it in
+l(g) - l(x) steps, swapping values for a left descent and positions for a
+right one.  With L = {s in K : x^-1 s x in J}, Kilmoyer's theorem gives the
+longest minimal left-coset representative, w0(K) w0(L) x, whose length
+l(x) + l(w0(K)) - l(w0(L)) is read off x's window (Carter, Finite Groups of
+Lie Type, 1985, section 2.7; Bjorner-Brenti, GTM 231, section 2.4).
 """
 
 from __future__ import annotations
@@ -333,23 +334,44 @@ def _from_window(window: Sequence[int]) -> WeylElement:
     return WeylElement(sigma, tuple(trans))
 
 
-def _right_walk(g: WeylElement, indices: Sequence[int], down: bool) -> WeylElement:
-    """g times s_j, j in indices, while one of them is a right descent (down)
-    or ascent (not down); every step changes the length by one."""
-    window = _window(g)
-    while (j := next((j for j in indices if _right_descent(window, j) == down), None)) is not None:
+def _longest(d: int, indices: Sequence[int]) -> WeylElement:
+    """w0 of the group generated by s_j, j in indices: the identity times
+    s_j while one of them is a right ascent."""
+    window = list(range(1, d + 1))
+    while (j := next((j for j in indices if not _right_descent(window, j)), None)) is not None:
         _times_simple(window, j)
     return _from_window(window)
+
+
+def _left_descent(window: list[int], a: int) -> bool:
+    """l(s_a * w) < l(w): the value a + 1 stands left of a, where v + k*d stands k*d right of v."""
+    d = len(window)
+    at = {(v - a) % d: i - (v - a) // d * d for i, v in enumerate(window)}
+    return at[1] < at[0]
+
+
+def _simple_times(window: list[int], a: int) -> None:
+    """Replace the window of w by that of s_a * w: swap the values a and a + 1 mod d."""
+    d = len(window)
+    window[:] = [v + 1 - 2 * ((v - a) % d) if (v - a) % d < 2 else v for v in window]
 
 
 @functools.cache
 def double_coset_min(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
     """Unique minimal-length element of W1 * g * W2 for standard parahorics:
-    strip the left descents in W1 (right descents of g^-1), then the right
-    descents in W2.  Stripping on the right adds no left descent: x = x' * v
+    strip the left descents in W1 by swapping values of g's window, then the
+    right descents in W2 by swapping positions; g itself when there is
+    nothing to strip.  Stripping on the right adds no left descent: x = x' * v
     with lengths adding, so a left descent of x' would be one of x."""
-    x = invert(_right_walk(invert(g), _simple_indices(w1), True))
-    return _right_walk(x, _simple_indices(w2), True)
+    window, moved = _window(g), False
+    for indices, descent, step in (
+        (_simple_indices(w1), _left_descent, _simple_times),
+        (_simple_indices(w2), _right_descent, _times_simple),
+    ):
+        while (j := next((j for j in indices if descent(window, j)), None)) is not None:
+            step(window, j)
+            moved = True
+    return _from_window(window) if moved else g
 
 
 @functools.cache
@@ -360,11 +382,28 @@ def minmax_rep(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylEl
     x^-1 s x in J} (Kilmoyer), and those reps are u * x with u minimal in
     u * W_L; the longest is w0(K) * w0(L) * x, each w0 reached by ascents.
     """
-    x, e = double_coset_min(g, w1, w2), identity(g.d)
-    x_inv, left = invert(x), _simple_indices(w1)
+    x, left = double_coset_min(g, w1, w2), _simple_indices(w1)
     right = {simple_reflection(g.d, j) for j in _simple_indices(w2)}
-    stable = [j for j in left if compose(compose(x_inv, simple_reflection(g.d, j)), x) in right]
-    return compose(_right_walk(e, left, False), compose(_right_walk(e, stable, False), x))
+    stable = [j for j in left if compose(compose(invert(x), simple_reflection(g.d, j)), x) in right]
+    return compose(_longest(g.d, left), compose(_longest(g.d, stable), x))
+
+
+def minmax_length(x: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> int:
+    """length(minmax_rep(x, w1, w2)) for x minimal in W_K x W_J, by
+    Kilmoyer's formula l(x) + l(w0(K)) - l(w0(L)).  For j in J with
+    x(j + 1) = x(j) + 1 (position 0 holds x(d) - d), x s_j x^-1 is the simple
+    reflection s_a, a = x(j) mod d; L is the set of those a that lie in K."""
+    d, w = x.d, _window(x)
+    w.insert(0, w[-1] - d)
+    left = set(_simple_indices(w1))
+    stable = {w[j] % d for j in _simple_indices(w2) if w[j + 1] == w[j] + 1} & left
+
+    def w0_length(indices: set[int]) -> int:  # m(m+1)/2 per run of m cyclically consecutive indices
+        start = min(set(range(d)) - indices)
+        runs = "".join("s" if (start + j) % d in indices else " " for j in range(d)).split()
+        return sum(len(run) * (len(run) + 1) // 2 for run in runs)
+
+    return length(x) + w0_length(left) - w0_length(stable)
 
 
 def hasse_dot(name: str, nodes: Sequence, labels: Sequence[str], leq: Callable) -> str:

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import os
@@ -113,6 +114,53 @@ def test_pruned_faces_match_product_oracle_on_branched(d):
         for r in range(1, d):
             got = [f.vectors for f in adm.admissible_faces(simplex, r)]
             assert got == product_filter_faces(chain, r)
+
+
+def scanned_faces(chain, r):
+    """Oracle: the depth-first scan `admissible_faces` pruned by masks
+    replaced, trying every increment at every vertex in product order."""
+    d = len(chain[0])
+    increments = [
+        tuple(1 if i in ones else 0 for i in range(d))
+        for ones in itertools.combinations(range(d), r)
+    ]
+    out = []
+
+    def extend(vectors):
+        if len(vectors) == len(chain):
+            out.append(vectors)
+            return
+        rep = chain[len(vectors)]
+        last = len(vectors) == len(chain) - 1
+        for inc in increments:
+            vec = tuple(x + e for x, e in zip(rep, inc))
+            if vectors and not all(a <= b <= a + 1 for a, b in zip(vectors[-1], vec)):
+                continue
+            if last and vectors and not all(b <= a + 1 for a, b in zip(vectors[0], vec)):
+                continue
+            extend(vectors + (vec,))
+
+    extend(())
+    return out
+
+
+SIX_VERTEX_D5 = [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (1, 2, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 2, 0)]
+
+
+def test_masked_faces_match_the_scan_on_every_simplex():
+    # the 12 bench configurations, alcove-d6 and the six-vertex d5 one
+    quivers = [qv.Quiver(Configuration.from_json(path.read_text())) for path in sorted(CONFIGS.glob("*.json"))]
+    assert len(quivers) == 12
+    quivers += [make_quiver(adm.standard_alcove(6)), make_quiver(SIX_VERTEX_D5)]
+    count = 0
+    for quiver in quivers:
+        for simplex in quiver.simplices:
+            chain = chain_order(simplex)
+            for r in range(1, quiver.d):
+                faces = adm.admissible_faces(simplex, r)
+                assert [f.vectors for f in faces] == scanned_faces(chain, r)
+                count += len(faces)
+    assert count == 1006 + 1955 + 308
 
 
 @pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (3, 2)])
@@ -274,16 +322,7 @@ def test_realizable_strata_counts():
 
 
 def test_realizable_strata_six_vertex_branched_d5():
-    quiver = make_quiver(
-        [
-            (0, 0, 0, 0, 0),
-            (1, 0, 0, 0, 0),
-            (1, 1, 0, 0, 0),
-            (1, 2, 0, 0, 0),
-            (0, 0, 0, 1, 0),
-            (0, 0, 0, 2, 0),
-        ]
-    )
+    quiver = make_quiver(SIX_VERTEX_D5)
     table = adm.strata(quiver, 1)
     assert len(table) == 189
     real = {s.rank for s in table if s.realizable}
@@ -293,9 +332,10 @@ def test_realizable_strata_six_vertex_branched_d5():
 
 
 def clear_cli_tables():
-    """The command line keeps one quiver and stratum table per configuration:
-    clear them, so the facts an earlier test read do not hide the calls."""
-    cli._strata.cache_clear()
+    """The command line keeps one quiver and set of stratum labels per
+    configuration: clear them, so the facts an earlier test read do not hide
+    the calls."""
+    cli._stratum_labels.cache_clear()
     cli._quiver.cache_clear()
 
 
@@ -452,6 +492,31 @@ ADMISSIBLE_JOBS = [(f"alcove-d{d}", r) for d in (3, 4, 5) for r in range(1, d)] 
 def test_top_strata_match_pairwise_generalized_order(name, r):
     quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
     cols = adm.enumerate_admissible_collections(quiver, r)
+    leq = adm.generalized_bruhat_leq
+    pairwise = [
+        x for x in cols
+        if not any(y is not x and leq(x, y) and not leq(y, x) for y in cols)
+    ]
+    assert adm.top_strata(cols) == pairwise
+
+
+@functools.cache
+def job_collections(name, r):
+    quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
+    return adm.enumerate_admissible_collections(quiver, r)
+
+
+@st.composite
+def sub_tables(draw):
+    """Collections drawn with repeats from the table of one benchmark job."""
+    cols = job_collections(*draw(st.sampled_from(ADMISSIBLE_JOBS)))
+    return [cols[i] for i in draw(st.lists(st.integers(0, len(cols) - 1), min_size=1, max_size=25))]
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(sub_tables())
+def test_top_strata_of_sub_tables_match_pairwise_generalized_order(cols):
+    # the length sweep on any sub-list, repeats kept in place and mutually maximal
     leq = adm.generalized_bruhat_leq
     pairwise = [
         x for x in cols

@@ -417,12 +417,31 @@ ADMISSIBLE_DIGESTS = {
     ("edge-d5", "--r 2"): "4ac2716c4e8a4cc3c44b56af1ad1e3b14733741742ac5c84bc2847ebf08176ab",
     ("path-d3", "--r 2"): "644eab3a095eabc6dd1dc21824dd9cf3ce9a2a94743609be9facb09345dec4cb",
     ("branched-d4", "--r 2"): "7867810d3ae02016dfdc11bc91c648ab75331c88a6c78c2ffe25247d2ecb33f0",
+    # recorded before faces were pruned by coordinate masks, stratum
+    # dimensions read off Kilmoyer's length formula and maxima found by a
+    # length sweep: the larger tables, two of them outside bench/configs
+    ("alcove-d5", "--r 3"): "0cbcb63b3af7b2b3ff36cd9c864f90bffacd752f0fdd2b13d19073a9f52ba3d8",
+    ("alcove-d6", "--r 2"): "b7c9e54418bd26c208f6e39398ca929f9a3ca6af313825b853c014c3b63da3b0",
+    ("alcove-d6", "--r 3"): "5c5e2748e2c8bd241c9d5fc5f2158c377b73455bf75ac1fa6e96c5047afcd3c7",
+    ("six-vertex-d5", "--r 1"): "0f84b06cc0d074a445d56fae3d4480143eae618a51ca68de3fd613cee1c0213b",
+    ("six-vertex-d5", "--r 2"): "8883aed775fca261b5443ebd596a130db69f9522e6a5289964d1211af40a8b3b",
+}
+
+# configurations of ADMISSIBLE_DIGESTS that are not in bench/configs; the
+# six-vertex d5 one is that of test_realizable_strata_six_vertex_branched_d5
+SCALE_CONFIGS = {
+    "alcove-d6": (6, [[1] * i + [0] * (6 - i) for i in range(6)]),
+    "six-vertex-d5": (5, [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 2, 0]]),
 }
 
 
 @pytest.mark.parametrize("name, args", sorted(ADMISSIBLE_DIGESTS))
-def test_admissible_report_is_byte_identical(capsys, name, args):
-    code, out = run(capsys, ["admissible", str(CONFIGS / f"{name}.json"), *args.split()])
+def test_admissible_report_is_byte_identical(tmp_path, capsys, name, args):
+    if name in SCALE_CONFIGS:
+        path = write_config(tmp_path, f"{name}.json", *SCALE_CONFIGS[name])
+    else:
+        path = str(CONFIGS / f"{name}.json")
+    code, out = run(capsys, ["admissible", path, *args.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ADMISSIBLE_DIGESTS[(name, args)]
 

@@ -159,3 +159,23 @@ def test_private_read_guard_flags_underscore_names_of_other_modules(tmp_path):
 
 def test_no_module_reads_another_modules_private_names():
     assert [hit for path in SOURCES for hit in private_reads(path)] == []
+
+
+def test_every_name_the_bench_traces_exists():
+    # bench/child.py wraps each `linkedgrass.<module>.<name>` of its TRACED
+    # dict by getattr; read the literal without importing anything from bench/
+    child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    tree = ast.parse(child.read_text(), filename=str(child))
+    (traced,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
+    ]
+    names = [(module, name) for module, names in ast.literal_eval(traced).items() for name in names]
+    assert len(names) > 20
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"linkedgrass.{module}"), name)
+    ]
+    assert missing == []

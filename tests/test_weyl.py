@@ -532,8 +532,10 @@ def test_double_coset_scans_match_product_oracle(monkeypatch, name, shift):
         for w in sorted(weyl.wa_elements(d, 4), key=str)
         for k in range(-d, d + 1)
     ]
-    steps, step = [], weyl._times_simple
-    monkeypatch.setattr(weyl, "_times_simple", lambda w, j: steps.append(j) or step(w, j))
+    # the walk steps on the left by `_simple_times`, on the right by `_times_simple`
+    steps, left_step, right_step = [], weyl._simple_times, weyl._times_simple
+    monkeypatch.setattr(weyl, "_simple_times", lambda w, a: steps.append(a) or left_step(w, a))
+    monkeypatch.setattr(weyl, "_times_simple", lambda w, j: steps.append(j) or right_step(w, j))
     weyl.double_coset_min.cache_clear()
     weyl.minmax_rep.cache_clear()
     rng = random.Random(f"{name}-{shift}")
@@ -664,3 +666,46 @@ def test_standard_position_keys_match_scan_partition_on_configs():
                 assert partition(keys) == scan_partition(cosets, weyl.face_stabilizer(face))
                 pairs += len(cosets)
     assert pairs == 1314
+
+
+def right_descent_walk(g, indices):
+    """g times s_j, j in indices, while one of them is a right descent."""
+    window = weyl._window(g)
+    while (j := next((j for j in indices if weyl._right_descent(window, j)), None)) is not None:
+        weyl._times_simple(window, j)
+    return weyl._from_window(window)
+
+
+def double_coset_min_by_inverses(g, w1, w2):
+    """The body `double_coset_min` had before its one-window walk: strip the
+    left descents as right descents of g^-1, invert back, strip on the right."""
+    x = weyl.invert(right_descent_walk(weyl.invert(g), weyl._simple_indices(w1)))
+    return right_descent_walk(x, weyl._simple_indices(w2))
+
+
+@st.composite
+def ball_double_cosets(draw):
+    """An element w * iota^k, w in the Cayley ball of radius 6 of W_a, d <= 5,
+    and two different proper standard parahorics W_K and W_J."""
+    d = draw(st.integers(2, 5))
+    ball = sorted(weyl.wa_elements(d, 6), key=str)
+    w = ball[draw(st.integers(0, len(ball) - 1))]
+    g = weyl.compose(w, weyl.iota_pow(d, draw(st.integers(-d, d))))
+    omega = standard_alcove(d)
+    types = st.sets(st.integers(0, d - 1), min_size=1)
+    k_types = draw(types)
+    j_types = draw(types.filter(lambda s: s != k_types))
+    return g, weyl.face_stabilizer([omega[i] for i in k_types]), weyl.face_stabilizer([omega[i] for i in j_types])
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(ball_double_cosets())
+def test_minmax_length_and_double_coset_min_match_their_oracles(case):
+    g, w_k, w_j = case
+    x = weyl.double_coset_min(g, w_k, w_j)
+    assert x == double_coset_min_by_inverses(g, w_k, w_j)
+    # nothing to strip: g itself (the memo may hold an equal element)
+    assert weyl.double_coset_min.__wrapped__(g, w_k, w_j) is g or x != g
+    assert weyl.minmax_length(x, w_k, w_j) == weyl.length(weyl.minmax_rep(g, w_k, w_j))
+    y = weyl.double_coset_min(g, w_j, w_k)
+    assert weyl.minmax_length(y, w_j, w_k) == weyl.length(weyl.minmax_rep(g, w_j, w_k))
