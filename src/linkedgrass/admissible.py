@@ -281,7 +281,8 @@ def top_strata(collections: Sequence[AdmissibleCollection]) -> list[AdmissibleCo
     total, each is compared only with the maxima kept of larger total."""
     for c in collections:
         _check_comparable(collections[0], c)
-    keys = [[weyl.bruhat_data(_standard_key(f)) for f in c.faces] for c in collections]
+    bruhat = functools.cache(weyl.bruhat_data)  # once per distinct key of this call
+    keys = [[bruhat(_standard_key(f)) for f in c.faces] for c in collections]
     total = [sum(data[1] for data in key) for key in keys]
     maxima: list[int] = []
     for i in sorted(range(len(collections)), key=lambda i: -total[i]):

@@ -17,6 +17,9 @@ Each configuration's quiver and stratum labels are built once per process
 so they serve every prime and command that reads them.  JSON
 reports are written by `_dumps`, byte for byte the stdlib's indented
 layout, with each container of scalars encoded in C.
+
+`verify` and `multidegree` are read off the package inside their commands,
+so the other subcommands never import (or compile) them.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ import time
 import traceback
 from pathlib import Path
 
+import linkedgrass
+
 from . import admissible as adm
 from . import gf
 from . import independence as ind
-from . import multidegree as md
 from . import quiver as qv
-from . import verify as vf
 from .lattice import Configuration, InvariantError, is_convex
 from .weyl import hasse_dot
 
@@ -259,6 +262,7 @@ def cmd_verify(args) -> int:
     if args.p is not None:
         kwargs["p"] = args.p
         kwargs["ps"] = (args.p,)
+    vf = linkedgrass.verify  # loaded only for this subcommand
     names = sorted(vf.SUITES) if args.suite == "all" else [args.suite]
     if any(name not in vf.SUITES for name in names):
         print(f"error: unknown suite {args.suite!r}; available: {sorted(vf.SUITES)} or 'all'", file=sys.stderr)
@@ -275,6 +279,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_multidegree(args) -> int:
+    md = linkedgrass.multidegree  # loaded only for this subcommand
     if args.source == "kn":
         if args.n is None:
             print("error: kn mode needs --n", file=sys.stderr)

@@ -500,6 +500,19 @@ def test_top_strata_match_pairwise_generalized_order(name, r):
     assert adm.top_strata(cols) == pairwise
 
 
+@pytest.mark.parametrize("name, r", ADMISSIBLE_JOBS)
+def test_top_strata_reads_bruhat_data_once_per_distinct_key(name, r, monkeypatch):
+    cols = job_collections(name, r)
+    expected = adm.top_strata(cols)
+    calls = []
+    bruhat_data = weyl.bruhat_data
+    monkeypatch.setattr(weyl, "bruhat_data", lambda g: calls.append(g) or bruhat_data(g))
+    assert adm.top_strata(cols) == expected
+    faces = {f for c in cols for f in c.faces}
+    assert len(calls) == len(set(calls)) <= len(faces)
+    assert set(calls) == {adm._standard_key(f) for f in faces}
+
+
 @functools.cache
 def job_collections(name, r):
     quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
