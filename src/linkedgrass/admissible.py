@@ -16,8 +16,11 @@ W (g^-1 h g iota^-r) iota^r W iota^-r, would change neither: iota has
 length 0 and permutes the simple reflections.  Collections glue classes
 across simplices by their keys over the shared faces and carry rank
 vectors (the table `strata` that every report reads); `top_strata` sweeps
-them by decreasing total key length.  The dimension-one stratification is
-the face complex of the configuration.
+them by decreasing total key length.  The maxima of a whole table
+(`maximal_strata`) need no sweep on one simplex: they are the classes of
+the translation faces, the double cosets W t_lambda W (Kottwitz-Rapoport
+2000; Haines-Ngo 2002); a glued table is swept.  The dimension-one
+stratification is the face complex of the configuration.
 """
 
 from __future__ import annotations
@@ -56,10 +59,11 @@ class AdmissibleFace:
     vectors: tuple[Vec, ...]  # perturbed integer vectors, one per simplex vertex
     coset: weyl.WeylElement  # h with h . rep = vectors, well-defined mod W_simplex
 
-    @property
-    def increments(self) -> tuple[Vec, ...]:
+    @functools.cached_property
+    def increment_masks(self) -> tuple[int, ...]:
+        """Each increment, a 0/1 vector, as the bitmask of its ones."""
         return tuple(
-            tuple(x - r for x, r in zip(vec, rep))
+            sum(1 << k for k, (x, r) in enumerate(zip(vec, rep)) if x != r)
             for vec, rep in zip(self.vectors, self.simplex)
         )
 
@@ -78,13 +82,20 @@ def _solve_face_map(
     for c in reversed(range(d)):
         free.setdefault(tuple(t[c] - target[0][c] for t in target), []).append(c + 1)
     sigma = []
-    for i in range(d):
-        columns = free.get(tuple(s[i] - source[0][i] for s in source))
+    for profile in _column_profiles(tuple(source)):
+        columns = free.get(profile)
         if not columns:
             return None
         sigma.append(columns.pop())
     moved = weyl.perm_apply(sigma, source[0])
     return weyl.WeylElement(tuple(sigma), tuple(t - m for t, m in zip(target[0], moved)))
+
+
+@functools.cache
+def _column_profiles(source: tuple[Vec, ...]) -> tuple[Vec, ...]:
+    """The profile (x_j[i] - x_0[i])_j of each column i of the source
+    vectors, read once per chain that `_solve_face_map` maps from."""
+    return tuple(tuple(s[i] - source[0][i] for s in source) for i in range(len(source[0])))
 
 
 def admissible_faces(simplex: Sequence[Vertex], r: int) -> list[AdmissibleFace]:
@@ -209,19 +220,23 @@ def enumerate_admissible_collections(quiver: Quiver, r: int) -> list[AdmissibleC
 
 def stratum_rank_vector(collection: AdmissibleCollection, quiver: Quiver) -> RankVector:
     """Rank vector of the stratum: in-simplex ranks counted off the increments
-    (the increment's ones inside the map's support), extended to all pairs
-    along `Quiver.hull_plan`."""
-    data = dict.fromkeys(((v, v) for v in quiver.vertices), collection.r)
+    (the increment's ones inside the map's support), placed and extended to
+    all pairs along `Quiver.pair_plan`."""
+    plan = quiver.pair_plan
+    values: list[Optional[int]] = [None] * len(plan.pairs)
+    for j in plan.diagonal:
+        values[j] = collection.r
     for face in collection.faces:
-        for u, eps in zip(face.simplex, face.increments):
-            ones = sum(1 << k for k, e in enumerate(eps) if e)
-            for v in face.simplex:
-                value = (ones & quiver.masks[(u, v)]).bit_count()
-                if u != v and data.setdefault((u, v), value) != value:
+        for ones, row in zip(face.increment_masks, plan.simplices[face.simplex]):
+            for j, mask in row:
+                value = (ones & mask).bit_count()
+                if values[j] is None:
+                    values[j] = value
+                elif values[j] != value:
                     raise InvariantError("inconsistent glued rank at shared pair")
-    for pair, source in quiver.hull_plan:
-        data[pair] = data[source]
-    return RankVector.from_dict(data)
+    for j, source in plan.hull:
+        values[j] = values[source]
+    return RankVector(tuple(zip(plan.pairs, values)))
 
 
 @functools.cache
@@ -332,6 +347,27 @@ def strata(quiver: Quiver, r: int) -> list[Stratum]:
         Stratum(c, stratum_rank_vector(c, quiver), quiver)
         for c in enumerate_admissible_collections(quiver, r)
     ]
+
+
+def maximal_strata(table: Sequence[Stratum]) -> list[Stratum]:
+    """The maxima of a whole stratum table (`strata`) under the generalized
+    Bruhat order, in table order.  On one simplex they are the classes of
+    the C(d, r) translation faces rep_j + lambda, lambda a 0/1 vector with r
+    ones: the maxima of W_K\\Adm^K(mu)/W_K are the double cosets
+    W_K t_lambda W_K (Kottwitz-Rapoport 2000; Haines-Ngo 2002), so no two
+    classes are compared.  A glued table is swept by `top_strata`, which is
+    also the oracle of the closed form."""
+    if not table or len(table[0].collection.faces) > 1:
+        tops = set(top_strata([s.collection for s in table]))
+        return [s for s in table if s.collection in tops]
+    chain, r = table[0].collection.faces[0].simplex, table[0].collection.r
+    d = len(chain[0])
+    keys = set()
+    for ones in itertools.combinations(range(d), r):
+        shift = tuple(int(k in ones) for k in range(d))
+        vectors = tuple(tuple(x + e for x, e in zip(rep, shift)) for rep in chain)
+        keys.add(_standard_key(AdmissibleFace(chain, vectors, weyl.translation(shift))))
+    return [s for s in table if _standard_key(s.collection.faces[0]) in keys]
 
 
 # ---------------------------------------------------------------------------

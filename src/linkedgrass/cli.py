@@ -5,12 +5,17 @@ Exit codes: 0 success, 1 verification failure, 2 input or usage error
 (malformed configuration, non-prime --p, --r outside 0 < r < d, a --budget
 below 0, a `verify` --d, --n, --trials or --len-cap below its least value),
 3 internal error (any other uncaught exception, reported on stderr by its
-traceback and a last line `internal error: ...`).  Reports are
-deterministic for a fixed invocation (sorted JSON keys; `verify --seed`
-seeds the only random generator); `verify` prints its per-suite timings to
-stderr, never into the report.  `--format dot` is offered only where
-something is drawn: analyze and quiver draw the quiver (a non-convex
+traceback and a last line `internal error: ...`), 141 (128 + SIGPIPE, as a
+shell reports a writer killed by SIGPIPE) when the reader closes stdout
+before the report is written, as `| head` does, with nothing on stderr.
+Reports are deterministic for a fixed invocation (sorted JSON keys;
+`verify --seed` seeds the only random generator); `verify` prints its
+per-suite timings to stderr, never into the report.  `--format dot` is
+offered only where something is drawn: analyze and quiver draw the quiver (a non-convex
 configuration has none: exit 2), admissible the Hasse diagram of its strata.
+The `top_count` of admissible is read off `admissible.maximal_strata`: on
+one simplex the classes of the translation double cosets, on a glued
+configuration the maxima of the `top_strata` sweep.
 
 Each configuration's quiver and stratum labels are built once per process
 (`_quiver`, `_stratum_labels`, caches keyed on the configuration's value),
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 import traceback
@@ -125,9 +131,10 @@ def _stratum_labels(config: Configuration, r: int) -> frozenset[qv.RankVector]:
 
 def _rank_entries(quiver: qv.Quiver):
     """The report of a rank vector: its off-diagonal ranks keyed "u->v",
-    with the key strings built once per quiver."""
-    names = {(u, v): f"{u}->{v}" for u in quiver.vertices for v in quiver.vertices if u != v}
-    return lambda rank: {names[pair]: val for pair, val in rank.entries if pair in names}
+    read at their positions in `Quiver.pair_plan`, with the key strings
+    built once per quiver."""
+    names = [(j, f"{u}->{v}") for j, (u, v) in enumerate(quiver.pair_plan.pairs) if u != v]
+    return lambda rank: {name: rank.entries[j][1] for j, name in names}
 
 
 def cmd_analyze(args) -> int:
@@ -200,7 +207,7 @@ def cmd_admissible(args) -> int:
         if quiver.is_weakly_independent:
             entry["realizable"] = s.realizable
         strata.append(entry)
-    tops = adm.top_strata([s.collection for s in table])
+    tops = adm.maximal_strata(table)
     report = {
         "r": args.r,
         "strata": strata,
@@ -402,7 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:  # looked up per call, so the cached parser holds no command function
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # so a reader that left before the last write is caught here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: not a crash; stdout
+        # now points at the null device, so the flush at exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

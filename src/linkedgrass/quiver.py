@@ -31,8 +31,9 @@ Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
 decomposition gate reads), the single-generator summand types
 (`summand_types`), where each non-projective type dies (`death_data`), the
-integer forms `types_from_rank` evaluates (`rank_forms`) and the order in
-which stratum ranks spread over convex hulls (`hull_plan`).
+integer forms `types_from_rank` evaluates (`rank_forms`), the order in
+which stratum ranks spread over convex hulls (`hull_plan`) and where each
+stratum rank goes in a rank vector (`pair_plan`).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .lattice import (
     InvariantError,
     TransitionData,
     Vertex,
+    chain_order,
     convex_hull_pair,
     is_convex,
     maximal_simplices,
@@ -65,6 +67,17 @@ class BudgetExceeded(ValueError):
 
 class DeformationError(Exception):
     """No validating deformation was found for a non-projective point."""
+
+
+class PairPlan(NamedTuple):
+    """Where a stratum's ranks go in `RankVector.entries` (`Quiver.pair_plan`)."""
+
+    pairs: tuple[tuple[Vertex, Vertex], ...]  # every ordered pair, in entries order
+    diagonal: tuple[int, ...]  # the indices of the pairs (v, v)
+    # per chain-ordered maximal simplex, per vertex u in chain order: the
+    # index and support mask of (u, v) for each other vertex v of the simplex
+    simplices: dict[tuple[Vertex, ...], tuple[tuple[tuple[int, int], ...], ...]]
+    hull: tuple[tuple[int, int], ...]  # `hull_plan` as (index, index it copies)
 
 
 class Quiver:
@@ -215,6 +228,19 @@ class Quiver:
             plan += [(pair, hull.pop(pair)) for pair in ready]
             known.update(ready)
         return tuple(plan)
+
+    @functools.cached_property
+    def pair_plan(self) -> PairPlan:
+        """Positions of the ordered pairs in `RankVector.entries`, the pairs
+        and supports of each maximal simplex, and `hull_plan` as index copies."""
+        pairs = tuple(itertools.product(self.vertices, repeat=2))
+        index = {pair: j for j, pair in enumerate(pairs)}
+        simplices = {
+            chain: tuple(tuple((index[(u, v)], self.masks[(u, v)]) for v in chain if v != u) for u in chain)
+            for chain in map(chain_order, self.simplices)
+        }
+        hull = tuple((index[pair], index[source]) for pair, source in self.hull_plan)
+        return PairPlan(pairs, tuple(index[(v, v)] for v in self.vertices), simplices, hull)
 
     def cycles_at(self, v: Vertex) -> list[tuple[Vertex, ...]]:
         """Each maximal simplex through v as its quiver cycle, rotated to start at v."""

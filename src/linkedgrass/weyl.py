@@ -257,6 +257,18 @@ class ParahoricGroup:
     def __len__(self) -> int:
         return math.prod(math.factorial(len(b)) for b in equal_difference_blocks(self.face))
 
+    @functools.cached_property
+    def simple_indices(self) -> tuple[int, ...]:
+        """The j with s_j in a standard parahoric: the stabilizer of the standard
+        vertices omega_i, i in I, is generated by the s_j with j not in I."""
+        types = set()
+        for v in self.face:
+            i = sum(v)
+            if v != (1,) * i + (0,) * (self.d - i):
+                raise InvariantError(f"parahoric subgroup fixing {self.face} is not standard")
+            types.add(i)
+        return tuple(j for j in range(self.d) if j not in types)
+
 
 def equal_difference_blocks(face: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Partition of positions 1..d by 'x(k) - x(k')' constant over the face."""
@@ -312,18 +324,6 @@ def _stabilizer(verts: tuple[tuple[int, ...], ...]) -> ParahoricGroup:
     return ParahoricGroup(d, verts)
 
 
-def _simple_indices(group: ParahoricGroup) -> tuple[int, ...]:
-    """The j with s_j in a standard parahoric: the stabilizer of the standard
-    vertices omega_i, i in I, is generated by the s_j with j not in I."""
-    types = set()
-    for v in group.face:
-        i = sum(v)
-        if v != (1,) * i + (0,) * (group.d - i):
-            raise InvariantError(f"parahoric subgroup fixing {group.face} is not standard")
-        types.add(i)
-    return tuple(j for j in range(group.d) if j not in types)
-
-
 def _from_window(window: Sequence[int]) -> WeylElement:
     """The element whose window (`_window`) this is."""
     d = len(window)
@@ -365,8 +365,8 @@ def double_coset_min(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> 
     with lengths adding, so a left descent of x' would be one of x."""
     window, moved = _window(g), False
     for indices, descent, step in (
-        (_simple_indices(w1), _left_descent, _simple_times),
-        (_simple_indices(w2), _right_descent, _times_simple),
+        (w1.simple_indices, _left_descent, _simple_times),
+        (w2.simple_indices, _right_descent, _times_simple),
     ):
         while (j := next((j for j in indices if descent(window, j)), None)) is not None:
             step(window, j)
@@ -382,8 +382,8 @@ def minmax_rep(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylEl
     x^-1 s x in J} (Kilmoyer), and those reps are u * x with u minimal in
     u * W_L; the longest is w0(K) * w0(L) * x, each w0 reached by ascents.
     """
-    x, left = double_coset_min(g, w1, w2), _simple_indices(w1)
-    right = {simple_reflection(g.d, j) for j in _simple_indices(w2)}
+    x, left = double_coset_min(g, w1, w2), w1.simple_indices
+    right = {simple_reflection(g.d, j) for j in w2.simple_indices}
     stable = [j for j in left if compose(compose(invert(x), simple_reflection(g.d, j)), x) in right]
     return compose(_longest(g.d, left), compose(_longest(g.d, stable), x))
 
@@ -395,8 +395,8 @@ def minmax_length(x: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> int
     reflection s_a, a = x(j) mod d; L is the set of those a that lie in K."""
     d, w = x.d, _window(x)
     w.insert(0, w[-1] - d)
-    left = set(_simple_indices(w1))
-    stable = {w[j] % d for j in _simple_indices(w2) if w[j + 1] == w[j] + 1} & left
+    left = set(w1.simple_indices)
+    stable = {w[j] % d for j in w2.simple_indices if w[j + 1] == w[j] + 1} & left
 
     def w0_length(indices: set[int]) -> int:  # m(m+1)/2 per run of m cyclically consecutive indices
         start = min(set(range(d)) - indices)

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 def make_quiver(vertices):
     return qv.Quiver(configuration(vertices))
+
+
+def increments(face):
+    """The face's 0/1 vectors minus its simplex's representatives."""
+    return tuple(tuple(x - r for x, r in zip(vec, rep)) for vec, rep in zip(face.vectors, face.simplex))
 
 
 def enumerate_admissible_alcoves(r, d):
@@ -182,7 +188,7 @@ def window_rank(face, d):
                 window = list(range(j + 1, d + 1)) + list(range(1, i + 1))
             else:
                 window = list(range(j + 1, i + 1))
-            eps = face.increments[a]
+            eps = increments(face)[a]
             out[(face.simplex[a], face.simplex[b])] = sum(eps[k - 1] for k in window)
     return out
 
@@ -513,6 +519,38 @@ def test_top_strata_reads_bruhat_data_once_per_distinct_key(name, r, monkeypatch
     assert set(calls) == {adm._standard_key(f) for f in faces}
 
 
+def standard_faces(d):
+    """The faces omega_I of the standard alcove with 0 in I."""
+    for k in range(d):
+        for rest in itertools.combinations(range(1, d), k):
+            yield [(1,) * i + (0,) * (d - i) for i in (0, *rest)]
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_maximal_strata_are_the_translation_classes_on_standard_faces(d):
+    # the closed form against the length sweep on 2, 8, 24, 64 and 160 tables
+    cases = 0
+    for vertices in standard_faces(d):
+        quiver = make_quiver(vertices)
+        for r in range(1, d):
+            table = adm.strata(quiver, r)
+            maxima = adm.maximal_strata(table)
+            assert [s.collection for s in maxima] == adm.top_strata([s.collection for s in table])
+            if len(vertices) == d:  # the alcove: one class per translation
+                assert len(maxima) == math.comb(d, r)
+            cases += 1
+    assert cases == 2 ** (d - 1) * (d - 1)
+
+
+@pytest.mark.parametrize("name", ["face-d5", "edge-d5", "branched-d4", "path-d3"])
+def test_maximal_strata_match_the_sweep_on_configs(name):
+    quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
+    for r in range(1, quiver.d):
+        table = adm.strata(quiver, r)
+        maxima = adm.maximal_strata(table)
+        assert [s.collection for s in maxima] == adm.top_strata([s.collection for s in table])
+
+
 @functools.cache
 def job_collections(name, r):
     quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
@@ -698,7 +736,7 @@ def stratum_rank_vector_oracle(collection, quiver):
 
     data = {(v, v): collection.r for v in quiver.vertices}
     for face in collection.faces:
-        for u, eps in zip(face.simplex, face.increments):
+        for u, eps in zip(face.simplex, increments(face)):
             for v in face.simplex:
                 if u != v:
                     value = sum(1 for k in quiver.trans[(u, v)].support if eps[k - 1] == 1)

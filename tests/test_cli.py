@@ -1,7 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -425,12 +428,16 @@ ADMISSIBLE_DIGESTS = {
     ("alcove-d6", "--r 3"): "5c5e2748e2c8bd241c9d5fc5f2158c377b73455bf75ac1fa6e96c5047afcd3c7",
     ("six-vertex-d5", "--r 1"): "0f84b06cc0d074a445d56fae3d4480143eae618a51ca68de3fd613cee1c0213b",
     ("six-vertex-d5", "--r 2"): "8883aed775fca261b5443ebd596a130db69f9522e6a5289964d1211af40a8b3b",
+    # recorded before the maxima of one-simplex tables were read off the
+    # translation faces and stratum ranks placed by the quiver's pair plan
+    ("alcove-d7", "--r 3"): "530ec13e44ad9bcbd16727dd1da9929873bbf705656f96c85601ffb66061193c",
 }
 
 # configurations of ADMISSIBLE_DIGESTS that are not in bench/configs; the
 # six-vertex d5 one is that of test_realizable_strata_six_vertex_branched_d5
 SCALE_CONFIGS = {
     "alcove-d6": (6, [[1] * i + [0] * (6 - i) for i in range(6)]),
+    "alcove-d7": (7, [[1] * i + [0] * (7 - i) for i in range(7)]),
     "six-vertex-d5": (5, [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 2, 0]]),
 }
 
@@ -444,6 +451,21 @@ def test_admissible_report_is_byte_identical(tmp_path, capsys, name, args):
     code, out = run(capsys, ["admissible", path, *args.split()])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ADMISSIBLE_DIGESTS[(name, args)]
+
+
+def test_reader_closing_the_pipe_early_is_not_a_crash():
+    # the alcove-d5 report (207 KB) overflows the pipe, so the writer is
+    # still writing when the reader leaves after one line
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linkedgrass.cli", "admissible", str(CONFIGS / "alcove-d5.json"), "--r", "2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 # sha256 of the stdout of `verify all`, recorded before each suite's

@@ -161,6 +161,7 @@ def test_no_module_level_memo_dicts():
         ("weyl", "minmax_rep"),
         ("admissible", "_standard_key"),
         ("admissible", "_standard_frame"),
+        ("admissible", "_column_profiles"),
         ("gf", "subspaces"),
         ("gf", "superspaces"),
         ("gf", "torus_reps"),

@@ -565,6 +565,15 @@ NOT_STANDARD = """
 """
 
 
+def test_simple_indices_are_the_complement_of_the_face_types_once_per_group():
+    for d in range(2, 6):
+        for k in range(d):
+            for rest in combinations(range(1, d), k):
+                group = weyl.face_stabilizer([(1,) * i + (0,) * (d - i) for i in (0, *rest)])
+                assert group.simple_indices == tuple(j for j in range(d) if j not in (0, *rest))
+                assert group.simple_indices is group.simple_indices
+
+
 def test_non_standard_parahoric_raises_under_python_O():
     src = Path(weyl.__file__).resolve().parents[1]
     result = subprocess.run(
@@ -679,8 +688,8 @@ def right_descent_walk(g, indices):
 def double_coset_min_by_inverses(g, w1, w2):
     """The body `double_coset_min` had before its one-window walk: strip the
     left descents as right descents of g^-1, invert back, strip on the right."""
-    x = weyl.invert(right_descent_walk(weyl.invert(g), weyl._simple_indices(w1)))
-    return right_descent_walk(x, weyl._simple_indices(w2))
+    x = weyl.invert(right_descent_walk(weyl.invert(g), w1.simple_indices))
+    return right_descent_walk(x, w2.simple_indices)
 
 
 @st.composite
