@@ -13,10 +13,11 @@ faces with equal keys form one class, the generalized Bruhat order compares
 keys, and a one-simplex stratum's dimension is Kilmoyer's length in the
 key's double coset (`weyl.minmax_length`).  Shifting by iota^-r, into
 W (g^-1 h g iota^-r) iota^r W iota^-r, would change neither: iota has
-length 0 and permutes the simple reflections.  Collections glue classes
-across simplices by their keys over the shared faces and carry rank
-vectors (the table `strata` that every report reads); `top_strata` sweeps
-them by decreasing total key length.  The maxima of a whole table
+length 0 and permutes the simple reflections.  Every one-simplex stratum
+is realizable (`Stratum.realizable`, by the local-model theorem).
+Collections glue classes across simplices by their keys over the shared
+faces and carry rank vectors (the table `strata` that every report reads);
+`top_strata` sweeps them by decreasing total key length.  The maxima of a whole table
 (`maximal_strata`) need no sweep on one simplex: they are the classes of
 the translation faces, the double cosets W t_lambda W (Kottwitz-Rapoport
 2000; Haines-Ngo 2002); a glued table is swept.  The dimension-one
@@ -321,7 +322,8 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
     them nonnegative, and checks that the multiset reproduces the dimensions
     and the full rank vector (`quiver.types_from_rank`).  Only valid over
     locally weakly independent configurations, where the decomposition
-    theory applies.
+    theory applies.  A phi that labels no stratum can fail on one simplex,
+    so this search is not shortcut there (`Stratum.realizable` is).
     """
     return types_from_rank(phi, quiver) is not None
 
@@ -330,7 +332,11 @@ def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
 class Stratum:
     """An admissible collection and its rank vector.  `realizable` is read
     lazily and, like `rank_vector_realizable`, raises ValueError off locally
-    weakly independent configurations."""
+    weakly independent configurations.  On one simplex it is true with no
+    search: the special fibre of the local model of GL_d at the simplex's
+    parahoric level is the union of the Schubert cells of Adm^K(mu), and
+    none is empty (Goertz 2001; Haines-Ngo 2002).  A glued stratum is
+    tested by `rank_vector_realizable`, which stays the oracle."""
 
     collection: AdmissibleCollection
     rank: RankVector
@@ -338,6 +344,9 @@ class Stratum:
 
     @functools.cached_property
     def realizable(self) -> bool:
+        if len(self.collection.faces) == 1:
+            self.quiver.require_weakly_independent()
+            return True
         return rank_vector_realizable(self.rank, self.quiver)
 
 

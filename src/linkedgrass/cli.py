@@ -12,16 +12,19 @@ Reports are deterministic for a fixed invocation (sorted JSON keys;
 `verify --seed` seeds the only random generator); `verify` prints its
 per-suite timings to stderr, never into the report.  `--format dot` is
 offered only where something is drawn: analyze and quiver draw the quiver (a non-convex
-configuration has none: exit 2), admissible the Hasse diagram of its strata.
+configuration has none: exit 2), admissible the Hasse diagram of its strata
+(`weyl.hasse_dot`, the order read once per pair; no report entry is built).
 The `top_count` of admissible is read off `admissible.maximal_strata`: on
 one simplex the classes of the translation double cosets, on a glued
-configuration the maxima of the `top_strata` sweep.
+configuration the maxima of the `top_strata` sweep; its `realizable` is
+`Stratum.realizable`, true on one simplex by the local-model theorem.
 
 Each configuration's quiver and stratum labels are built once per process
 (`_quiver`, `_stratum_labels`, caches keyed on the configuration's value),
 so they serve every prime and command that reads them.  JSON
 reports are written by `_dumps`, byte for byte the stdlib's indented
-layout, with each container of scalars encoded in C.
+layout, with each container of scalars encoded in C and each distinct
+vector of ints encoded once per depth.
 
 `verify` and `multidegree` are read off the package inside their commands,
 so the other subcommands never import (or compile) them.
@@ -76,25 +79,44 @@ def _dumps(value, level: int = 0) -> str:
     byte, for a value nested `level` deep.  The stdlib writes any indented
     value in pure Python; here each non-empty container of scalars is one C
     encoder call, with its items separated by a newline and the indent, and
-    only the containers above them are written in Python.  Tuples are lists,
-    and non-str keys are converted as `json` converts them."""
+    only the containers above them are written in Python.  A list or tuple
+    of exact ints (no bool) is encoded once per distinct value and depth
+    (`_int_leaf`): reports repeat the same vectors.  Tuples are lists, and
+    non-str keys are converted as `json` converts them."""
     if not isinstance(value, (dict, list, tuple)):
         return json.encoder.encode_basestring_ascii(value) if type(value) is str else "".join(_flat(0)(value, 0))
     brackets = "{}" if isinstance(value, dict) else "[]"
     if not value:
         return brackets
-    inner = "\n" + "  " * (level + 1)
     children = value.values() if isinstance(value, dict) else value
+    ints = children is value
     for x in children:
-        if isinstance(x, (dict, list, tuple)):
-            break
+        if type(x) is not int:
+            if isinstance(x, (dict, list, tuple)):
+                break
+            ints = False
     else:
-        return brackets[0] + inner + "".join(_flat(level + 1)(value, 0))[1:-1] + inner[:-2] + brackets[1]
+        return _int_leaf(tuple(value), level) if ints else _leaf(value, level)
+    inner = "\n" + "  " * (level + 1)
     if isinstance(value, dict):
         parts = [_key(k) + ": " + _dumps(x, level + 1) for k, x in sorted(value.items())]
     else:
         parts = [_dumps(x, level + 1) for x in value]
     return brackets[0] + inner + ("," + inner).join(parts) + inner[:-2] + brackets[1]
+
+
+def _leaf(value, level: int) -> str:
+    """`_dumps` of a non-empty container of scalars: one C encoder call."""
+    inner = "\n" + "  " * (level + 1)
+    text = "".join(_flat(level + 1)(value, 0))
+    return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+
+
+@functools.cache
+def _int_leaf(items: tuple[int, ...], level: int) -> str:
+    """`_leaf` of a vector of exact ints: equal keys give equal text, as no
+    bool or float ever enters the key."""
+    return _leaf(items, level)
 
 
 def _key(key) -> str:
@@ -194,6 +216,9 @@ def cmd_admissible(args) -> int:
     _check_r(args.r, config)
     quiver = _quiver(config)
     table = adm.strata(quiver, args.r)
+    if args.format == "dot":
+        print(hasse_dot("hasse", [s.rank for s in table], [f"s{i}" for i in range(len(table))], qv.RankVector.leq))
+        return 0
     ranks = _rank_entries(quiver)
     strata = []
     for idx, s in enumerate(table):
@@ -207,17 +232,13 @@ def cmd_admissible(args) -> int:
         if quiver.is_weakly_independent:
             entry["realizable"] = s.realizable
         strata.append(entry)
-    tops = adm.maximal_strata(table)
     report = {
         "r": args.r,
         "strata": strata,
         "count": len(table),
-        "top_count": len(tops),
+        "top_count": len(adm.maximal_strata(table)),
     }
-    if args.format == "dot":
-        print(hasse_dot("hasse", [s.rank for s in table], [f"s{i}" for i in range(len(table))], qv.RankVector.leq))
-    else:
-        _emit(report, args.format)
+    _emit(report, args.format)
     return 0
 
 

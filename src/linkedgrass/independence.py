@@ -87,34 +87,6 @@ def _simple_paths(quiver: Quiver, source: Vertex, sink: Vertex) -> list[tuple[Ve
     return paths
 
 
-def minimal_path(quiver: Quiver, source: Vertex, sink: Vertex) -> tuple[Vertex, ...]:
-    paths = _simple_paths(quiver, source, sink)
-    if len(paths) != 1:
-        raise ValueError(
-            f"expected a unique non-repeating path {source} -> {sink}, found {len(paths)}"
-        )
-    return paths[0]
-
-
-def a_sets(quiver: Quiver, arrow: tuple[Vertex, Vertex]) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-    """Partition of the vertices by whether the minimal path to t(e) uses s(e)."""
-    if arrow not in quiver.arrows:
-        raise ValueError(f"{arrow} is not an arrow of the quiver")
-    src, tgt = arrow
-    forward = set()
-    backward = set()
-    for v in quiver.vertices:
-        if v == tgt:
-            backward.add(v)
-            continue
-        path = minimal_path(quiver, v, tgt)
-        if src in path:
-            forward.add(v)
-        else:
-            backward.add(v)
-    return frozenset(forward), frozenset(backward)
-
-
 def _directed_cycles(quiver: Quiver) -> set[frozenset[Vertex]]:
     """Vertex sets of simple directed cycles of the quiver."""
     cycles: set[frozenset[Vertex]] = set()

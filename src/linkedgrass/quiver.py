@@ -932,67 +932,3 @@ def deform_chain(
     if phi == target:
         return chain
     raise DeformationError("deformation chain did not reach the target rank vector")
-
-
-# ---------------------------------------------------------------------------
-# Extension of partial sub-representations
-
-
-def extend_partial(
-    quiver: Quiver,
-    partial: dict[Vertex, Basis],
-    r: int,
-    p: int,
-) -> Optional[SubRep]:
-    """Extend r-dimensional spaces on a vertex subset to a full r-dim subrep.
-
-    Returns None exactly when some pullback space has dimension below r.
-    """
-    quiver.require_weakly_independent()
-    if not partial:
-        raise ValueError("empty index set")
-    for v, basis in partial.items():
-        if len(basis) != r:
-            raise ValueError(f"partial space at {v} must have dimension {r}")
-    pulled: dict[Vertex, Basis] = {}
-    for u in quiver.vertices:
-        space = quiver.unit
-        for v, basis in partial.items():  # the map u -> u is the identity
-            space = gf.intersect(space, quiver.pullback(u, v, basis, p), p)
-        if len(space) < r:
-            return None
-        pulled[u] = space
-
-    while True:
-        oversized = [u for u in quiver.vertices if len(pulled[u]) > r]
-        if not oversized:
-            break
-        pair = None
-        for u2 in sorted(oversized):
-            for u1 in quiver.in_arrows[u2]:
-                if len(pulled[u1]) == r:
-                    pair = (u1, u2)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise InvariantError("no shrinkable vertex with an exact in-neighbour")
-        _, u2 = pair
-        w_rows: list[Vec] = []
-        for u in quiver.in_arrows[u2]:
-            for row in pulled[u]:
-                w_rows.append(quiver.apply_map(u, u2, row, p))
-        w_space = gf.rref(w_rows, p)
-        if len(w_space) > r:
-            raise InvariantError("incoming image space exceeded the target dimension")
-        extra = gf.complement(w_space, pulled[u2], p)[: r - len(w_space)]
-        pulled[u2] = gf.rref(w_space + extra, p)
-
-    result = SubRep(p, pulled)
-    ok, witness = is_subrep(result, quiver)
-    if not ok:
-        raise InvariantError(f"extension failed closure at arrow {witness}")
-    for v, basis in partial.items():
-        if result.spaces[v] != gf.rref(basis, p):
-            raise InvariantError(f"extension changed the given space at {v}")
-    return result

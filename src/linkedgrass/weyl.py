@@ -35,6 +35,7 @@ Lie Type, 1985, section 2.7; Bjorner-Brenti, GTM 231, section 2.4).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -407,14 +408,17 @@ def minmax_length(x: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> int
 
 
 def hasse_dot(name: str, nodes: Sequence, labels: Sequence[str], leq: Callable) -> str:
-    """DOT digraph `name` with an edge for every cover a < b of `leq` among the nodes."""
+    """DOT digraph `name` with an edge for every cover a < b of `leq` among the nodes:
+    a <= b with no third node between them, `leq` read once per ordered pair."""
+    pairs = [(i, j) for i, j in itertools.permutations(range(len(nodes)), 2) if leq(nodes[i], nodes[j])]
+    above: list[set[int]] = [set() for _ in nodes]
+    below: list[set[int]] = [set() for _ in nodes]
+    for i, j in pairs:
+        above[i].add(j)
+        below[j].add(i)
     lines = [f"digraph {name} {{"]
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i == j or not leq(a, b):
-                continue
-            if any(k not in (i, j) and leq(a, c) and leq(c, b) for k, c in enumerate(nodes)):
-                continue
+    for i, j in pairs:
+        if not above[i] & below[j]:
             lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
     lines.append("}")
     return "\n".join(lines)

@@ -528,7 +528,9 @@ def standard_faces(d):
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_maximal_strata_are_the_translation_classes_on_standard_faces(d):
-    # the closed form against the length sweep on 2, 8, 24, 64 and 160 tables
+    # the closed forms against their searches on 2, 8, 24, 64 and 160 tables:
+    # the maxima against the length sweep, and `realizable` (true on every
+    # one-simplex stratum) against the summand-type search
     cases = 0
     for vertices in standard_faces(d):
         quiver = make_quiver(vertices)
@@ -538,8 +540,36 @@ def test_maximal_strata_are_the_translation_classes_on_standard_faces(d):
             assert [s.collection for s in maxima] == adm.top_strata([s.collection for s in table])
             if len(vertices) == d:  # the alcove: one class per translation
                 assert len(maxima) == math.comb(d, r)
+            assert all(s.realizable and adm.rank_vector_realizable(s.rank, quiver) for s in table)
             cases += 1
     assert cases == 2 ** (d - 1) * (d - 1)
+
+
+ONE_SIMPLEX_CONFIGS = ["alcove-d3", "alcove-d4", "alcove-d5", "face-d5", "edge-d5", "segment-d2", "triangle-d3"]
+
+
+@pytest.mark.parametrize("name", ONE_SIMPLEX_CONFIGS)
+def test_one_simplex_strata_are_realizable_by_the_search(name):
+    quiver = qv.Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
+    assert len(quiver.simplices) == 1
+    for r in range(1, quiver.d):
+        table = adm.strata(quiver, r)
+        assert table and all(s.realizable and adm.rank_vector_realizable(s.rank, quiver) for s in table)
+
+
+def test_admissible_searches_realizability_only_on_glued_configurations(monkeypatch, capsys):
+    clear_cli_tables()
+    search = adm.types_from_rank
+    calls = []
+    monkeypatch.setattr(adm, "types_from_rank", lambda *a: calls.append(a) or search(*a))
+    for name in ONE_SIMPLEX_CONFIGS + ["branched-d4", "path-d3"]:
+        d = Configuration.from_json((CONFIGS / f"{name}.json").read_text()).d
+        for r in range(1, d):
+            calls.clear()
+            assert cli.main(["admissible", str(CONFIGS / f"{name}.json"), "--r", str(r)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert all("realizable" in entry for entry in report["strata"])
+            assert len(calls) == (0 if name in ONE_SIMPLEX_CONFIGS else report["count"]), (name, r)
 
 
 @pytest.mark.parametrize("name", ["face-d5", "edge-d5", "branched-d4", "path-d3"])

@@ -431,6 +431,10 @@ ADMISSIBLE_DIGESTS = {
     # recorded before the maxima of one-simplex tables were read off the
     # translation faces and stratum ranks placed by the quiver's pair plan
     ("alcove-d7", "--r 3"): "530ec13e44ad9bcbd16727dd1da9929873bbf705656f96c85601ffb66061193c",
+    # recorded before the Hasse diagram read the order once per pair of strata
+    ("alcove-d5", "--r 2 --format dot"): "406efdc4418d9c6dfd635cf97c5f5f55040b499a189613e885b3d542b84a02a1",
+    ("branched-d4", "--r 2 --format dot"): "4ff2691eb04dc0a22cb5e760e1fe08b13ca81c58ce13f2305164eaf58d5c0cc2",
+    ("face-d5", "--r 2 --format dot"): "1c02939e0b89a200e03e75643f3e29bef6ee3b8c332ad84602b0a61fce90f18e",
 }
 
 # configurations of ADMISSIBLE_DIGESTS that are not in bench/configs; the
@@ -503,4 +507,20 @@ json_values = st.recursive(
 @settings(max_examples=300, derandomize=True, database=None)
 @given(json_values)
 def test_dumps_is_the_indented_json_layout_byte_for_byte(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2, default=str)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [[1, 0], [True, False]],  # bools hash as the ints 1 and 0
+        [[True, False], [1, 0]],
+        [(1,), [1.0]],  # 1.0 hashes as 1
+        [[1.0], (1,)],
+        [[0], [0.0], [-0.0]],
+        [[1, 2], {"v": [1, 2]}],  # one vector at two depths
+        {"a": [[[1, 2]]], "b": [1, 2]},
+    ],
+)
+def test_dumps_encodes_equal_hashing_vectors_by_their_own_type_and_depth(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2, default=str)

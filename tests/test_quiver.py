@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from linkedgrass import cli, gf, independence
 from linkedgrass import quiver as qv
-from linkedgrass.lattice import Configuration, configuration
+from linkedgrass.lattice import Configuration, InvariantError, configuration
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, SIMPLEX_INSTANCES, WEAKLY_INDEPENDENT_INSTANCES
 
 
@@ -805,11 +805,65 @@ def test_deform_chain_terminates_within_bound():
         assert phi.leq(top)
 
 
+def extend_partial(quiver, partial, r, p):
+    """Extend r-dimensional spaces on a vertex subset to a full r-dim subrep,
+    or None exactly when some pullback space has dimension below r.  No
+    report reads it, so it lives here, checked against the enumeration."""
+    quiver.require_weakly_independent()
+    if not partial:
+        raise ValueError("empty index set")
+    for v, basis in partial.items():
+        if len(basis) != r:
+            raise ValueError(f"partial space at {v} must have dimension {r}")
+    pulled = {}
+    for u in quiver.vertices:
+        space = quiver.unit
+        for v, basis in partial.items():  # the map u -> u is the identity
+            space = gf.intersect(space, quiver.pullback(u, v, basis, p), p)
+        if len(space) < r:
+            return None
+        pulled[u] = space
+
+    while True:
+        oversized = [u for u in quiver.vertices if len(pulled[u]) > r]
+        if not oversized:
+            break
+        pair = None
+        for u2 in sorted(oversized):
+            for u1 in quiver.in_arrows[u2]:
+                if len(pulled[u1]) == r:
+                    pair = (u1, u2)
+                    break
+            if pair:
+                break
+        if pair is None:
+            raise InvariantError("no shrinkable vertex with an exact in-neighbour")
+        _, u2 = pair
+        w_rows = []
+        for u in quiver.in_arrows[u2]:
+            for row in pulled[u]:
+                w_rows.append(quiver.apply_map(u, u2, row, p))
+        w_space = gf.rref(w_rows, p)
+        if len(w_space) > r:
+            raise InvariantError("incoming image space exceeded the target dimension")
+        extra = gf.complement(w_space, pulled[u2], p)[: r - len(w_space)]
+        pulled[u2] = gf.rref(w_space + extra, p)
+
+    result = qv.SubRep(p, pulled)
+    ok, witness = qv.is_subrep(result, quiver)
+    if not ok:
+        raise InvariantError(f"extension failed closure at arrow {witness}")
+    for v, basis in partial.items():
+        if result.spaces[v] != gf.rref(basis, p):
+            raise InvariantError(f"extension changed the given space at {v}")
+    return result
+
+
 def test_extend_partial_identity_and_agreement():
     quiver = make_quiver(OMEGA3)
     p = 3
     for M in itertools.islice(qv.enumerate_subreps(quiver, 1, p), 10):
-        ext = qv.extend_partial(quiver, dict(M.spaces), 1, p)
+        ext = extend_partial(quiver, dict(M.spaces), 1, p)
         assert ext == M
 
 
@@ -821,7 +875,7 @@ def test_extend_partial_existence_oracle():
     for s0 in gf.subspaces(3, 1, p):
         for s2 in gf.subspaces(3, 1, p):
             partial = {verts[0]: s0, verts[2]: s2}
-            ext = qv.extend_partial(quiver, partial, 1, p)
+            ext = extend_partial(quiver, partial, 1, p)
             exists = any(
                 M.spaces[verts[0]] == s0 and M.spaces[verts[2]] == s2 for M in reps
             )
@@ -843,7 +897,7 @@ def test_extend_partial_r2_existence_oracle(name):
         realized = {tuple(M.spaces[verts[i]] for i in idx) for M in reps}
         for spaces in itertools.product(gf.subspaces(quiver.d, r, p), repeat=len(idx)):
             partial = {verts[i]: s for i, s in zip(idx, spaces)}
-            ext = qv.extend_partial(quiver, partial, r, p)
+            ext = extend_partial(quiver, partial, r, p)
             assert (ext is not None) == (spaces in realized)
             if ext is not None:
                 assert ext.dims() == {v: r for v in verts}
@@ -856,7 +910,7 @@ def test_extend_partial_kernel_seed():
     p = 2
     # a line inside the kernel of the outgoing map extends
     partial = {(0, 0): gf.rref([(1, 0)], p)}
-    ext = qv.extend_partial(quiver, partial, 1, p)
+    ext = extend_partial(quiver, partial, 1, p)
     assert ext is not None and ext.spaces[(0, 0)] == gf.rref([(1, 0)], p)
 
 
@@ -871,7 +925,7 @@ def test_independence_gates_reject_dependent_configurations():
     with pytest.raises(ValueError, match=message):
         qv.deform_step(M, quiver)
     with pytest.raises(ValueError, match=message):
-        qv.extend_partial(quiver, {v: M.spaces[v]}, 1, 2)
+        extend_partial(quiver, {v: M.spaces[v]}, 1, 2)
 
 
 def test_independence_is_decided_once_per_quiver(monkeypatch):

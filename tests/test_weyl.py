@@ -471,7 +471,47 @@ def test_hasse_dot_keeps_only_covers():
     ]
 
 
+def hasse_dot_oracle(name, nodes, labels, leq):
+    """The cubic scan `hasse_dot` replaced: per related pair, every third
+    node is tested for lying between them."""
+    lines = [f"digraph {name} {{"]
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if i == j or not leq(a, b):
+                continue
+            if any(k not in (i, j) and leq(a, c) and leq(c, b) for k, c in enumerate(nodes)):
+                continue
+            lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 24), max_size=9))
+def test_hasse_dot_matches_the_cubic_scan_on_divisibility(nodes):
+    # repeated values make a preorder: equal nodes lie between each other's covers
+    labels = [f"n{i}" for i in range(len(nodes))]
+    divides = lambda a, b: b % a == 0
+    assert weyl.hasse_dot("div", nodes, labels, divides) == hasse_dot_oracle("div", nodes, labels, divides)
+
+
+@pytest.mark.parametrize("name, r", [("alcove-d4", 2), ("branched-d4", 2), ("path-d3", 1), ("face-d5", 2)])
+def test_hasse_dot_matches_the_cubic_scan_on_stratum_ranks(name, r):
+    quiver = Quiver(Configuration.from_json((CONFIGS / f"{name}.json").read_text()))
+    ranks = [s.rank for s in adm.strata(quiver, r)]
+    labels = [f"s{i}" for i in range(len(ranks))]
+    leq = type(ranks[0]).leq
+    assert weyl.hasse_dot("hasse", ranks, labels, leq) == hasse_dot_oracle("hasse", ranks, labels, leq)
+
+
+def test_hasse_dot_matches_the_cubic_scan_on_bruhat_balls():
+    nodes = sorted(weyl.wa_elements(3, 3), key=lambda g: (weyl.length(g), g.sigma, g.trans))
+    labels = [f"{g.sigma}|{g.trans}" for g in nodes]
+    expected = hasse_dot_oracle("bruhat", nodes, labels, weyl.bruhat_leq)
+    assert weyl.bruhat_poset_dot(nodes) == weyl.hasse_dot("bruhat", nodes, labels, weyl.bruhat_leq) == expected
 
 
 def double_coset_min_oracle(g, w1, w2):
