@@ -89,7 +89,7 @@ def _dumps(value, level: int = 0) -> str:
     if not value:
         return brackets
     children = value.values() if isinstance(value, dict) else value
-    ints = children is value
+    ints = children is value  # a dict's text holds its keys too: never memoised
     for x in children:
         if type(x) is not int:
             if isinstance(x, (dict, list, tuple)):

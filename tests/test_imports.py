@@ -170,6 +170,7 @@ def test_no_module_level_memo_dicts():
         ("gf", "complement"),
         ("quiver", "_ranks_from"),
         ("quiver", "_assemble_ranks"),
+        ("cli", "_int_leaf"),
     ],
 )
 def test_memos_answer_cache_info_and_cache_clear(module, name):
