@@ -2,8 +2,8 @@
 """A walk through the extended affine Weyl group machinery.
 
 Builds elements of S_d x Z^d, acts on apartment coordinates, measures word
-lengths against the block-translation formula, and prints a small Bruhat
-interval as a DOT digraph.
+lengths against the block-translation formula, and prints the union of two
+Bruhat downsets as a DOT digraph.
 """
 
 from linkedgrass import weyl
@@ -32,4 +32,5 @@ for face, label in [(omega, "whole alcove"), (omega[:3], "first three vertices")
     print(f"  {label}: order {len(group)}")
 
 print("\ncovering relations among W_a elements of length <= 2, d=2:")
-print(weyl.bruhat_poset_dot(weyl.wa_elements(2, 2)))
+s0, s1 = weyl.simple_reflection(2, 0), weyl.simple_reflection(2, 1)
+print(weyl.bruhat_poset_dot(weyl.bruhat_downset(weyl.compose(s0, s1)) | weyl.bruhat_downset(weyl.compose(s1, s0))))

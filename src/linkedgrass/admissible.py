@@ -142,33 +142,19 @@ def standard_alcove(d: int) -> tuple[Vertex, ...]:
     return tuple(tuple(1 if k < i else 0 for k in range(d)) for i in range(d))
 
 
-def admissibility_equivalence_check(
-    r: int, d: int, length_cap: int = 8
-) -> tuple[bool, Optional[weyl.WeylElement]]:
-    """Agreement of the Bruhat-side and coordinate-side admissibility tests.
-
-    Quantifies over all extended elements w * iota^s with l(w) <= length_cap
-    and s in -1..d or in {r - d, r, r + d}.
-    """
-    omega = standard_alcove(d)
-    mu_translations = [
-        weyl.translation(tuple(perm))
-        for perm in sorted(set(itertools.permutations([1] * r + [0] * (d - r))))
-    ]
-    exponents = sorted(set(range(-1, d + 1)) | {r - d, r, r + d})
-    for w in weyl.wa_elements(d, length_cap):
-        for s in exponents:
-            g = weyl.compose(w, weyl.iota_pow(d, s))
-            bruhat_side = any(weyl.bruhat_leq(g, t) for t in mu_translations)
-            images = [weyl.act(g, om) for om in omega]
-            coord_side = all(
-                all(o <= x <= o + 1 for o, x in zip(om, img))
-                and sum(img) - sum(om) == r
-                for om, img in zip(omega, images)
-            )
-            if bruhat_side != coord_side:
-                return False, g
-    return True, None
+def admissible_set(d: int, r: int) -> frozenset[weyl.WeylElement]:
+    """Adm(mu), mu = (1^r, 0^(d-r)): the union of the Bruhat downsets of the
+    C(d, r) translations t_lambda, lambda a permutation of mu.  For this
+    minuscule mu it equals Perm(mu), the cosets of the admissible faces of
+    the standard alcove (Kottwitz-Rapoport 2000; Haines-Ngo 2002)."""
+    if not 0 < r < d:
+        raise ValueError(f"need 0 < r < d, got r={r}, d={d}")
+    return frozenset().union(
+        *(
+            weyl.bruhat_downset(weyl.translation(tuple(int(k in ones) for k in range(d))))
+            for ones in itertools.combinations(range(d), r)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

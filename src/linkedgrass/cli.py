@@ -3,7 +3,7 @@
 Subcommands: analyze, quiver, admissible, strata, verify, multidegree.
 Exit codes: 0 success, 1 verification failure, 2 input or usage error
 (malformed configuration, non-prime --p, --r outside 0 < r < d, a --budget
-below 0, a `verify` --d, --n, --trials or --len-cap below its least value),
+below 0, a `verify` --d, --n or --trials below its least value),
 3 internal error (any other uncaught exception, reported on stderr by its
 traceback and a last line `internal error: ...`), 141 (128 + SIGPIPE, as a
 shell reports a writer killed by SIGPIPE) when the reader closes stdout
@@ -284,7 +284,6 @@ def cmd_verify(args) -> int:
         "n": args.n,
         "trials": args.trials,
         "seed": args.seed,
-        "length_cap": args.len_cap,
         "budget": args.budget,
     }
     if args.p is not None:
@@ -416,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=at_least(0), default=None)
-    p_verify.add_argument("--len-cap", type=at_least(0), default=None, dest="len_cap")
 
     p_md = sub.add_parser("multidegree", help="twists, concentration, compatibility sets")
     p_md.add_argument("source", help="'kn' or a graph JSON path")

@@ -383,9 +383,18 @@ class RankVector:
         return dict(self.entries)
 
     def leq(self, other: "RankVector") -> bool:
-        mine = dict(self.entries)
-        theirs = dict(other.entries)
-        return all(mine[k] <= theirs[k] for k in mine)
+        """Entrywise order.  The rank vectors of one quiver list the same
+        pairs in the same sorted order, mostly as the same objects, so the
+        entries are compared by position; differing pair lists raise
+        InvariantError."""
+        if len(self.entries) != len(other.entries):
+            raise InvariantError(f"rank vectors of {len(self.entries)} and {len(other.entries)} pairs")
+        below = True
+        for (pair, mine), (twin, theirs) in zip(self.entries, other.entries):
+            if pair is not twin and pair != twin:
+                raise InvariantError(f"rank vectors over different pairs: {pair} and {twin}")
+            below = below and mine <= theirs
+        return below
 
 
 @functools.cache

@@ -95,18 +95,33 @@ def suite_weyl(d: int = 4, seed: int = 0, trials: int = 400) -> dict:
     return _report("weyl", ok and parahoric_ok and axiom_ok, d=d, checks=checks)
 
 
-def suite_admissibility(d: int = 3, length_cap: int = 8) -> dict:
-    """Coordinate and Bruhat admissibility criteria agree on a length ball."""
+def suite_admissibility(d: int = 3) -> dict:
+    """Adm(mu) = Perm(mu) on the standard alcove, and on every standard face
+    omega_I with 0 in I the keys of the admissible faces are the double
+    cosets W_I x W_I, x in Adm(mu), for 2 <= d' <= d and 0 < r < d'."""
     results = {}
     passed = True
     for dd in range(2, d + 1):
+        omega = adm.standard_alcove(dd)
+        faces = [[omega[i] for i in (0, *rest)] for k in range(dd) for rest in itertools.combinations(range(1, dd), k)]
         for r in range(1, dd):
-            ok, witness = adm.admissibility_equivalence_check(r, dd, length_cap)
-            results[f"d{dd}-r{r}"] = True if ok else f"counterexample {witness}"
+            admissible = adm.admissible_set(dd, r)
+            perm = {f.coset for f in adm.admissible_faces(omega, r)}
+            failed = []
+            for face in faces:
+                group = weyl.face_stabilizer(face)
+                keys = {weyl.double_coset_min(f.coset, group, group) for f in adm.admissible_faces(face, r)}
+                if keys != {weyl.double_coset_min(x, group, group) for x in admissible}:
+                    failed.append(str(face))
+            ok = admissible == perm and not failed
+            entry = {"adm": len(admissible), "perm": len(perm), "faces": len(faces), "ok": ok}
+            if not ok:
+                entry["adm_not_perm"] = sorted(map(str, admissible - perm))
+                entry["perm_not_adm"] = sorted(map(str, perm - admissible))
+                entry["faces_failed"] = failed
+            results[f"d{dd}-r{r}"] = entry
             passed = passed and ok
-    report = _report("admissibility", passed, d=d, checks=results)
-    report["length_cap"] = length_cap
-    return report
+    return _report("admissibility", passed, d=d, checks=results)
 
 
 def suite_components(d: int = 4) -> dict:
@@ -387,6 +402,8 @@ SUITES = {
 def run_suite(name: str, **kwargs) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    fn = SUITES[name]
-    params = inspect.signature(fn).parameters
-    return fn(**{k: v for k, v in kwargs.items() if v is not None and k in params})
+    unread = set(kwargs).difference(*(inspect.signature(fn).parameters for fn in SUITES.values()))
+    if unread:
+        raise TypeError(f"run_suite() got keywords that no suite reads: {', '.join(sorted(unread))}")
+    params = inspect.signature(SUITES[name]).parameters
+    return SUITES[name](**{k: v for k, v in kwargs.items() if v is not None and k in params})

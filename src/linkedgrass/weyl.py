@@ -17,9 +17,8 @@ w(i) = sigma(i) + d * trans_{sigma(i)} (Shi 1986; Bjorner-Brenti, GTM 231,
 section 8.3), which right multiplication by iota leaves unchanged.  The
 Bruhat order follows the lifting property (Bjorner-Brenti, GTM 231, Prop.
 2.2.7): while l(u) < l(w), w steps down by a right descent s, and u by s
-when s is a descent of u too; then u <= w iff u == w.  Breadth-first
-search in the Cayley graph enumerates W_a by length and is the oracle the
-closed forms are tested against.
+when s is a descent of u too; then u <= w iff u == w.  The same property
+gives the downset: D(w) = D(ws) | D(ws) s for any right descent s of w.
 
 Double cosets W_K g W_J are taken of standard parahorics, the stabilizers
 of standard-alcove faces (any other raises InvariantError), so W_K is
@@ -124,20 +123,12 @@ def iota(d: int) -> WeylElement:
     return WeylElement(sigma, trans)
 
 
-def iota_pow(d: int, k: int) -> WeylElement:
-    """iota^k in closed form: sigma(i) = i + s mod d, trans = (q+1)^s q^(d-s)
-    with q, s = divmod(k, d)."""
-    q, s = divmod(k, d)
-    sigma = tuple((i + s) % d + 1 for i in range(d))
-    return WeylElement(sigma, (q + 1,) * s + (q,) * (d - s))
-
-
 def translation(v: Sequence[int]) -> WeylElement:
     return WeylElement(tuple(range(1, len(v) + 1)), tuple(v))
 
 
 # ---------------------------------------------------------------------------
-# Lengths, the Cayley ball of W_a and the Bruhat order
+# Lengths and the Bruhat order
 
 
 def _window(g: WeylElement) -> list[int]:
@@ -158,44 +149,7 @@ def length(g: WeylElement) -> int:
     return total
 
 
-class _CayleyBall:
-    """Lazily grown BFS ball of W_a around the identity."""
-
-    def __init__(self, d: int):
-        self.gens = [simple_reflection(d, i) for i in range(d)]
-        e = identity(d)
-        self.length: dict[WeylElement, int] = {e: 0}
-        self.frontier: list[WeylElement] = [e]
-        self.radius = 0
-
-    def extend_to(self, radius: int) -> None:
-        while self.radius < radius and self.frontier:
-            nxt = []
-            for g in self.frontier:
-                for s in self.gens:
-                    h = compose(g, s)
-                    if h not in self.length:
-                        self.length[h] = self.radius + 1
-                        nxt.append(h)
-            self.frontier = nxt
-            self.radius += 1
-
-    def elements_up_to(self, radius: int) -> list[WeylElement]:
-        self.extend_to(radius)
-        return [g for g, l in self.length.items() if l <= radius]
-
-
-@functools.cache
-def _ball(d: int) -> _CayleyBall:
-    return _CayleyBall(d)
-
-
-def wa_elements(d: int, max_len: int) -> list[WeylElement]:
-    """All W_a elements of length at most max_len."""
-    return _ball(d).elements_up_to(max_len)
-
-
-def _right_descent(window: list[int], i: int) -> bool:
+def _right_descent(window: Sequence[int], i: int) -> bool:
     """l(w * s_i) < l(w) for the element w with this window."""
     if i:
         return window[i - 1] > window[i]
@@ -239,6 +193,28 @@ def bruhat_leq_data(a: BruhatData, b: BruhatData) -> bool:
             _times_simple(x, s)
             lu -= 1
     return lu == lw and x == y
+
+
+def bruhat_downset(w: WeylElement) -> frozenset[WeylElement]:
+    """Every u <= w in the Bruhat order, w included."""
+    return frozenset(map(_from_window, _downset(tuple(_window(w)))))
+
+
+@functools.cache
+def _downset(window: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """The windows of `bruhat_downset`, memoised per window: {w} at length
+    0, else D(ws) | D(ws) s for the least right descent s of w."""
+    s = next((i for i in range(len(window)) if _right_descent(window, i)), None)
+    if s is None:
+        return frozenset([window])
+
+    def times_s(x: Sequence[int]) -> tuple[int, ...]:
+        x = list(x)
+        _times_simple(x, s)
+        return tuple(x)
+
+    below = _downset(times_s(window))
+    return below | frozenset(map(times_s, below))
 
 
 # ---------------------------------------------------------------------------

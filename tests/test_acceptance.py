@@ -43,7 +43,7 @@ def test_criterion_02_parahoric_orders():
 
 
 def test_criterion_03_admissibility_equivalence():
-    run(3, "admissibility criteria agree", "admissibility", limit=120, d=3, length_cap=8)
+    run(3, "admissibility criteria agree", "admissibility", limit=120, d=3)
 
 
 def test_criterion_04_component_count_and_dimension():

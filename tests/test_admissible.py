@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 from linkedgrass import admissible as adm
 from linkedgrass import cli, independence
 from linkedgrass import quiver as qv
+from linkedgrass import verify as vf
 from linkedgrass import weyl
 from linkedgrass.lattice import Configuration, InvariantError, canonicalize, chain_order, configuration
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
+
+from test_weyl import iota_pow, wa_elements  # the Cayley-ball oracle helpers, not tests
 
 OMEGA = {d: adm.standard_alcove(d) for d in (2, 3, 4)}
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -68,8 +71,8 @@ def test_alcove_count_matches_bruhat_criterion_oracle():
     ]
     omega = OMEGA[d]
     arrays = set()
-    for w in weyl.wa_elements(d, r * (d - r)):
-        g = weyl.compose(w, weyl.iota_pow(d, r))
+    for w in wa_elements(d, r * (d - r)):
+        g = weyl.compose(w, iota_pow(d, r))
         if any(weyl.bruhat_leq(g, t) for t in mu_translations):
             arrays.add(tuple(weyl.act(g, om) for om in omega))
     assert arrays == set(enumerate_admissible_alcoves(r, d))
@@ -171,8 +174,56 @@ def test_masked_faces_match_the_scan_on_every_simplex():
 
 @pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (3, 2)])
 def test_admissibility_equivalence_small(d, r):
-    ok, witness = adm.admissibility_equivalence_check(r, d, length_cap=5)
-    assert ok, witness
+    # on every w * iota^s with l(w) <= 5: lying below a permuted block
+    # translation (the Bruhat side), mapping the alcove to an admissible
+    # perturbation (the coordinate side) and lying in admissible_set agree
+    omega = adm.standard_alcove(d)
+    translations = [
+        weyl.translation(tuple(int(k in ones) for k in range(d))) for ones in itertools.combinations(range(d), r)
+    ]
+    admissible, seen = adm.admissible_set(d, r), set()
+    for w in wa_elements(d, 5):
+        for s in sorted(set(range(-1, d + 1)) | {r - d, r, r + d}):
+            g = weyl.compose(w, iota_pow(d, s))
+            bruhat_side = any(weyl.bruhat_leq(g, t) for t in translations)
+            images = [weyl.act(g, om) for om in omega]
+            coord_side = all(
+                all(o <= x <= o + 1 for o, x in zip(om, img)) and sum(img) - sum(om) == r
+                for om, img in zip(omega, images)
+            )
+            assert bruhat_side == coord_side == (g in admissible), g
+            seen.add(g)
+    assert admissible <= seen  # every element has length at most r(d - r) <= 2
+
+
+def test_admissibility_suite_is_exact_up_to_d6():
+    # Adm(mu) = Perm(mu), and the keys on all 258 standard faces omega_I with
+    # 0 in I are the double cosets of Adm(mu), for every d <= 6 and r
+    report = vf.run_suite("admissibility", d=6)
+    assert report["passed"]
+    sizes = {name: check["adm"] for name, check in report["checks"].items()}
+    expected = {f"d{d}-r{r}": 2**d - 1 for d in range(2, 7) for r in (1, d - 1)}
+    expected.update({"d4-r2": 33, "d5-r2": 131, "d5-r3": 131, "d6-r2": 473, "d6-r3": 883, "d6-r4": 473})
+    assert sizes == expected
+    assert all(check["perm"] == check["adm"] for check in report["checks"].values())
+    assert sum(check["faces"] for check in report["checks"].values()) == 258
+
+
+def test_admissibility_suite_names_an_alcove_face_that_goes_missing(monkeypatch):
+    faces = adm.admissible_faces
+    dropped = faces(adm.standard_alcove(3), 1)[0]
+
+    def drop_one(simplex, r):
+        return [f for f in faces(simplex, r) if f != dropped]
+
+    monkeypatch.setattr(adm, "admissible_faces", drop_one)
+    report = vf.run_suite("admissibility", d=3)
+    assert not report["passed"]
+    failed = {name: check for name, check in report["checks"].items() if not check["ok"]}
+    assert list(failed) == ["d3-r1"]
+    assert failed["d3-r1"]["adm_not_perm"] == [str(dropped.coset)]
+    assert failed["d3-r1"]["perm_not_adm"] == []
+    assert failed["d3-r1"]["faces_failed"] == [str(list(adm.standard_alcove(3)))]
 
 
 def window_rank(face, d):
@@ -674,8 +725,8 @@ def shifted_double_coset(face, r):
     omega_i, g, _, _ = adm._standard_frame(face.simplex)
     h_std = weyl.compose(weyl.compose(weyl.invert(g), face.coset), g)
     w1 = weyl.face_stabilizer(omega_i)
-    w2 = weyl.face_stabilizer([canonicalize(weyl.act(weyl.iota_pow(d, r), om)) for om in omega_i])
-    return weyl.compose(h_std, weyl.iota_pow(d, -r)), w1, w2
+    w2 = weyl.face_stabilizer([canonicalize(weyl.act(iota_pow(d, r), om)) for om in omega_i])
+    return weyl.compose(h_std, iota_pow(d, -r)), w1, w2
 
 
 def test_face_keys_equal_the_iota_shifted_double_cosets_on_configs():
@@ -691,7 +742,7 @@ def test_face_keys_equal_the_iota_shifted_double_cosets_on_configs():
                 keys = [adm._standard_key(face) for face in faces]
                 shifted = [shifted_double_coset(face, r) for face in faces]
                 old = [weyl.double_coset_min(*coset) for coset in shifted]
-                shift = weyl.iota_pow(quiver.d, -r)
+                shift = iota_pow(quiver.d, -r)
                 for face, key, old_key, coset in zip(faces, keys, old, shifted):
                     assert old_key == weyl.compose(key, shift)
                     assert adm.stratum_dimension(face) == weyl.length(weyl.minmax_rep(*coset))

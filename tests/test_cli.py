@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from linkedgrass import cli
 from linkedgrass import quiver as qv
+from linkedgrass import verify as vf
 from linkedgrass.lattice import configuration
 from linkedgrass.verify import WEAKLY_INDEPENDENT_INSTANCES
 
@@ -304,7 +305,7 @@ def test_strata_non_prime_p_exits_2(tmp_path, capsys, p):
     [
         (["kn", "--n", "0"], "argument --n: must be at least 2, got 0"),
         (["components", "--d", "1"], "argument --d: must be at least 2, got 1"),
-        (["admissibility", "--len-cap", "-1"], "argument --len-cap: must be at least 0, got -1"),
+        (["admissibility", "--len-cap", "3"], "unrecognized arguments: --len-cap 3"),
         (["weyl", "--trials", "-1"], "argument --trials: must be at least 1, got -1"),
         (["weyl", "--d", "1"], "argument --d: must be at least 2, got 1"),
         (["weyl", "--d", "two"], "argument --d: invalid integer value: 'two'"),
@@ -317,6 +318,23 @@ def test_verify_options_that_check_nothing_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert err.value.code == 2 and captured.out == ""
     assert captured.err.splitlines()[-1].endswith(message)
+
+
+def test_run_suite_rejects_a_keyword_that_no_suite_reads():
+    with pytest.raises(TypeError, match="no suite reads: length_cap"):
+        vf.run_suite("admissibility", length_cap=8)
+    # the options `verify all` shares are each read by some suite
+    assert vf.run_suite("kn", d=None, n=3, trials=None, seed=0, budget=None, p=2, ps=(2,))["passed"]
+
+
+def test_verify_admissibility_passes_under_python_O():
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "linkedgrass.cli", "verify", "admissibility", "--d", "5"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["passed"] is True
 
 
 def test_strata_negative_budget_exits_2_before_walking(capsys, monkeypatch):
@@ -472,9 +490,9 @@ def test_reader_closing_the_pipe_early_is_not_a_crash():
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
-# sha256 of the stdout of `verify all`, recorded before each suite's
-# representatives were taken from one point per torus orbit
-VERIFY_ALL_DIGEST = "9840676aad4f38c97ab25fe794039ff6754b1832cd7beb700f2d42c1973aae0b"
+# sha256 of the stdout of `verify all`, recorded when the admissibility
+# suite became exact (Adm(mu) from Bruhat downsets, no length cap)
+VERIFY_ALL_DIGEST = "f9ff2870d4c32f2dfefd2c4ffe5eee08dc4fb367aaa1aae933c0fcf7ef2a3b1e"
 
 
 def test_verify_all_report_is_byte_identical(capsys):

@@ -155,7 +155,7 @@ def test_no_module_level_memo_dicts():
 @pytest.mark.parametrize(
     "module, name",
     [
-        ("weyl", "_ball"),
+        ("weyl", "_downset"),
         ("weyl", "_stabilizer"),
         ("weyl", "double_coset_min"),
         ("weyl", "minmax_rep"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkedgrass import admissible as adm
 from linkedgrass import cli, gf, independence
 from linkedgrass import quiver as qv
 from linkedgrass.lattice import Configuration, InvariantError, configuration
@@ -783,6 +784,31 @@ def test_deform_step_none_iff_projective():
     assert step.rep.dims() == non_projective.dims()
     expected = {k: v + step.increment.get(k, 0) for k, v in before.as_dict().items()}
     assert after.as_dict() == expected
+
+
+def leq_by_dicts(a, b):
+    """The body `RankVector.leq` had before it compared entries by position."""
+    mine = dict(a.entries)
+    theirs = dict(b.entries)
+    return all(mine[k] <= theirs[k] for k in mine)
+
+
+@pytest.mark.parametrize("name, r", [("alcove-d4", 2), ("branched-d4", 2), ("path-d3", 1), ("shared-edge-triangles", 1)])
+def test_rank_vector_leq_matches_the_dict_oracle(name, r):
+    # the table's ranks share their pair objects; the walk's build their own
+    quiver = config_quiver(name)
+    ranks = [s.rank for s in adm.strata(quiver, r)] + list(qv.rank_classes(quiver, r, 2))
+    for a, b in itertools.product(ranks, repeat=2):
+        assert a.leq(b) == leq_by_dicts(a, b)
+
+
+def test_rank_vector_leq_rejects_different_pair_lists():
+    a = qv.rank_vector(ambient(make_quiver(OMEGA3), 2), make_quiver(OMEGA3))
+    b = qv.rank_vector(ambient(make_quiver(BRANCHED), 2), make_quiver(BRANCHED))
+    swapped = qv.RankVector(a.entries[1:] + a.entries[:1])
+    for x, y in [(a, b), (b, a), (a, swapped), (swapped, a)]:
+        with pytest.raises(InvariantError, match="rank vectors"):
+            x.leq(y)
 
 
 def test_deform_chain_terminates_within_bound():

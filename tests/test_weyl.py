@@ -25,6 +25,50 @@ def rand_elem(rng, d, spread=2):
     return weyl.WeylElement(tuple(sigma), tuple(rng.randint(-spread, spread) for _ in range(d)))
 
 
+def iota_pow(d, k):
+    """iota^k in closed form: sigma(i) = i + s mod d, trans = (q+1)^s q^(d-s)
+    with q, s = divmod(k, d)."""
+    q, s = divmod(k, d)
+    sigma = tuple((i + s) % d + 1 for i in range(d))
+    return weyl.WeylElement(sigma, (q + 1,) * s + (q,) * (d - s))
+
+
+class CayleyBall:
+    """Lazily grown breadth-first ball of W_a around the identity: the
+    oracle of word lengths and of the Bruhat order's downsets."""
+
+    def __init__(self, d):
+        self.gens = [weyl.simple_reflection(d, i) for i in range(d)]
+        e = weyl.identity(d)
+        self.length = {e: 0}
+        self.frontier = [e]
+        self.radius = 0
+
+    def extend_to(self, radius):
+        while self.radius < radius and self.frontier:
+            nxt = []
+            for g in self.frontier:
+                for s in self.gens:
+                    h = weyl.compose(g, s)
+                    if h not in self.length:
+                        self.length[h] = self.radius + 1
+                        nxt.append(h)
+            self.frontier = nxt
+            self.radius += 1
+
+
+@functools.cache
+def cayley_ball(d):
+    return CayleyBall(d)
+
+
+def wa_elements(d, max_len):
+    """All W_a elements of length at most max_len."""
+    ball = cayley_ball(d)
+    ball.extend_to(max_len)
+    return [g for g, l in ball.length.items() if l <= max_len]
+
+
 def in_affine(g):
     """Whether g lies in the affine Weyl group W_a: its translation sums to 0."""
     return sum(g.trans) == 0
@@ -33,7 +77,7 @@ def in_affine(g):
 def iota_decompose(g):
     """The unique w in W_a and exponent k with g = w * iota^k; k is sum(g.trans)."""
     k = sum(g.trans)
-    w = weyl.compose(g, weyl.iota_pow(g.d, -k))
+    w = weyl.compose(g, iota_pow(g.d, -k))
     assert in_affine(w)
     return w, k
 
@@ -87,7 +131,7 @@ def test_iota_decompose():
         g = rand_elem(rng, d)
         w, k = iota_decompose(g)
         assert sum(w.trans) == 0
-        assert weyl.compose(w, weyl.iota_pow(d, k)) == g
+        assert weyl.compose(w, iota_pow(d, k)) == g
 
 
 def test_lengths():
@@ -101,7 +145,7 @@ def test_lengths():
 
 def bfs_lengths(d, radius):
     """Oracle: word lengths from the breadth-first Cayley ball of W_a."""
-    ball = weyl._CayleyBall(d)
+    ball = CayleyBall(d)
     ball.extend_to(radius)
     return ball.length
 
@@ -120,7 +164,7 @@ def test_length_of_long_translation():
 def test_length_matches_cayley_ball(d, radius):
     for w, lw in bfs_lengths(d, radius).items():
         for k in range(-d - 1, d + 2):
-            assert weyl.length(weyl.compose(w, weyl.iota_pow(d, k))) == lw, (w, k)
+            assert weyl.length(weyl.compose(w, iota_pow(d, k))) == lw, (w, k)
 
 
 def test_iota_pow_matches_repeated_compose():
@@ -130,7 +174,7 @@ def test_iota_pow_matches_repeated_compose():
             power = weyl.identity(d)
             for _ in range(abs(k)):
                 power = weyl.compose(power, base)
-            assert weyl.iota_pow(d, k) == power, (d, k)
+            assert iota_pow(d, k) == power, (d, k)
 
 
 @st.composite
@@ -173,12 +217,12 @@ def test_length_properties(g, i, k):
     lg = weyl.length(g)
     assert abs(weyl.length(weyl.compose(g, weyl.simple_reflection(d, i % d))) - lg) == 1
     assert weyl.length(weyl.invert(g)) == lg
-    assert weyl.length(weyl.compose(g, weyl.iota_pow(d, k))) == lg
+    assert weyl.length(weyl.compose(g, iota_pow(d, k))) == lg
 
 
 def test_coxeter_parity():
     rng = random.Random(4)
-    for w in rng.sample(weyl.wa_elements(3, 5), 25):
+    for w in rng.sample(wa_elements(3, 5), 25):
         lw = weyl.length(w)
         for i in range(3):
             assert abs(weyl.length(weyl.compose(w, weyl.simple_reflection(3, i))) - lw) == 1
@@ -196,9 +240,9 @@ def reduced_word(g):
 
 @pytest.mark.parametrize("d, max_len", [(2, 6), (3, 6), (4, 6), (5, 5)])
 def test_reduced_word_is_a_reduced_word_of_the_affine_part(d, max_len):
-    for w in weyl.wa_elements(d, max_len):
+    for w in wa_elements(d, max_len):
         for k in (0, 1, -2):
-            g = weyl.compose(w, weyl.iota_pow(d, k))
+            g = weyl.compose(w, iota_pow(d, k))
             word = reduced_word(g)
             product = weyl.identity(d)
             for idx in word:
@@ -217,20 +261,20 @@ def subword_leq(u, w, d):
 
 
 def test_bruhat_identity_below_everything():
-    for w in weyl.wa_elements(3, 4):
+    for w in wa_elements(3, 4):
         assert weyl.bruhat_leq(weyl.identity(3), w)
 
 
 def test_bruhat_distinct_iota_components():
     u = weyl.compose(weyl.simple_reflection(3, 1), weyl.iota(3))
-    w = weyl.compose(weyl.simple_reflection(3, 1), weyl.iota_pow(3, 2))
+    w = weyl.compose(weyl.simple_reflection(3, 1), iota_pow(3, 2))
     assert not weyl.bruhat_leq(u, w)
     assert not weyl.bruhat_leq(w, u)
 
 
 def test_bruhat_matches_subword_oracle():
     d = 3
-    elems = weyl.wa_elements(d, 6)
+    elems = wa_elements(d, 6)
     for u in elems:
         for w in elems:
             assert weyl.bruhat_leq(u, w) == subword_leq(u, w, d)
@@ -276,17 +320,28 @@ def downset_leq(u, w):
 
 @pytest.mark.parametrize("d,radius", [(2, 7), (3, 5), (4, 4), (5, 3)])
 def test_bruhat_matches_downset_oracle(d, radius):
-    ball = sorted(weyl.wa_elements(d, radius), key=lambda g: (weyl.length(g), g.sigma, g.trans))
+    ball = sorted(wa_elements(d, radius), key=lambda g: (weyl.length(g), g.sigma, g.trans))
     for k in (-1, 0, 1, d, 2 * d + 1):
-        elems = [weyl.compose(w, weyl.iota_pow(d, k)) for w in ball]
+        elems = [weyl.compose(w, iota_pow(d, k)) for w in ball]
         for u in elems:
             for w in elems:
                 assert weyl.bruhat_leq(u, w) == downset_leq(u, w), (u, w)
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_bruhat_downset_is_the_ball_filter(d):
+    # every u <= w has l(u) <= l(w), so the radius-4 ball holds each downset
+    ball = wa_elements(d, 4)
+    for w in ball:
+        down = weyl.bruhat_downset(w)
+        assert down == {u for u in ball if weyl.bruhat_leq(u, w)}
+        shift = iota_pow(d, d + 1)
+        assert weyl.bruhat_downset(weyl.compose(w, shift)) == {weyl.compose(u, shift) for u in down}
+
+
 def test_bruhat_cover_lifting():
     # covering pairs differ in length by exactly one
-    for w in weyl.wa_elements(3, 4):
+    for w in wa_elements(3, 4):
         lw = weyl.length(w)
         if lw == 0:
             continue
@@ -345,7 +400,7 @@ def test_face_stabilizer_exhaustive_no_outside_fixers():
         for face in (list(omega[:2]), [omega[0]], list(omega[: d - 1])):
             group = weyl.face_stabilizer(face)
             verts = [tuple(v) for v in group.face]
-            for w in weyl.wa_elements(d, 6):
+            for w in wa_elements(d, 6):
                 fixes = all(weyl.act(w, x) == x for x in verts)
                 assert fixes == (w in stabilizer_elements(group))
 
@@ -381,7 +436,7 @@ def test_double_coset_with_trivial_parahorics_is_bruhat():
     omega = standard_alcove(d)
     trivial = weyl.face_stabilizer(omega)
     assert len(trivial) == 1
-    elems = weyl.wa_elements(d, 4)
+    elems = wa_elements(d, 4)
     rng = random.Random(7)
     for _ in range(100):
         g, h = rng.choice(elems), rng.choice(elems)
@@ -432,7 +487,7 @@ def test_double_coset_order_matches_minmax_oracle():
     omega = standard_alcove(d)
     w1 = weyl.face_stabilizer(omega[:2])
     w2 = weyl.face_stabilizer([omega[0]])
-    elems = [g for g in weyl.wa_elements(d, 4)]
+    elems = [g for g in wa_elements(d, 4)]
     rng = random.Random(9)
     for _ in range(150):
         g, h = rng.choice(elems), rng.choice(elems)
@@ -449,7 +504,7 @@ def test_element_json_roundtrip():
 
 
 def test_bruhat_poset_dot():
-    dot = weyl.bruhat_poset_dot(weyl.wa_elements(2, 2))
+    dot = weyl.bruhat_poset_dot(wa_elements(2, 2))
     assert dot.startswith("digraph bruhat {")
     # identity under both generators, each generator under both length-2 words
     assert dot.count("->") == 6
@@ -508,7 +563,7 @@ def test_hasse_dot_matches_the_cubic_scan_on_stratum_ranks(name, r):
 
 
 def test_hasse_dot_matches_the_cubic_scan_on_bruhat_balls():
-    nodes = sorted(weyl.wa_elements(3, 3), key=lambda g: (weyl.length(g), g.sigma, g.trans))
+    nodes = sorted(wa_elements(3, 3), key=lambda g: (weyl.length(g), g.sigma, g.trans))
     labels = [f"{g.sigma}|{g.trans}" for g in nodes]
     expected = hasse_dot_oracle("bruhat", nodes, labels, weyl.bruhat_leq)
     assert weyl.bruhat_poset_dot(nodes) == weyl.hasse_dot("bruhat", nodes, labels, weyl.bruhat_leq) == expected
@@ -568,8 +623,8 @@ def oracle_faces(name):
 def test_double_coset_scans_match_product_oracle(monkeypatch, name, shift):
     d, faces = oracle_faces(name)
     elements = [
-        weyl.compose(w, weyl.iota_pow(d, k))
-        for w in sorted(weyl.wa_elements(d, 4), key=str)
+        weyl.compose(w, iota_pow(d, k))
+        for w in sorted(wa_elements(d, 4), key=str)
         for k in range(-d, d + 1)
     ]
     # the walk steps on the left by `_simple_times`, on the right by `_times_simple`
@@ -582,7 +637,7 @@ def test_double_coset_scans_match_product_oracle(monkeypatch, name, shift):
     assert max(len(weyl.face_stabilizer(face)) for face in faces) == factorial(d)  # a vertex
     for face in faces:
         w1 = weyl.face_stabilizer(face)
-        w2 = weyl.face_stabilizer([canonicalize(weyl.act(weyl.iota_pow(d, shift), v)) for v in face])
+        w2 = weyl.face_stabilizer([canonicalize(weyl.act(iota_pow(d, shift), v)) for v in face])
         # one to eight elements, fewer for larger groups
         for g in rng.sample(elements, max(1, min(8, 2000 // (len(w1) * len(w2))))):
             steps.clear()
@@ -668,7 +723,7 @@ def iota_shifts(draw):
 def test_right_iota_shift_keeps_double_cosets_lengths_and_order(case):
     # iota^k has length 0 and conjugates W onto the stabilizer of iota^k . F
     g, h, w, k = case
-    shift, back = weyl.iota_pow(g.d, k), weyl.iota_pow(g.d, -k)
+    shift, back = iota_pow(g.d, k), iota_pow(g.d, -k)
     w_k = weyl.face_stabilizer([canonicalize(weyl.act(shift, v)) for v in w.face])
     rep = weyl.double_coset_min(g, w, w)
     assert weyl.double_coset_min(weyl.compose(g, back), w, w_k) == weyl.compose(rep, back)
@@ -737,9 +792,9 @@ def ball_double_cosets(draw):
     """An element w * iota^k, w in the Cayley ball of radius 6 of W_a, d <= 5,
     and two different proper standard parahorics W_K and W_J."""
     d = draw(st.integers(2, 5))
-    ball = sorted(weyl.wa_elements(d, 6), key=str)
+    ball = sorted(wa_elements(d, 6), key=str)
     w = ball[draw(st.integers(0, len(ball) - 1))]
-    g = weyl.compose(w, weyl.iota_pow(d, draw(st.integers(-d, d))))
+    g = weyl.compose(w, iota_pow(d, draw(st.integers(-d, d))))
     omega = standard_alcove(d)
     types = st.sets(st.integers(0, d - 1), min_size=1)
     k_types = draw(types)
