@@ -302,14 +302,14 @@ def stratum_dimension(face: AdmissibleFace) -> int:
 
 
 def rank_vector_realizable(phi: RankVector, quiver: Quiver) -> bool:
-    """Field-free test: the label is the rank vector of some sub-representation.
+    """Field-free test: phi is the rank vector of some sub-representation.
 
-    Derives the multiplicity of every summand type from the label, requires
-    them nonnegative, and checks that the multiset reproduces the dimensions
-    and the full rank vector (`quiver.types_from_rank`).  Only valid over
-    locally weakly independent configurations, where the decomposition
-    theory applies.  A phi that labels no stratum can fail on one simplex,
-    so this search is not shortcut there (`Stratum.realizable` is).
+    Requires each arrow's kernel within its kernel on F_p^d, derives the
+    multiplicity of every summand type from phi, requires them nonnegative,
+    and checks that the multiset reproduces the dimensions and the full
+    rank vector (`quiver.types_from_rank`).  Exact for any phi, a stratum
+    label or not, over locally weakly independent configurations, where
+    the decomposition theory applies; ValueError elsewhere.
     """
     return types_from_rank(phi, quiver) is not None
 
@@ -322,7 +322,8 @@ class Stratum:
     search: the special fibre of the local model of GL_d at the simplex's
     parahoric level is the union of the Schubert cells of Adm^K(mu), and
     none is empty (Goertz 2001; Haines-Ngo 2002).  A glued stratum is
-    tested by `rank_vector_realizable`, which stays the oracle."""
+    tested by `rank_vector_realizable`, which is exact on any rank vector
+    and stays the oracle of the one-simplex answer."""
 
     collection: AdmissibleCollection
     rank: RankVector
@@ -363,88 +364,6 @@ def maximal_strata(table: Sequence[Stratum]) -> list[Stratum]:
         vectors = tuple(tuple(x + e for x, e in zip(rep, shift)) for rep in chain)
         keys.add(_standard_key(AdmissibleFace(chain, vectors, weyl.translation(shift))))
     return [s for s in table if _standard_key(s.collection.faces[0]) in keys]
-
-
-# ---------------------------------------------------------------------------
-# Rank-vector realizability on a simplex
-
-
-def simplex_rank_realizable(
-    entries: dict[tuple[int, int], int],
-    dims: Sequence[int],
-    quiver: Quiver,
-    p: int = 2,
-) -> tuple[bool, Optional[SubRep]]:
-    """Inequality test for realizability of a candidate rank tuple on a simplex,
-    with an explicit witness sub-representation when realizable.
-
-    `entries[(i, j)]` for 0 <= i <= n, i <= j <= n+i is the rank from vertex i
-    to vertex j mod n+1, measured along the forward arcs; entries beyond
-    winding n are zero by convention.
-    """
-    if len(quiver.simplices) != 1:
-        raise InvariantError("realizability test expects a single simplex")
-    cycle = chain_order(quiver.simplices[0])
-    n = len(cycle) - 1
-    dims = list(dims)
-
-    def dd(i: int, j: int) -> int:
-        i0 = i % (n + 1)
-        j0 = j + (i0 - i)
-        if 0 <= j0 - i0 <= n:
-            return entries.get((i0, j0), 0)
-        return 0
-
-    for i in range(n + 1):
-        if dd(i, i) != dims[i]:
-            return False, None
-    for i in range(n + 1):
-        for j in range(i, i + n + 1):
-            a = dd(i, j) + dd(i - 1, j + 1) - dd(i, j + 1) - dd(i - 1, j)
-            if a < 0:
-                return False, None
-    for i in range(n + 1):
-        ker_dim = len(cycle[0]) - len(quiver.trans[(cycle[i], cycle[(i + 1) % (n + 1)])].support)
-        if dd(i, i) - dd(i, i + 1) > ker_dim:
-            return False, None
-
-    # witness: for each target slot j, plant m_j generators that survive the
-    # whole cycle from v_{j+1} and cut them down to the prescribed arcs
-    seeds: list[tuple[Vertex, Vec]] = []
-    d = len(cycle[0])
-    for j in range(n + 1):
-        m_j = dd(j, j) - dd(j, j + 1)
-        if m_j == 0:
-            continue
-        nxt = cycle[(j + 1) % (n + 1)]
-        free_coords = sorted(quiver.trans[(nxt, cycle[j])].support)
-        if m_j > len(free_coords):
-            raise InvariantError(f"{m_j} generators at slot {j} but {len(free_coords)} free coordinates")
-        arcs = []
-        for k in range(j - n, j + 1):
-            a = dd(k, j) + dd(k - 1, j + 1) - dd(k, j + 1) - dd(k - 1, j)
-            arcs.extend([k % (n + 1)] * a)
-        if len(arcs) != m_j:
-            raise InvariantError(f"{len(arcs)} arcs for {m_j} generators at slot {j}")
-        for coord, start in zip(free_coords, arcs):
-            y = tuple(1 if c == coord - 1 else 0 for c in range(d))
-            vec = quiver.apply_map(nxt, cycle[start], y, p)
-            if gf.is_zero(vec):
-                raise InvariantError(f"generator {y} at {nxt} vanishes at {cycle[start]}")
-            seeds.append((cycle[start], vec))
-    witness = generated(quiver, seeds, p)
-    target = {}
-    for a, u in enumerate(cycle):
-        for b in range(a, a + n + 1):
-            v = cycle[b % (n + 1)]
-            if u == v:
-                target[(u, v)] = dd(a, a)
-            else:
-                target[(u, v)] = dd(a, b)
-    achieved = rank_vector(witness, quiver).as_dict()
-    if achieved != target:
-        raise InvariantError(f"witness rank vector mismatch: {achieved} != {target}")
-    return True, witness
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
 decomposition gate reads), the single-generator summand types
 (`summand_types`), where each non-projective type dies (`death_data`), the
-integer forms `types_from_rank` evaluates (`rank_forms`), the order in
-which stratum ranks spread over convex hulls (`hull_plan`) and where each
-stratum rank goes in a rank vector (`pair_plan`).
+integer forms and kernel bounds `types_from_rank` reads (`rank_forms`,
+`kernel_bounds`), the order in which stratum ranks spread over convex hulls
+(`hull_plan`) and where each stratum rank goes in a rank vector (`pair_plan`).
 """
 
 from __future__ import annotations
@@ -211,6 +211,14 @@ class Quiver:
                 if u == w or self.factors_through(t.root, u, w):
                     c[(u, w)].subtract(dict(row))
         return tuple(zip(self.summand_types, a)), tuple(filter(None, map(sparse, c.values())))
+
+    @functools.cached_property
+    def kernel_bounds(self) -> tuple[tuple[int, int, int], ...]:
+        """Per arrow (u, w), the positions of (u, u) and (u, w) in `RankVector.entries`
+        and d - |supp(u, w)|: the kernel of u -> w on a subspace lies in its
+        kernel on F_p^d, so x(u, u) - x(u, w) is at most that number."""
+        index = {pair: j for j, pair in enumerate(self.pair_plan.pairs)}
+        return tuple((index[(u, u)], index[(u, w)], self.d - len(self.coords[(u, w)])) for u, w in self.arrows)
 
     @functools.cached_property
     def hull_plan(self) -> tuple[tuple[tuple[Vertex, Vertex], tuple[Vertex, Vertex]], ...]:
@@ -618,13 +626,15 @@ def multiplicities_from_rank(
 def types_from_rank(phi: RankVector, quiver: Quiver) -> Optional[dict[SummandType, int]]:
     """The summand type multiset of every rep with rank vector phi: the
     nonzero multiplicities A.x over phi's values x (`Quiver.rank_forms`).
-    None when no rep has phi: some multiplicity is negative, or some row of
-    C is nonzero, so the multiset misses a rank of phi (on the diagonal, a
-    dimension).  Only valid over locally weakly independent configurations,
-    where the decomposition theory applies.
+    None when no rep has phi: an arrow's kernel exceeds its kernel on F_p^d
+    (`Quiver.kernel_bounds`), a multiplicity is negative, or a row of C is
+    nonzero, so the multiset misses a rank of phi (on the diagonal, a
+    dimension).  Only valid over locally weakly independent configurations.
     """
     quiver.require_weakly_independent()
     x = [rank for _, rank in phi.entries]
+    if any(x[uu] - x[uw] > room for uu, uw, room in quiver.kernel_bounds):
+        return None
     forms, checks = quiver.rank_forms
     types = [(t, sum(c * x[j] for j, c in row)) for t, row in forms]
     if any(m < 0 for _, m in types) or any(sum(c * x[j] for j, c in row) for row in checks):
@@ -924,20 +934,18 @@ def deform_step(
     raise DeformationError("no validating deformation found for a non-projective point")
 
 
-def deform_chain(
-    M: SubRep, quiver: Quiver, target: RankVector, max_steps: int = 10_000
-) -> list[SubRep]:
-    """Strictly rank-increasing chain from M to the target rank vector."""
+def deform_chain(M: SubRep, quiver: Quiver, target: RankVector) -> list[SubRep]:
+    """Strictly rank-increasing chain from M to the target rank vector.
+    Ranks are bounded by the dimensions and each step raises them, so the
+    chain ends; a step that does not raise them is InvariantError."""
     chain = [M]
     phi = rank_vector(M, quiver)
-    for _ in range(max_steps):
-        if phi == target:
-            return chain
+    while phi != target:
         step = deform_step(chain[-1], quiver, target=target, phi=phi)
         if step is None:
-            break
+            raise DeformationError("deformation chain did not reach the target rank vector")
+        if step.rank == phi or not phi.leq(step.rank):
+            raise InvariantError("deformation step did not raise the rank vector")
         chain.append(step.rep)
         phi = step.rank
-    if phi == target:
-        return chain
-    raise DeformationError("deformation chain did not reach the target rank vector")
+    return chain

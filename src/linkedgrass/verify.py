@@ -301,36 +301,22 @@ SIMPLEX_INSTANCES = [
 
 
 def suite_simplex(p: int = 2) -> dict:
-    """Inequality characterization equals the brute-force rank image on
-    simplices with at most three vertices and entries at most two."""
+    """`rank_vector_realizable` equals the brute-force rank image over every
+    candidate rank on simplices with at most three vertices and entries at
+    most two."""
     results = {}
     passed = True
     for verts, dims in SIMPLEX_INSTANCES:
         quiver = _quiver(verts)
-        cycle = quiver.simplices[0]
-        n = len(cycle) - 1
-        dim_map = dict(zip(cycle, dims))
-        image = set()
-        for phi in qv.rank_classes(quiver, dim_map, p):
-            rv = phi.as_dict()
-            key = []
-            for i in range(n + 1):
-                for j in range(i + 1, i + n + 1):
-                    key.append(((i, j), rv[(cycle[i], cycle[j % (n + 1)])]))
-            image.add(tuple(sorted(key)))
-        offdiag = [(i, j) for i in range(n + 1) for j in range(i + 1, i + n + 1)]
+        dim_map = dict(zip(quiver.simplices[0], dims))
+        image = set(qv.rank_classes(quiver, dim_map, p))
+        offdiag = [(u, v) for u in dim_map for v in dim_map if u != v]
+        diagonal = {(v, v): k for v, k in dim_map.items()}
         accepted = set()
-        for vals in itertools.product(
-            *[range(min(dims[i], dims[j % (n + 1)]) + 1) for (i, j) in offdiag]
-        ):
-            entries = dict(zip(offdiag, vals))
-            for i in range(n + 1):
-                entries[(i, i)] = dims[i]
-            ok, _ = adm.simplex_rank_realizable(entries, list(dims), quiver, p)
-            if ok:
-                accepted.add(
-                    tuple(sorted((k, v) for k, v in entries.items() if k[0] != k[1]))
-                )
+        for vals in itertools.product(*[range(min(dim_map[u], dim_map[v]) + 1) for u, v in offdiag]):
+            phi = qv.RankVector.from_dict({**diagonal, **dict(zip(offdiag, vals))})
+            if adm.rank_vector_realizable(phi, quiver):
+                accepted.add(phi)
         ok = image == accepted
         results[str((verts, dims))] = {
             "brute": len(image),

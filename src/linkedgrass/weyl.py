@@ -323,7 +323,11 @@ def _longest(d: int, indices: Sequence[int]) -> WeylElement:
 def _left_descent(window: list[int], a: int) -> bool:
     """l(s_a * w) < l(w): the value a + 1 stands left of a, where v + k*d stands k*d right of v."""
     d = len(window)
-    at = {(v - a) % d: i - (v - a) // d * d for i, v in enumerate(window)}
+    at = [0, 0]
+    for i, v in enumerate(window):
+        k, rest = divmod(v - a, d)
+        if rest < 2:
+            at[rest] = i - k * d
     return at[1] < at[0]
 
 
@@ -333,7 +337,6 @@ def _simple_times(window: list[int], a: int) -> None:
     window[:] = [v + 1 - 2 * ((v - a) % d) if (v - a) % d < 2 else v for v in window]
 
 
-@functools.cache
 def double_coset_min(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
     """Unique minimal-length element of W1 * g * W2 for standard parahorics:
     strip the left descents in W1 by swapping values of g's window, then the
@@ -351,7 +354,6 @@ def double_coset_min(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> 
     return _from_window(window) if moved else g
 
 
-@functools.cache
 def minmax_rep(g: WeylElement, w1: ParahoricGroup, w2: ParahoricGroup) -> WeylElement:
     """Element of maximal length among the minimal reps of (v g) W2, v in W1.
 

@@ -328,13 +328,15 @@ def test_run_suite_rejects_a_keyword_that_no_suite_reads():
 
 
 def test_verify_admissibility_passes_under_python_O():
+    # and `verify simplex`, whose kernel bound is an `if`, not an assert
     src = Path(cli.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "linkedgrass.cli", "verify", "admissibility", "--d", "5"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["passed"] is True
+    for argv in (["admissibility", "--d", "5"], ["simplex"]):
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "linkedgrass.cli", "verify", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["passed"] is True
 
 
 def test_strata_negative_budget_exits_2_before_walking(capsys, monkeypatch):

@@ -157,8 +157,6 @@ def test_no_module_level_memo_dicts():
     [
         ("weyl", "_downset"),
         ("weyl", "_stabilizer"),
-        ("weyl", "double_coset_min"),
-        ("weyl", "minmax_rep"),
         ("admissible", "_standard_key"),
         ("admissible", "_standard_frame"),
         ("admissible", "_column_profiles"),

@@ -831,6 +831,18 @@ def test_deform_chain_terminates_within_bound():
         assert phi.leq(top)
 
 
+def test_deform_chain_rejects_a_step_that_does_not_raise_the_ranks(monkeypatch):
+    quiver = make_quiver(OMEGA3)
+    classes = {}
+    for M in qv.enumerate_subreps(quiver, 1, 2):
+        classes.setdefault(qv.rank_vector(M, quiver), M)
+    phi, target = next((a, b) for a in classes for b in classes if a != b and a.leq(b))
+    # a step that keeps the rank vector would never reach the target
+    monkeypatch.setattr(qv, "deform_step", lambda rep, quiver, target, phi: qv.DeformStep(rep, None, None, {}, phi))
+    with pytest.raises(InvariantError, match="did not raise the rank vector"):
+        qv.deform_chain(classes[phi], quiver, target)
+
+
 def extend_partial(quiver, partial, r, p):
     """Extend r-dimensional spaces on a vertex subset to a full r-dim subrep,
     or None exactly when some pullback space has dimension below r.  No
@@ -1029,10 +1041,13 @@ def test_death_data_match_old_derivation_on_configs():
 
 
 def types_from_rank_oracle(phi, quiver):
-    """The body `types_from_rank` had before `Quiver.rank_forms`: every
-    multiplicity from `multiplicities_from_rank`, then the ranks the
-    multiset predicts compared with phi."""
+    """The body `types_from_rank` had before `Quiver.rank_forms`, after
+    the kernel bound read from the transitions: every multiplicity from
+    `multiplicities_from_rank`, then the ranks the multiset predicts
+    compared with phi."""
     ranks = phi.as_dict()
+    if any(ranks[(u, u)] - ranks[(u, w)] > quiver.d - len(quiver.trans[(u, w)].support) for u, w in quiver.arrows):
+        return None
     types = {t: qv.multiplicities_from_rank(ranks, t, quiver) for t in quiver.summand_types}
     if min(types.values()) < 0:
         return None
@@ -1070,7 +1085,7 @@ def test_types_from_rank_matches_old_body_on_labels_and_perturbations():
                     assert types == types_from_rank_oracle(phi, quiver)
                     vectors += 1
                     realizable += types is not None
-    assert (vectors, realizable) == (30211, 5594)
+    assert (vectors, realizable) == (30211, 2991)
 
 
 # (rows, nonzeros) of C: none on one simplex, where the multiset always
@@ -1096,6 +1111,16 @@ def test_rank_forms_check_rows_and_multiplicities_on_configs():
                 assert sum(c * x[j] for j, c in row) == qv.multiplicities_from_rank(dict(zip(pairs, x)), t, quiver)
         checked += 1
     assert checked == 11
+
+
+def test_kernel_bounds_read_each_arrow_and_its_tail():
+    for name in CONFIG_NAMES:
+        quiver = config_quiver(name)
+        pairs = quiver.pair_plan.pairs
+        assert quiver.kernel_bounds is quiver.kernel_bounds
+        assert [(pairs[uu], pairs[uw], room) for uu, uw, room in quiver.kernel_bounds] == [
+            ((u, u), (u, w), quiver.d - len(quiver.trans[(u, w)].support)) for u, w in quiver.arrows
+        ]
 
 
 def test_subrep_json_roundtrip():

@@ -631,8 +631,6 @@ def test_double_coset_scans_match_product_oracle(monkeypatch, name, shift):
     steps, left_step, right_step = [], weyl._simple_times, weyl._times_simple
     monkeypatch.setattr(weyl, "_simple_times", lambda w, a: steps.append(a) or left_step(w, a))
     monkeypatch.setattr(weyl, "_times_simple", lambda w, j: steps.append(j) or right_step(w, j))
-    weyl.double_coset_min.cache_clear()
-    weyl.minmax_rep.cache_clear()
     rng = random.Random(f"{name}-{shift}")
     assert max(len(weyl.face_stabilizer(face)) for face in faces) == factorial(d)  # a vertex
     for face in faces:
@@ -808,8 +806,8 @@ def test_minmax_length_and_double_coset_min_match_their_oracles(case):
     g, w_k, w_j = case
     x = weyl.double_coset_min(g, w_k, w_j)
     assert x == double_coset_min_by_inverses(g, w_k, w_j)
-    # nothing to strip: g itself (the memo may hold an equal element)
-    assert weyl.double_coset_min.__wrapped__(g, w_k, w_j) is g or x != g
+    # nothing to strip: g itself
+    assert x is g or x != g
     assert weyl.minmax_length(x, w_k, w_j) == weyl.length(weyl.minmax_rep(g, w_k, w_j))
     y = weyl.double_coset_min(g, w_j, w_k)
     assert weyl.minmax_length(y, w_j, w_k) == weyl.length(weyl.minmax_rep(g, w_j, w_k))
