@@ -40,6 +40,7 @@ from .quiver import (
     enumerate_subreps,
     generated,
     rank_vector,
+    support_of_generated,
     types_from_rank,
 )
 
@@ -381,32 +382,19 @@ def complex_faces(quiver: Quiver) -> list[tuple[Vertex, ...]]:
 
 
 def r1_face_of(M: SubRep, quiver: Quiver) -> tuple[frozenset[Vertex], dict[Vertex, frozenset[Vertex]]]:
-    """Maximal vertices of a dimension-one subrep, plus the covering partition."""
-    eps = {}
+    """Maximal vertices of a dimension-one subrep, those in no other
+    vertex's generated support, plus their supports: the covering partition."""
+    supports = {}
     for v in quiver.vertices:
         if len(M.spaces[v]) != 1:
             raise InvariantError("dimension-one representation expected")
-        eps[v] = M.spaces[v][0]
-    maximal = set()
-    for u in quiver.vertices:
-        if all(
-            gf.is_zero(quiver.apply_map(v, u, eps[v], M.p))
-            for v in quiver.vertices
-            if v != u
-        ):
-            maximal.add(u)
+        supports[v] = support_of_generated(quiver, v, M.spaces[v][0], M.p)
+    maximal = {u for u in quiver.vertices if not any(u in supports[v] for v in quiver.vertices if v != u)}
     for a in maximal:
         for b in maximal:
             if a != b and not classes_adjacent(a, b):
                 raise InvariantError("maximal vertices must form a simplex")
-    covering = {
-        u: frozenset(
-            w
-            for w in quiver.vertices
-            if w == u or not gf.is_zero(quiver.apply_map(u, w, eps[u], M.p))
-        )
-        for u in sorted(maximal)
-    }
+    covering = {u: supports[u] for u in sorted(maximal)}
     return frozenset(maximal), covering
 
 
@@ -469,9 +457,7 @@ def r1_rep_of_face(quiver: Quiver, face: Sequence[Vertex], p: int) -> SubRep:
             blocked |= quiver.trans[(u, w)].support
         coords = [k for k in range(1, d + 1) if k not in blocked]
         eps = tuple(1 if (k + 1) in coords else 0 for k in range(d))
-        if gf.is_zero(eps) or any(
-            gf.is_zero(quiver.apply_map(u, w, eps, p)) for w in j_sets[u] if w != u
-        ):
+        if gf.is_zero(eps) or not set(j_sets[u]) <= support_of_generated(quiver, u, eps, p):
             raise FieldTooSmall(
                 f"no vector at {u} supported away from {blocked} covers {j_sets[u]}"
             )

@@ -71,7 +71,7 @@ def linearly_independent(quiver: Quiver) -> bool:
 
 
 def _simple_paths(quiver: Quiver, source: Vertex, sink: Vertex) -> list[tuple[Vertex, ...]]:
-    """All non-repeating directed paths from source to sink."""
+    """All non-repeating directed paths from source to another vertex sink."""
     paths = []
 
     def walk(path: list[Vertex]):
@@ -81,8 +81,6 @@ def _simple_paths(quiver: Quiver, source: Vertex, sink: Vertex) -> list[tuple[Ve
             elif nxt not in path:
                 walk(path + [nxt])
 
-    if source == sink:
-        return [(source,)]
     walk([source])
     return paths
 

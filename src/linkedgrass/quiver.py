@@ -73,6 +73,7 @@ class PairPlan(NamedTuple):
     """Where a stratum's ranks go in `RankVector.entries` (`Quiver.pair_plan`)."""
 
     pairs: tuple[tuple[Vertex, Vertex], ...]  # every ordered pair, in entries order
+    index: dict[tuple[Vertex, Vertex], int]  # the position of each pair
     diagonal: tuple[int, ...]  # the indices of the pairs (v, v)
     # per chain-ordered maximal simplex, per vertex u in chain order: the
     # index and support mask of (u, v) for each other vertex v of the simplex
@@ -148,7 +149,8 @@ class Quiver:
     @functools.cached_property
     def summand_types(self) -> tuple[SummandType, ...]:
         """Every single-generator summand type: projective per root, plus one
-        type per (root, cycle, death index) with a vector dying exactly there."""
+        type per (root, cycle, death index m).  Along a chain-ordered cycle the
+        supports of v -> cycle[m] shrink strictly, so a vector dies at each m."""
         types = []
         everything = frozenset(self.vertices)
         for v in self.vertices:
@@ -156,9 +158,6 @@ class Quiver:
             for cycle in self.cycles_at(v):
                 hang = _hang_positions(self, cycle)
                 for m in range(1, len(cycle)):
-                    prev_supp = self.trans[(v, cycle[m - 1])].support
-                    if not prev_supp - self.trans[(v, cycle[m])].support:
-                        continue  # no vector dies exactly at position m
                     support = frozenset(w for w in self.vertices if hang[w] < m)
                     types.append(SummandType(v, support))
         return tuple(types)
@@ -191,7 +190,7 @@ class Quiver:
         linear `multiplicities_from_rank` on the unit vectors of the pairs it
         reads.  C is the nonzero rows of I - B.A, B the pairs that each type
         maps onto a line, so C.x = 0 says the multiset A.x reproduces x."""
-        index = {pair: j for j, pair in enumerate(itertools.product(self.vertices, repeat=2))}
+        index = self.pair_plan.index
         sparse = lambda row: tuple((j, x) for j, x in sorted(row.items()) if x)
         a = []
         for t in self.summand_types:
@@ -217,7 +216,7 @@ class Quiver:
         """Per arrow (u, w), the positions of (u, u) and (u, w) in `RankVector.entries`
         and d - |supp(u, w)|: the kernel of u -> w on a subspace lies in its
         kernel on F_p^d, so x(u, u) - x(u, w) is at most that number."""
-        index = {pair: j for j, pair in enumerate(self.pair_plan.pairs)}
+        index = self.pair_plan.index
         return tuple((index[(u, u)], index[(u, w)], self.d - len(self.coords[(u, w)])) for u, w in self.arrows)
 
     @functools.cached_property
@@ -248,7 +247,7 @@ class Quiver:
             for chain in map(chain_order, self.simplices)
         }
         hull = tuple((index[pair], index[source]) for pair, source in self.hull_plan)
-        return PairPlan(pairs, tuple(index[(v, v)] for v in self.vertices), simplices, hull)
+        return PairPlan(pairs, index, tuple(index[(v, v)] for v in self.vertices), simplices, hull)
 
     def cycles_at(self, v: Vertex) -> list[tuple[Vertex, ...]]:
         """Each maximal simplex through v as its quiver cycle, rotated to start at v."""
@@ -313,31 +312,23 @@ class Quiver:
 # Sub-representations
 
 
+@dataclass
 class SubRep:
     """Subspace of F_p^d per vertex, closed under all transition maps.
 
     Every space is its reduced row echelon basis: equality is equality of
-    bases, and `rank_vector` reads ranks off the pivots.
+    bases, and `rank_vector` reads ranks off the pivots.  The dict is
+    copied, since `_walk` reuses the one it yields.
     """
 
-    __slots__ = ("p", "spaces", "_key")
+    p: int
+    spaces: dict[Vertex, Basis]
 
-    def __init__(self, p: int, spaces: dict[Vertex, Basis]):
-        self.p = p
-        self.spaces = dict(spaces)
-        self._key = (p, tuple(sorted(self.spaces.items())))
+    def __post_init__(self):
+        self.spaces = dict(self.spaces)
 
     def dims(self) -> dict[Vertex, int]:
         return {v: len(b) for v, b in self.spaces.items()}
-
-    def __eq__(self, other):
-        return isinstance(other, SubRep) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"SubRep(p={self.p}, dims={self.dims()})"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -440,33 +431,25 @@ def _assemble_ranks(vertices: tuple[Vertex, ...], rows: tuple[tuple[int, ...], .
     )
 
 
-def _ranks(quiver: Quiver, spaces: dict[Vertex, Basis], p: int) -> RankVector:
-    """Rank of every map u -> v on the rref spaces, read off the space at u.
+def rank_vector(M: SubRep, quiver: Quiver) -> RankVector:
+    """Rank of every map u -> v on M, read off the space at u.
 
     The row of u depends only on the space at u and the maps out of u, so
     it is memoised (`_ranks_from`), and so is the rank vector of each tuple
     of rows (`_assemble_ranks`).
     """
     return _assemble_ranks(
-        quiver.vertices, tuple(_ranks_from(spaces[u], quiver.supports[u], p) for u in quiver.vertices)
+        quiver.vertices, tuple(_ranks_from(M.spaces[u], quiver.supports[u], M.p) for u in quiver.vertices)
     )
 
 
-def rank_vector(M: SubRep, quiver: Quiver) -> RankVector:
-    """Rank of every map u -> v on M (`_ranks`)."""
-    return _ranks(quiver, M.spaces, M.p)
-
-
 def support_of_generated(quiver: Quiver, v: Vertex, vector: Vec, p: int) -> frozenset[Vertex]:
-    """Vertices where the rep generated by one vector at v is nonzero."""
-    vector = gf.vec(vector, p)
-    if gf.is_zero(vector):
+    """Vertices where the rep generated by one vector at v is nonzero: the u
+    whose map v -> u keeps a coordinate where the vector is nonzero mod p."""
+    nonzero = sum(1 << k for k, x in enumerate(vector) if x % p)
+    if not nonzero:
         raise ValueError("zero vector has empty support")
-    out = {v}
-    for u in quiver.vertices:
-        if u != v and not gf.is_zero(quiver.apply_map(v, u, vector, p)):
-            out.add(u)
-    return frozenset(out)
+    return frozenset(u for u in quiver.vertices if nonzero & quiver.masks[(v, u)])
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +809,7 @@ def _deform_candidates(
 
     The replaced summand covers a proper arc of the cycle; the donor's arc
     must abut or overlap it, extend strictly past its end, and stay clear of
-    the replaced root (so the donor generator pulls back to the root).
+    the replaced root (so the map from the root keeps the donor's image).
     """
     candidates = []
     for simplex in quiver.simplices:
@@ -895,42 +878,31 @@ def deform_step(
     Takes the candidates (replaced summand R, donor) in priority order and
     skips those whose predicted rank vector exceeds `target`.  The first one
     left replaces R's generator eps_R by eps_R + eta, where eta is the
-    donor's generator pulled back to R's root: one candidate per pair, no
-    search over F_p.  Its dimension vector must stay that of M and its rank
-    vector must rise by exactly the predicted increments; otherwise the
-    construction is wrong and InvariantError is raised.  `phi` is M's rank
-    vector when the caller already has it.
+    donor's image at its entry vertex, one map: the donor dies before R's
+    root, so the map from the root to that vertex keeps eta.  One candidate
+    per pair, no search over F_p.  Its dimension vector must stay that of M
+    and its rank vector must rise by exactly the predicted increments;
+    otherwise the construction is wrong and InvariantError is raised.
+    `phi` is M's rank vector when the caller already has it.
     """
     typed = _decompose_typed(M, quiver)
     p = M.p
     if all(t.is_projective(quiver) for _, t in typed):
         return None
-    phi_dict = (phi if phi is not None else rank_vector(M, quiver)).as_dict()
-    target_dict = target.as_dict() if target is not None else None
+    phi = phi if phi is not None else rank_vector(M, quiver)
     for repl, donor, cycle, a_r, old_len, rel_start, rel_end in _deform_candidates(quiver, typed):
-        n = len(cycle) - 1
-        root = cycle[a_r]
-        if repl.root != root:
-            continue  # proper arcs are rooted at their start; skip degenerate cases
-        donor_entry = cycle[(a_r + rel_start) % (n + 1)]
-        donor_vec_at_entry = quiver.apply_map(donor.root, donor_entry, donor.vector, p)
-        if gf.is_zero(donor_vec_at_entry):
-            continue
-        # eta with f_{root -> donor_entry}(eta) = donor_vec_at_entry
-        eta = quiver.apply_map(root, donor_entry, donor_vec_at_entry, p)
-        if eta != donor_vec_at_entry:
-            continue
         predicted = _predict_increment(quiver, cycle, a_r, rel_start, rel_end, old_len)
-        expected = {k: phi_dict[k] + predicted.get(k, 0) for k in phi_dict}
-        if target_dict is not None and not all(expected[k] <= target_dict[k] for k in expected):
+        expected = RankVector(tuple((pair, rank + predicted.get(pair, 0)) for pair, rank in phi.entries))
+        if target is not None and not expected.leq(target):
             continue
+        eta = quiver.apply_map(donor.root, cycle[(a_r + rel_start) % len(cycle)], donor.vector, p)
         new_vec = gf.vec_add(repl.vector, eta, p)
         seeds = [(s.root, new_vec if s is repl else s.vector) for s, _ in typed]
         candidate = generated(quiver, seeds, p)
         rank = rank_vector(candidate, quiver)
-        if candidate.dims() != M.dims() or rank.as_dict() != expected:
+        if candidate.dims() != M.dims() or rank != expected:
             raise InvariantError("deformation missed its dimension vector or predicted ranks")
-        return DeformStep(candidate, repl, (root, new_vec), predicted, rank)
+        return DeformStep(candidate, repl, (repl.root, new_vec), predicted, rank)
     raise DeformationError("no validating deformation found for a non-projective point")
 
 

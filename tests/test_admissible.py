@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkedgrass import admissible as adm
-from linkedgrass import cli, independence
+from linkedgrass import cli, gf, independence
 from linkedgrass import quiver as qv
 from linkedgrass import verify as vf
 from linkedgrass import weyl
@@ -524,6 +524,34 @@ def test_r1_face_roundtrip_all_faces():
             assert not covered & part
             covered |= part
         assert covered == set(quiver.vertices)
+
+
+def r1_face_by_maps(M, quiver):
+    """The former body of `r1_face_of` without its simplex check, as oracle:
+    every map applied to the line at each vertex."""
+    eps = {v: M.spaces[v][0] for v in quiver.vertices}
+    maximal = {
+        u
+        for u in quiver.vertices
+        if all(gf.is_zero(quiver.apply_map(v, u, eps[v], M.p)) for v in quiver.vertices if v != u)
+    }
+    covering = {
+        u: frozenset(w for w in quiver.vertices if w == u or not gf.is_zero(quiver.apply_map(u, w, eps[u], M.p)))
+        for u in sorted(maximal)
+    }
+    return frozenset(maximal), covering
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_r1_face_of_matches_the_map_oracle(p):
+    points = 0
+    for verts in vf.DIM1_INSTANCES:
+        quiver = make_quiver(verts)
+        reps = [adm.r1_rep_of_face(quiver, face, p) for face in adm.complex_faces(quiver)]
+        for M in [*qv.enumerate_subreps(quiver, 1, p), *reps]:
+            assert adm.r1_face_of(M, quiver) == r1_face_by_maps(M, quiver), (verts, M)
+            points += 1
+    assert points > 50
 
 
 def test_r1_projective_rep_has_smallest_faces():

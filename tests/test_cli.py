@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from linkedgrass import cli
 from linkedgrass import quiver as qv
 from linkedgrass import verify as vf
-from linkedgrass.lattice import configuration
+from linkedgrass.lattice import InvariantError, configuration
 from linkedgrass.verify import WEAKLY_INDEPENDENT_INSTANCES
 
 
@@ -101,6 +101,13 @@ def test_analyze_dot_of_a_non_convex_configuration_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: configuration is not convex; missing [(1, 0)]\n"
+
+
+def test_analyze_dot_is_the_quiver_dot(tmp_path, capsys):
+    path = write_config(tmp_path, "branched.json", 4, [[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]])
+    code, out = run(capsys, ["analyze", path, "--format", "dot"])
+    assert code == 0 and out.startswith("digraph quiver {")
+    assert run(capsys, ["quiver", path, "--format", "dot"]) == (0, out)
 
 
 def test_admissible_counts(tmp_path, capsys):
@@ -244,6 +251,19 @@ def test_multidegree_kn_missing_n_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "w0, message",
+    [(None, "error: graph mode needs --w0\n"), ("1,0,0", "error: --w0 length does not match the graph\n")],
+)
+def test_multidegree_graph_without_a_matching_w0_exits_2(tmp_path, capsys, w0, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    code = cli.main(["multidegree", str(path), *([] if w0 is None else ["--w0", w0])])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == message
+
+
 MALFORMED_GRAPHS = [
     "{not json",
     "[1]",
@@ -359,6 +379,29 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert captured.err.endswith("\ninternal error: AssertionError: invariant broken\n")
     assert captured.out == ""
+
+
+def test_broken_decomposition_postcondition_is_an_internal_error(capsys, monkeypatch):
+    def broken(M, quiver, check_independent=True):
+        raise InvariantError("decomposition failed to reassemble the representation")
+
+    monkeypatch.setattr(qv, "decompose", broken)
+    code = cli.main(["verify", "decomposition", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.endswith(
+        "\ninternal error: InvariantError: decomposition failed to reassemble the representation\n"
+    )
+
+
+def test_verify_p_runs_the_suite_at_that_prime_alone(capsys):
+    code, out = run(capsys, ["verify", "strata", "--p", "3"])
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert all(list(check["enumerated"]) == ["3"] for check in report["checks"].values())
+    code, out = run(capsys, ["verify", "simplex", "--p", "3"])
+    report = json.loads(out)
+    assert code == 0 and report["passed"] and report["p"] == 3
 
 
 def test_verify_timing_goes_to_stderr(capsys):

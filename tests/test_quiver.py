@@ -303,6 +303,53 @@ def test_support_of_generated():
         qv.support_of_generated(quiver, (0, 0), (0, 0), p)
 
 
+def support_by_maps(quiver, v, vector, p):
+    """The former body of `support_of_generated`, as oracle: apply every map
+    out of v and keep the vertices where the image is nonzero."""
+    vector = gf.vec(vector, p)
+    if gf.is_zero(vector):
+        raise ValueError("zero vector has empty support")
+    out = {v}
+    for u in quiver.vertices:
+        if u != v and not gf.is_zero(quiver.apply_map(v, u, vector, p)):
+            out.add(u)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_support_of_generated_matches_the_map_oracle(p):
+    names = sorted(path.stem for path in CONFIGS.glob("*.json"))
+    assert len(names) == 12
+    rng = random.Random(f"support/{p}")
+    checked = 0
+    for name in names:
+        quiver = config_quiver(name)
+        for v in quiver.vertices:
+            for _ in range(12):
+                # entries outside 0..p-1, so the reduction mod p is exercised
+                x = tuple(rng.randrange(-2 * p, 3 * p) for _ in range(quiver.d))
+                if gf.is_zero(gf.vec(x, p)):
+                    continue
+                assert qv.support_of_generated(quiver, v, x, p) == support_by_maps(quiver, v, x, p), (name, v, x)
+                checked += 1
+            multiple = tuple(p * rng.randrange(-2, 3) for _ in range(quiver.d))
+            for support in (qv.support_of_generated, support_by_maps):
+                with pytest.raises(ValueError, match="zero vector"):
+                    support(quiver, v, multiple, p)
+    assert checked > 450  # of 12 draws at each of the 41 vertices
+
+
+def test_subrep_equality_ignores_dict_order_and_keeps_its_own_dict():
+    quiver = make_quiver(OMEGA3)
+    M = qv.generated(quiver, [((0, 0, 0), (1, 1, 0))], 3)
+    spaces = dict(reversed(M.spaces.items()))
+    assert list(spaces) != list(M.spaces)
+    N = qv.SubRep(3, spaces)
+    assert N == M and qv.SubRep(2, spaces) != M
+    spaces[(0, 0, 0)] = quiver.unit
+    assert N == M and N.spaces[(0, 0, 0)] == M.spaces[(0, 0, 0)]
+
+
 def test_rank_vector_zero_and_single_generator():
     quiver = make_quiver(OMEGA3)
     p = 2
@@ -627,7 +674,7 @@ def first_point_per_class(quiver, r, p, budget):
     blocks yields, collected apart from the counts."""
     classes = {}
     for spaces, _ in qv._walk(quiver, r, p, budget, tuple(range(quiver.d))):
-        rank = qv._ranks(quiver, spaces, p)
+        rank = qv.rank_vector(qv.SubRep(p, spaces), quiver)
         if rank not in classes:
             classes[rank] = qv.SubRep(p, dict(spaces))
     return classes
@@ -673,7 +720,7 @@ def test_weight_one_points_are_the_torus_fixed_points(name, r):
     singletons = tuple(range(quiver.d))
     for p in (3, 5):
         fixed = collections.Counter(
-            qv._ranks(quiver, spaces, p)
+            qv.rank_vector(qv.SubRep(p, spaces), quiver)
             for spaces, weight in qv._walk(quiver, r, p, 10_000_000, singletons)
             if weight == 1
         )
