@@ -8,6 +8,13 @@ Bruhat downsets as a DOT digraph.
 
 from linkedgrass import weyl
 
+
+def bruhat_poset_dot(elements):
+    """DOT digraph of the covering relations among the given elements."""
+    nodes = sorted(set(elements), key=lambda g: (weyl.length(g), g.sigma, g.trans))
+    return weyl.hasse_dot("bruhat", nodes, [f"{g.sigma}|{g.trans}" for g in nodes], weyl.bruhat_leq)
+
+
 d = 3
 iota = weyl.iota(d)
 print("iota =", iota)
@@ -33,4 +40,4 @@ for face, label in [(omega, "whole alcove"), (omega[:3], "first three vertices")
 
 print("\ncovering relations among W_a elements of length <= 2, d=2:")
 s0, s1 = weyl.simple_reflection(2, 0), weyl.simple_reflection(2, 1)
-print(weyl.bruhat_poset_dot(weyl.bruhat_downset(weyl.compose(s0, s1)) | weyl.bruhat_downset(weyl.compose(s1, s0))))
+print(bruhat_poset_dot(weyl.bruhat_downset(weyl.compose(s0, s1)) | weyl.bruhat_downset(weyl.compose(s1, s0))))

@@ -10,10 +10,12 @@ The coordinate kernels that decomposition repeats are `functools.cache`s:
 `vanishing_on`, `project` and `complement`.  Their arguments are canonical
 rref tuples from small Grassmannians over small fields, so few distinct
 ones recur many times; a miss runs the plain elimination.  So are the
-subspace lists: `subspaces`, a whole Grassmannian, and `superspaces`, an
-interval of one.  `torus_rep` keeps one member of each orbit of a
-coordinate torus on such a list, reading the member's entries alone, and
-`torus_reps` builds the kept members of a whole Grassmannian and no other.
+subspace lists, and `torus_reps` is the one enumerator of rref spaces.  It
+builds the members of a whole Grassmannian that `torus_rep` keeps, one
+per orbit of a coordinate torus; under one block that is every space.
+`superspaces`, an interval of a Grassmannian, lifts the spaces of its
+quotient from that list, and `torus_rep` filters any such list by the
+member's entries alone.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ def check_prime(p: int) -> None:
     """Raise ValueError unless p is a prime, the order of a field F_p."""
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be a prime, got {p}")
-
-
-def vec(entries: Iterable[int], p: int) -> Vec:
-    return tuple(x % p for x in entries)
 
 
 def vec_add(a: Vec, b: Vec, p: int) -> Vec:
@@ -87,10 +85,6 @@ def rref(rows: Iterable[Vec], p: int) -> Basis:
     rows = list(rows)
     echelon, _ = _eliminate(rows, p, range(len(rows[0]) if rows else 0))
     return tuple(map(tuple, echelon))
-
-
-def pivot_columns(basis: Basis) -> tuple[int, ...]:
-    return tuple(next(i for i, x in enumerate(row) if x) for row in basis)
 
 
 def reduce_vec(v: Vec, basis: Basis, p: int) -> Vec:
@@ -200,28 +194,6 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 @functools.cache
-def subspaces(n: int, k: int, p: int) -> tuple[Basis, ...]:
-    """All k-dimensional subspaces of F_p^n as rref bases, lexicographic order."""
-    if k == 0:
-        return ((),)
-    out = []
-    for pivots in itertools.combinations(range(n), k):
-        free_positions = []
-        for r, piv in enumerate(pivots):
-            for c in range(piv + 1, n):
-                if c not in pivots:
-                    free_positions.append((r, c))
-        for values in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(k)]
-            for r, piv in enumerate(pivots):
-                rows[r][piv] = 1
-            for (r, c), val in zip(free_positions, values):
-                rows[r][c] = val
-            out.append(tuple(tuple(row) for row in rows))
-    return tuple(out)
-
-
-@functools.cache
 def superspaces(inner: Basis, k: int, outer: Basis, p: int) -> tuple[Basis, ...]:
     """The interval of k-dimensional spaces W with span(inner) <= W <= span(outer),
     each once; () when inner does not lie in outer.
@@ -229,30 +201,23 @@ def superspaces(inner: Basis, k: int, outer: Basis, p: int) -> tuple[Basis, ...]
     W is determined by W/inner, a subspace of outer/inner.  Written in the
     columns that are not pivots of inner, outer/inner has the rref basis Q of
     outer's residuals against inner, and W/inner = C.Q for the rref (k - w)-
-    spaces C of F_p^dim(Q).  C.Q is again in rref, its pivots those of Q at
-    C's pivots, and its first entry where two choices of C differ is that
-    entry of C; so the spaces come in the order of `subspaces`, by
-    (pivot_columns(W/inner), W/inner), as in the full Grassmannian.  C.Q is
-    zero at inner's pivots, so clearing inner's rows at C.Q's pivots and
-    merging the two by pivot, as `insert` does, gives the rref of W.
+    spaces C of F_p^dim(Q), which `torus_reps` lists under one block.  C.Q
+    is again in rref, its pivots those of Q at C's pivots, and its first
+    entry where two choices of C differ is that entry of C; so the spaces
+    come in the order of `torus_reps`, by (pivots of W/inner, W/inner), as
+    in the full Grassmannian.  C.Q is zero at inner's pivots, so `insert`
+    merges its rows into inner one by one, and never finds one in the span.
     """
     if k < len(inner) or not all(contains(outer, row, p) for row in inner):
         return ()
     quotient = rref([reduce_vec(row, inner, p) for row in outer], p)
     out = []
-    for coeffs in subspaces(len(quotient), k - len(inner), p):
+    for coeffs, _, _ in torus_reps(len(quotient), k - len(inner), (0,) * len(quotient), p):
         lifted = [
             tuple(sum(c * x for c, x in zip(crow, col)) % p for col in zip(*quotient))
             for crow in coeffs
         ]
-        rows = list(lifted)
-        for row in inner:
-            for lift in lifted:
-                c = row[lift.index(1)]
-                if c:
-                    row = tuple((x - c * y) % p for x, y in zip(row, lift))
-            rows.append(row)
-        out.append(tuple(sorted(rows, key=lambda row: row.index(1))))
+        out.append(functools.reduce(lambda basis, row: insert(basis, row, p), lifted, inner))
     return tuple(out)
 
 
@@ -289,13 +254,15 @@ def torus_rep(space: Basis, blocks: tuple[int, ...], p: int) -> Optional[tuple[i
 @functools.cache
 def torus_reps(n: int, k: int, blocks: tuple[int, ...], p: int) -> tuple[tuple[Basis, int, tuple[int, ...]], ...]:
     """(space, orbit size, stabilizer's blocks) for each k-space of F_p^n that
-    `torus_rep` keeps, in the order of `subspaces`, building no other.
+    `torus_rep` keeps, building no other; under one block, every k-space.
 
-    The free entries of each pivot pattern are filled left to right, row by
-    row, as `subspaces` orders them, under the block labelling that the
-    entries so far leave.  An entry that joins two blocks is kept only at
-    0 and at 1, and a 1 merges the two; an entry inside one block, and
-    every entry over F_2, where `torus_rep` keeps all, takes all p values.
+    Pivot patterns come in lexicographic order.  The free entries of each
+    are filled left to right, row by row, each in increasing value, so the
+    spaces of one pattern come in lexicographic order of their rows.  Each
+    entry is filled under the block labelling that the entries so far
+    leave.  An entry that joins two blocks is kept only at 0 and at 1, and
+    a 1 merges the two; an entry inside one block, and every entry over
+    F_2, where `torus_rep` keeps all, takes all p values.
     """
     out = []
 

@@ -347,15 +347,6 @@ class SubRep:
         return SubRep(int(data["p"]), spaces)
 
 
-def is_subrep(M: SubRep, quiver: Quiver) -> tuple[bool, Optional[tuple[Vertex, Vertex]]]:
-    """Closure under the quiver arrows; returns a violating arrow on failure."""
-    for u, v in quiver.arrows:
-        for row in M.spaces[u]:
-            if not gf.contains(M.spaces[v], quiver.apply_map(u, v, row, M.p), M.p):
-                return False, (u, v)
-    return True, None
-
-
 def generated(quiver: Quiver, seeds: Sequence[tuple[Vertex, Vec]], p: int) -> SubRep:
     """Smallest sub-representation containing the seed vectors.
 

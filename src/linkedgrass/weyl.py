@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .lattice import InvariantError, canonicalize, classes_adjacent
 
@@ -270,17 +270,12 @@ def face_stabilizer(face: Sequence[Sequence[int]]) -> ParahoricGroup:
     whose coordinate difference is constant across the face, that is over
     pairs inside one equal-difference block.  Note a W_a element fixing a
     class fixes any representative vector on the nose (its translation part
-    sums to zero).
+    sums to zero).  Raises ValueError unless the face is a simplex, and
+    InvariantError if a generator, hence the group, moves a vertex.
     """
     if not face:
         raise ValueError("empty face")
-    return _stabilizer(tuple(sorted({canonicalize(v) for v in face})))
-
-
-@functools.cache
-def _stabilizer(verts: tuple[tuple[int, ...], ...]) -> ParahoricGroup:
-    """`face_stabilizer` of the sorted canonical vertices; raises
-    InvariantError if a generator, hence the group, moves a vertex."""
+    verts = tuple(sorted({canonicalize(v) for v in face}))
     d = len(verts[0])
     for a in verts:
         for b in verts:
@@ -400,9 +395,3 @@ def hasse_dot(name: str, nodes: Sequence, labels: Sequence[str], leq: Callable) 
             lines.append(f'  "{labels[i]}" -> "{labels[j]}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-def bruhat_poset_dot(elements: Iterable[WeylElement]) -> str:
-    """DOT digraph of the covering relations among the given elements."""
-    nodes = sorted(set(elements), key=lambda g: (length(g), g.sigma, g.trans))
-    return hasse_dot("bruhat", nodes, [f"{g.sigma}|{g.trans}" for g in nodes], bruhat_leq)

@@ -11,7 +11,7 @@ from linkedgrass import quiver as qv
 from linkedgrass.lattice import configuration
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, WEAKLY_INDEPENDENT_INSTANCES
 
-from test_quiver import extend_partial  # the oracle helper, not a test
+from test_quiver import extend_partial, is_subrep, pivot_columns, subspaces  # oracle helpers, not tests
 
 
 def random_rows(rng, n, k, p):
@@ -38,7 +38,7 @@ def test_rref_idempotent_and_canonical(p):
 
 @pytest.mark.parametrize("p,n,k", [(2, 4, 2), (3, 4, 2), (2, 5, 3)])
 def test_subspace_enumeration_counts(p, n, k):
-    subs = gf.subspaces(n, k, p)
+    subs = [space for space, _, _ in gf.torus_reps(n, k, (0,) * n, p)]
     assert len(subs) == gf.gaussian_binomial(n, k, p)
     assert len(set(subs)) == len(subs)
 
@@ -56,7 +56,7 @@ def test_superspaces_partition():
     for s in sup:
         assert is_subspace(inner, s, p)
     # every 2-dim space containing inner appears
-    expected = [s for s in gf.subspaces(4, 2, p) if is_subspace(inner, s, p)]
+    expected = [s for s in subspaces(4, 2, p) if is_subspace(inner, s, p)]
     assert sorted(sup) == sorted(expected)
 
 
@@ -84,7 +84,7 @@ def left_kernel(rows, p):
         return ()
     transposed = [tuple(rows[i][c] for i in range(m)) for c in range(len(rows[0]))]
     basis = gf.rref(transposed, p)
-    pivots = set(gf.pivot_columns(basis))
+    pivots = set(pivot_columns(basis))
     out = []
     for j in range(m):
         if j in pivots:
@@ -320,9 +320,9 @@ def test_superspace_count_is_gaussian_binomial(case):
 def quotient_key(space, inner, n, p):
     """(pivot_columns(W/inner), W/inner), W/inner written in the columns that
     are not pivots of inner: the order `superspaces` promises."""
-    free = [c for c in range(n) if c not in gf.pivot_columns(inner)]
+    free = [c for c in range(n) if c not in pivot_columns(inner)]
     quotient = gf.rref([tuple(gf.reduce_vec(row, inner, p)[c] for c in free) for row in space], p)
-    return gf.pivot_columns(quotient), quotient
+    return pivot_columns(quotient), quotient
 
 
 @st.composite
@@ -348,7 +348,7 @@ def interval_cases(draw):
 def test_superspaces_walk_the_interval_in_the_full_grassmannian_order(case):
     inner, k, outer, n, p = case
     full = gf.superspaces(inner, k, identity(n), p)
-    expected = [s for s in gf.subspaces(n, k, p) if is_subspace(inner, s, p)]
+    expected = [s for s in subspaces(n, k, p) if is_subspace(inner, s, p)]
     assert list(full) == sorted(expected, key=lambda s: quotient_key(s, inner, n, p))
     got = gf.superspaces(inner, k, outer, p)
     assert got == tuple(s for s in full if is_subspace(s, outer, p))
@@ -359,28 +359,48 @@ def test_superspaces_walk_the_interval_in_the_full_grassmannian_order(case):
 
 
 
-def superspaces_by_rref(inner, k, outer, p):
-    """The replaced construction of `gf.superspaces`: every member is the
-    rref of inner's rows together with the lifted rows C.Q."""
+def lifted_quotient_spaces(inner, k, outer, p):
+    """The lifted rows C.Q of each member of the interval, with C from the
+    separate enumerator `subspaces`: the replaced `gf.superspaces` before
+    its merge with inner."""
     if k < len(inner) or not is_subspace(inner, outer, p):
-        return ()
+        return
     quotient = gf.rref([gf.reduce_vec(row, inner, p) for row in outer], p)
+    for coeffs in subspaces(len(quotient), k - len(inner), p):
+        yield [tuple(sum(c * x for c, x in zip(crow, col)) % p for col in zip(*quotient)) for crow in coeffs]
+
+
+def superspaces_by_rref(inner, k, outer, p):
+    """Every member as the rref of inner's rows together with the lifted rows."""
+    return tuple(gf.rref(list(inner) + lifted, p) for lifted in lifted_quotient_spaces(inner, k, outer, p))
+
+
+def superspaces_by_clearing(inner, k, outer, p):
+    """Every member as the replaced body of `gf.superspaces` built it:
+    inner's rows cleared at the lifted rows' pivots, the two merged by a
+    sort on the pivot."""
     out = []
-    for coeffs in gf.subspaces(len(quotient), k - len(inner), p):
-        lifted = [
-            tuple(sum(c * x for c, x in zip(crow, col)) % p for col in zip(*quotient))
-            for crow in coeffs
-        ]
-        out.append(gf.rref(list(inner) + lifted, p))
+    for lifted in lifted_quotient_spaces(inner, k, outer, p):
+        rows = list(lifted)
+        for row in inner:
+            for lift in lifted:
+                c = row[lift.index(1)]
+                if c:
+                    row = tuple((x - c * y) % p for x, y in zip(row, lift))
+            rows.append(row)
+        out.append(tuple(sorted(rows, key=lambda row: row.index(1))))
     return tuple(out)
 
 
 @settings(max_examples=400, derandomize=True, database=None)
 @given(interval_cases())
 def test_superspaces_merge_equals_the_rref_construction(case):
+    """Both replaced constructions, over the separate enumerator `subspaces`,
+    build every interval as `torus_reps` and `insert` do."""
     inner, k, outer, n, p = case
-    assert gf.superspaces(inner, k, identity(n), p) == superspaces_by_rref(inner, k, identity(n), p)
-    assert gf.superspaces(inner, k, outer, p) == superspaces_by_rref(inner, k, outer, p)
+    for top in (identity(n), outer):
+        got = gf.superspaces(inner, k, top, p)
+        assert got == superspaces_by_rref(inner, k, top, p) == superspaces_by_clearing(inner, k, top, p)
 
 
 def torus_act(t, space, p):
@@ -415,7 +435,7 @@ def kept_members(spaces, blocks, p):
     "n,k,p", [(n, k, p) for p in (2, 3, 5) for n in range(1, 5 if p == 5 else 6) for k in range(n + 1)]
 )
 def test_torus_orbits_partition_the_grassmannian(n, k, p):
-    spaces = gf.subspaces(n, k, p)
+    spaces = subspaces(n, k, p)
     torus = list(itertools.product(range(1, p), repeat=n))
     kept = kept_members(spaces, tuple(range(n)), p)
     covered = set()
@@ -432,7 +452,7 @@ def test_torus_orbits_partition_the_grassmannian(n, k, p):
 
 def test_torus_orbit_counts():
     def orbits(n, k, p):
-        return len(kept_members(gf.subspaces(n, k, p), tuple(range(n)), p))
+        return len(kept_members(subspaces(n, k, p), tuple(range(n)), p))
 
     assert [orbits(4, 2, p) for p in (2, 3, 5)] == [35, 36, 38]
     assert all(orbits(n, 1, p) == 2**n - 1 for n in range(1, 6) for p in (2, 3, 5))
@@ -507,7 +527,7 @@ def labellings(n):
 )
 def test_torus_reps_are_the_kept_members_of_the_whole_grassmannian(n, k, p):
     # the uncached bodies, so the p = 7 lists are freed with the test
-    full = gf.superspaces.__wrapped__((), k, identity(n), p)
+    full = subspaces.__wrapped__(n, k, p)
     for blocks in labellings(n):
         assert list(gf.torus_reps.__wrapped__(n, k, blocks, p)) == kept_members(full, blocks, p)
 
@@ -545,7 +565,7 @@ def test_pullback_matches_preimage_oracle(p):
             for v in quiver.vertices:  # every arrow, and every pair `extend_partial` pulls along
                 images = [quiver.apply_map(u, v, e, p) for e in quiver.unit]
                 for k in range(quiver.d + 1):
-                    for basis in gf.subspaces(quiver.d, k, p):
+                    for basis in subspaces(quiver.d, k, p):
                         assert quiver.pullback(u, v, basis, p) == preimage(images, basis, p)
                         checked += 1
     assert checked > 2500
@@ -609,7 +629,7 @@ def test_reduce_vec_matches_pivot_scan_oracle(p):
         if len(vectors) > 81:
             vectors = rng.sample(vectors, 81)
         for k in range(n + 1):
-            for basis in gf.subspaces(n, k, p):
+            for basis in subspaces(n, k, p):
                 assert [row.index(1) for row in basis] == [
                     next(i for i, x in enumerate(row) if x) for row in basis
                 ]
@@ -638,7 +658,7 @@ def test_reduce_vec_is_only_given_rref_bases(monkeypatch, capsys):
     # enumeration tests no candidate: closure checks and extensions of its points reduce instead
     for r in (1, 2):
         for M in qv.enumerate_subreps(quiver, r, 3):
-            assert qv.is_subrep(M, quiver) == (True, None)
+            assert is_subrep(M, quiver) == (True, None)
             for v in quiver.vertices:
                 assert extend_partial(quiver, {v: M.spaces[v]}, r, 3) is not None
     assert len(calls) > 1000

@@ -156,11 +156,9 @@ def test_no_module_level_memo_dicts():
     "module, name",
     [
         ("weyl", "_downset"),
-        ("weyl", "_stabilizer"),
         ("admissible", "_standard_key"),
         ("admissible", "_standard_frame"),
         ("admissible", "_column_profiles"),
-        ("gf", "subspaces"),
         ("gf", "superspaces"),
         ("gf", "torus_reps"),
         ("gf", "vanishing_on"),
@@ -230,17 +228,25 @@ def test_no_module_reads_another_modules_private_names():
     assert [hit for path in SOURCES for hit in private_reads(path)] == []
 
 
-def test_every_name_the_bench_traces_exists():
-    # bench/child.py wraps each `linkedgrass.<module>.<name>` of its TRACED
-    # dict by getattr; read the literal without importing anything from bench/
-    child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+ROOT = SRC.parent
+
+
+def bench_traced():
+    """(module, name) for each `linkedgrass.<module>.<name>` that
+    bench/child.py wraps by getattr, read off its TRACED dict literal
+    without importing anything from bench/."""
+    child = ROOT / "bench" / "child.py"
     tree = ast.parse(child.read_text(), filename=str(child))
     (traced,) = [
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
     ]
-    names = [(module, name) for module, names in ast.literal_eval(traced).items() for name in names]
+    return [(module, name) for module, names in ast.literal_eval(traced).items() for name in names]
+
+
+def test_every_name_the_bench_traces_exists():
+    names = bench_traced()
     assert len(names) > 20
     missing = [
         f"{module}.{name}"
@@ -248,6 +254,101 @@ def test_every_name_the_bench_traces_exists():
         if not hasattr(importlib.import_module(f"linkedgrass.{module}"), name)
     ]
     assert missing == []
+
+
+# kept for ROADMAP directions 5 (closed-form point counts) and 11 (random
+# convex configurations), which have no caller in the package yet
+UNREFERENCED_ON_PURPOSE = {"gaussian_binomial", "convex_closure"}
+
+
+def unreferenced(sources, readers, traced=()):
+    """`module.name` for each public top-level function and class of the
+    `sources` that no other code reads, and not named in the (module, name)
+    pairs of `traced`.  A read is a loaded Attribute of that identifier
+    anywhere, or a loaded Name of it in its own module outside the
+    definition itself or in a file that imports it by `from ... import`.
+    The `cmd_*` functions, which `cli.main` dispatches by name, are left
+    out, and so is UNREFERENCED_ON_PURPOSE."""
+    defined, loaded = [], set()
+    for path in [*sources, *readers]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scope, inside = {}, {}
+        for node in tree.body:
+            if path in sources and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+                scope[node.name] = node.name
+                inside.update((id(sub), node.name) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                scope.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in scope:
+                if inside.get(id(node)) != node.id:
+                    loaded.add(scope[node.id])
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if not name.startswith(("_", "cmd_"))
+        and name not in UNREFERENCED_ON_PURPOSE | loaded
+        and (module, name) not in traced
+    ]
+
+
+def test_unreferenced_guard_counts_loads_outside_the_definition(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "def used(): return helper()\n"
+        "def helper(): return 1\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "class Node:\n"
+        "    def copy(self): return Node()\n"
+        "class Shown: pass\n"
+        "def stored(): pass\n"
+        "def shadowed(): pass\n"
+        "def aliased(): pass\n"
+        "def traced(): pass\n"
+        "def _private(): pass\n"
+        "def cmd_run(args): return 0\n"
+        "def gaussian_binomial(n, k, p): return 1\n"
+        "# text_only is named in a comment\n"
+        "def text_only(): pass\n"
+    )
+    (tmp_path / "reader.py").write_text(
+        "import lib\n"
+        "from lib import aliased as a\n"
+        "lib.used()\n"
+        "x = lib.Shown\n"
+        "stored = 1\n"
+        "lib.stored = 2\n"
+        "shadowed = a()\n"
+        "print(shadowed, 'text_only')\n"
+    )
+    sources, readers = [tmp_path / "lib.py"], [tmp_path / "reader.py"]
+    assert unreferenced(sources, readers, [("lib", "traced")]) == [
+        "lib.recursive",
+        "lib.Node",
+        "lib.stored",
+        "lib.shadowed",
+        "lib.text_only",
+    ]
+    assert unreferenced(sources, []) == [
+        "lib.used",
+        "lib.recursive",
+        "lib.Node",
+        "lib.Shown",
+        "lib.stored",
+        "lib.shadowed",
+        "lib.aliased",
+        "lib.traced",
+        "lib.text_only",
+    ]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # a name only the tests read belongs in the tests (ROADMAP direction 12)
+    readers = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert unreferenced(SOURCES, readers, bench_traced()) == []
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:

@@ -1,10 +1,12 @@
 import collections
+import functools
 import itertools
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,47 @@ def ambient(quiver, p):
 
 def zero_rep(quiver, p):
     return qv.SubRep(p, {v: () for v in quiver.vertices})
+
+
+def vec(entries, p):
+    return tuple(x % p for x in entries)
+
+
+def pivot_columns(basis):
+    return tuple(next(i for i, x in enumerate(row) if x) for row in basis)
+
+
+@functools.cache
+def subspaces(n, k, p):
+    """All k-dimensional subspaces of F_p^n as rref bases, lexicographic order,
+    each pivot pattern's free entries filled by `itertools.product`: the
+    oracle of `gf.torus_reps`, which builds them itself."""
+    if k == 0:
+        return ((),)
+    out = []
+    for pivots in itertools.combinations(range(n), k):
+        free_positions = []
+        for r, piv in enumerate(pivots):
+            for c in range(piv + 1, n):
+                if c not in pivots:
+                    free_positions.append((r, c))
+        for values in itertools.product(range(p), repeat=len(free_positions)):
+            rows = [[0] * n for _ in range(k)]
+            for r, piv in enumerate(pivots):
+                rows[r][piv] = 1
+            for (r, c), val in zip(free_positions, values):
+                rows[r][c] = val
+            out.append(tuple(tuple(row) for row in rows))
+    return tuple(out)
+
+
+def is_subrep(M, quiver):
+    """Closure under the quiver arrows; returns a violating arrow on failure."""
+    for u, v in quiver.arrows:
+        for row in M.spaces[u]:
+            if not gf.contains(M.spaces[v], quiver.apply_map(u, v, row, M.p), M.p):
+                return False, (u, v)
+    return True, None
 
 
 OMEGA3 = [(0, 0, 0), (1, 0, 0), (1, 1, 0)]
@@ -166,10 +209,10 @@ def test_ambient_ranks():
 def test_is_subrep():
     quiver = make_quiver(SEGMENT)
     p = 2
-    assert qv.is_subrep(zero_rep(quiver, p), quiver) == (True, None)
-    assert qv.is_subrep(ambient(quiver, p), quiver) == (True, None)
+    assert is_subrep(zero_rep(quiver, p), quiver) == (True, None)
+    assert is_subrep(ambient(quiver, p), quiver) == (True, None)
     bad = qv.SubRep(p, {(0, 0): gf.rref([(0, 1)], p), (1, 0): gf.rref([(1, 0)], p)})
-    ok, witness = qv.is_subrep(bad, quiver)
+    ok, witness = is_subrep(bad, quiver)
     assert not ok and witness == ((0, 0), (1, 0))
 
 
@@ -184,14 +227,14 @@ def test_generated():
     assert qv.generated(quiver, full, p) == ambient(quiver, p)
     one = qv.generated(quiver, [((0, 0, 0), (1, 1, 1))], p)
     assert all(len(b) <= 1 for b in one.spaces.values())
-    assert qv.is_subrep(one, quiver) == (True, None)
+    assert is_subrep(one, quiver) == (True, None)
 
 
 def generated_fixed_point(quiver, seeds, p):
     """The closure `generated` replaced: sweep every arrow until nothing changes."""
     spaces = {v: [] for v in quiver.vertices}
     for v, vector in seeds:
-        spaces[v].append(gf.vec(vector, p))
+        spaces[v].append(vec(vector, p))
     changed = True
     while changed:
         changed = False
@@ -210,7 +253,7 @@ def generated_worklist(quiver, seeds, p):
     """The worklist closure `generated` replaced: a vector outside the space at
     its vertex joins it and is pushed along every arrow out of that vertex."""
     spaces = {v: () for v in quiver.vertices}
-    work = [(v, gf.vec(vector, p)) for v, vector in seeds]
+    work = [(v, vec(vector, p)) for v, vector in seeds]
     while work:
         v, x = work.pop()
         if gf.contains(spaces[v], x, p):
@@ -237,7 +280,7 @@ def test_generated_matches_fixed_point_oracle(name, p):
         ]
         M = qv.generated(quiver, seeds, p)
         assert M == generated_fixed_point(quiver, seeds, p)
-        assert qv.is_subrep(M, quiver) == (True, None)
+        assert is_subrep(M, quiver) == (True, None)
 
 
 def random_seeds(quiver, rng, p, most):
@@ -306,7 +349,7 @@ def test_support_of_generated():
 def support_by_maps(quiver, v, vector, p):
     """The former body of `support_of_generated`, as oracle: apply every map
     out of v and keep the vertices where the image is nonzero."""
-    vector = gf.vec(vector, p)
+    vector = vec(vector, p)
     if gf.is_zero(vector):
         raise ValueError("zero vector has empty support")
     out = {v}
@@ -328,7 +371,7 @@ def test_support_of_generated_matches_the_map_oracle(p):
             for _ in range(12):
                 # entries outside 0..p-1, so the reduction mod p is exercised
                 x = tuple(rng.randrange(-2 * p, 3 * p) for _ in range(quiver.d))
-                if gf.is_zero(gf.vec(x, p)):
+                if gf.is_zero(vec(x, p)):
                     continue
                 assert qv.support_of_generated(quiver, v, x, p) == support_by_maps(quiver, v, x, p), (name, v, x)
                 checked += 1
@@ -411,7 +454,7 @@ def test_enumerate_segment_count_against_direct_oracle():
     # direct enumeration over all pairs of lines, filtering closure by hand
     quiver = make_quiver(SEGMENT)
     p = 2
-    lines = gf.subspaces(2, 1, p)
+    lines = subspaces(2, 1, p)
     direct = []
     for l0 in lines:
         for l1 in lines:
@@ -449,11 +492,11 @@ def test_enumerate_budget_exceeded():
 def test_enumerate_matches_brute_force_product_filter():
     quiver = make_quiver(OMEGA3)
     p = 2
-    spaces = gf.subspaces(3, 1, p)
+    spaces = subspaces(3, 1, p)
     brute = 0
     for combo in itertools.product(spaces, repeat=3):
         rep = qv.SubRep(p, dict(zip(quiver.vertices, combo)))
-        if qv.is_subrep(rep, quiver)[0]:
+        if is_subrep(rep, quiver)[0]:
             brute += 1
     assert brute == len(list(qv.enumerate_subreps(quiver, 1, p)))
 
@@ -461,12 +504,12 @@ def test_enumerate_matches_brute_force_product_filter():
 def superspaces_in_all(inner, k, n, p):
     """The replaced `gf.superspaces(inner, k, n, p)`: the k-spaces of F_p^n
     through span(inner), lifted from the subspaces of the coordinates that
-    are not pivots of inner, in the order of `gf.subspaces`."""
+    are not pivots of inner, in the order of `subspaces`."""
     if k < len(inner):
         return []
-    free = [c for c in range(n) if c not in gf.pivot_columns(inner)]
+    free = [c for c in range(n) if c not in pivot_columns(inner)]
     out = []
-    for sub in gf.subspaces(len(free), k - len(inner), p):
+    for sub in subspaces(len(free), k - len(inner), p):
         lifted = []
         for row in sub:
             amb = [0] * n
@@ -551,7 +594,9 @@ def test_enumerate_subreps_equals_closure_filter_on_dimension_vectors(verts, dim
 
 def spaces_offered(quiver, r, p, monkeypatch):
     """How many spaces `enumerate_subreps` offers: the members that
-    `gf.superspaces` and `gf.torus_reps` return, since one block keeps all."""
+    `gf.superspaces` and `gf.torus_reps` return to it, since one block keeps
+    all.  The two are counted on a stand-in for `gf` that only `quiver`
+    reads, so the lists `superspaces` takes from `torus_reps` are not."""
     offered = 0
 
     def counted(kernel):
@@ -563,9 +608,9 @@ def spaces_offered(quiver, r, p, monkeypatch):
 
         return members
 
+    kernels = {name: counted(getattr(gf, name)) for name in ("superspaces", "torus_reps")}
     with monkeypatch.context() as patch:
-        for name in ("superspaces", "torus_reps"):
-            patch.setattr(gf, name, counted(getattr(gf, name)))
+        patch.setattr(qv, "gf", types.SimpleNamespace(**{**vars(gf), **kernels}))
         for _ in qv.enumerate_subreps(quiver, r, p):
             pass
     return offered
@@ -591,12 +636,9 @@ def test_budget_counts_the_spaces_offered(name, r, p, monkeypatch):
 
 def torus_reps_by_filter(n, k, blocks, p):
     """The replaced whole-Grassmannian step of `_walk`: build every member
-    of the interval and keep those that `gf.torus_rep` keeps."""
-    unit = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    of the Grassmannian and keep those that `gf.torus_rep` keeps."""
     return tuple(
-        (space, *kept)
-        for space in gf.superspaces((), k, unit, p)
-        if (kept := gf.torus_rep(space, blocks, p)) is not None
+        (space, *kept) for space in subspaces(n, k, p) if (kept := gf.torus_rep(space, blocks, p)) is not None
     )
 
 
@@ -692,7 +734,7 @@ def test_rank_classes_keep_the_first_point_of_each_class(verts, r, p):
     for rank, row in classes.items():
         assert qv.rank_vector(row.point, quiver) == rank
         assert row.point.dims() == {v: r for v in quiver.vertices}
-        assert qv.is_subrep(row.point, quiver) == (True, None)
+        assert is_subrep(row.point, quiver) == (True, None)
     oracle = first_point_per_class(quiver, r, p, 10_000_000)
     assert [(rank, row.point) for rank, row in classes.items()] == list(oracle.items())
 
@@ -740,7 +782,7 @@ def test_torus_keeps_sub_representations_and_rank_vectors(name, r, p):
             p,
             {v: gf.rref([tuple(x * s for x, s in zip(row, t)) for row in b], p) for v, b in M.spaces.items()},
         )
-        assert qv.is_subrep(moved, quiver)[0]
+        assert is_subrep(moved, quiver)[0]
         assert qv.rank_vector(moved, quiver) == qv.rank_vector(M, quiver)
 
 
@@ -831,6 +873,49 @@ def test_deform_step_none_iff_projective():
     assert step.rep.dims() == non_projective.dims()
     expected = {k: v + step.increment.get(k, 0) for k, v in before.as_dict().items()}
     assert after.as_dict() == expected
+
+
+# Two points of locally weakly independent configurations at p = 2 whose
+# dimension vectors are not constant: (configuration, generating seeds,
+# dimension per vertex).  On both, the first candidate of `deform_step`
+# replaces the summand rooted at the class shared by the edge and the leaf,
+# and its step drops the leaf's dimension from 3 to 2 (ROADMAP direction 13).
+DEFORM_STEP_MISSES = {
+    "three-edges": (
+        [(0, 1, 1, 0), (0, 1, 1, 1), (1, 1, 2, 0), (2, 1, 2, 0)],
+        [
+            ((0, 1, 1, 0), (1, 0, 1, 0)),
+            ((0, 1, 1, 0), (0, 1, 1, 1)),
+            ((0, 1, 1, 1), (1, 0, 0, 0)),
+            ((1, 1, 2, 0), (0, 1, 0, 0)),
+        ],
+        {(0, 1, 1, 0): 2, (0, 1, 1, 1): 3, (1, 1, 2, 0): 2, (2, 1, 2, 0): 2},
+    ),
+    "two-edges": (
+        [(0, 0, 1, 0), (0, 0, 1, 1), (1, 0, 2, 0)],
+        [
+            ((0, 0, 1, 0), (1, 0, 1, 0)),
+            ((1, 0, 2, 0), (0, 0, 0, 1)),
+            ((0, 0, 1, 0), (1, 1, 0, 1)),
+            ((0, 0, 1, 1), (1, 0, 0, 0)),
+        ],
+        {(0, 0, 1, 0): 2, (0, 0, 1, 1): 3, (1, 0, 2, 0): 2},
+    ),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantError, reason="deform_step misses its dimension vector (direction 13)")
+@pytest.mark.parametrize("name", sorted(DEFORM_STEP_MISSES))
+def test_deform_step_keeps_a_dimension_vector_that_is_not_constant(name):
+    verts, seeds, dims = DEFORM_STEP_MISSES[name]
+    quiver = make_quiver(verts)
+    assert quiver.is_weakly_independent
+    M = qv.generated(quiver, seeds, 2)
+    assert {v: len(M.spaces[v]) for v in quiver.vertices} == dims
+    step = qv.deform_step(M, quiver)
+    before, after = qv.rank_vector(M, quiver), qv.rank_vector(step.rep, quiver)
+    assert step.rep.dims() == M.dims()
+    assert before.leq(after) and before != after
 
 
 def leq_by_dicts(a, b):
@@ -935,7 +1020,7 @@ def extend_partial(quiver, partial, r, p):
         pulled[u2] = gf.rref(w_space + extra, p)
 
     result = qv.SubRep(p, pulled)
-    ok, witness = qv.is_subrep(result, quiver)
+    ok, witness = is_subrep(result, quiver)
     if not ok:
         raise InvariantError(f"extension failed closure at arrow {witness}")
     for v, basis in partial.items():
@@ -957,8 +1042,8 @@ def test_extend_partial_existence_oracle():
     p = 2
     verts = quiver.vertices
     reps = list(qv.enumerate_subreps(quiver, 1, p))
-    for s0 in gf.subspaces(3, 1, p):
-        for s2 in gf.subspaces(3, 1, p):
+    for s0 in subspaces(3, 1, p):
+        for s2 in subspaces(3, 1, p):
             partial = {verts[0]: s0, verts[2]: s2}
             ext = extend_partial(quiver, partial, 1, p)
             exists = any(
@@ -967,7 +1052,7 @@ def test_extend_partial_existence_oracle():
             assert (ext is not None) == exists
             if ext is not None:
                 assert ext.spaces[verts[0]] == s0 and ext.spaces[verts[2]] == s2
-                assert qv.is_subrep(ext, quiver) == (True, None)
+                assert is_subrep(ext, quiver) == (True, None)
 
 
 @pytest.mark.parametrize("name", ["alcove-d4-r2", "branched-d4-r2"])
@@ -980,14 +1065,14 @@ def test_extend_partial_r2_existence_oracle(name):
     reps = list(qv.enumerate_subreps(quiver, r, p))
     for idx in [(0,), (1,), (2,), (3,), (0, 2)]:
         realized = {tuple(M.spaces[verts[i]] for i in idx) for M in reps}
-        for spaces in itertools.product(gf.subspaces(quiver.d, r, p), repeat=len(idx)):
+        for spaces in itertools.product(subspaces(quiver.d, r, p), repeat=len(idx)):
             partial = {verts[i]: s for i, s in zip(idx, spaces)}
             ext = extend_partial(quiver, partial, r, p)
             assert (ext is not None) == (spaces in realized)
             if ext is not None:
                 assert ext.dims() == {v: r for v in verts}
                 assert all(ext.spaces[v] == s for v, s in partial.items())
-                assert qv.is_subrep(ext, quiver) == (True, None)
+                assert is_subrep(ext, quiver) == (True, None)
 
 
 def test_extend_partial_kernel_seed():
@@ -1339,7 +1424,7 @@ def elimination_cases(M, quiver):
     for (u, v), coords in quiver.coords.items():
         if u == v:
             continue
-        pivots = gf.pivot_columns(M.spaces[u])
+        pivots = pivot_columns(M.spaces[u])
         rest = [
             row for row, c in zip(M.spaces[u], pivots)
             if c not in coords and any(row[k] for k in coords)
@@ -1423,7 +1508,7 @@ def deform_step_search(M, quiver, target=None):
         if gf.is_zero(donor_vec):
             continue
         base_eta = quiver.apply_map(root, donor_entry, donor_vec, p)
-        if base_eta != gf.vec(donor_vec, p):
+        if base_eta != vec(donor_vec, p):
             continue
         support = quiver.coords[(root, donor_entry)]
         kernel = tuple(e for k, e in enumerate(quiver.unit) if k not in support)

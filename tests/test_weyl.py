@@ -1,6 +1,7 @@
 import functools
 import os
 import random
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -503,8 +504,12 @@ def test_element_json_roundtrip():
     assert weyl.WeylElement.from_json(g.to_json()) == g
 
 
-def test_bruhat_poset_dot():
-    dot = weyl.bruhat_poset_dot(wa_elements(2, 2))
+def test_bruhat_poset_dot(capsys):
+    # the demo's own helper; running the demo prints its tour, which is dropped
+    demo = Path(__file__).resolve().parents[1] / "demos" / "weyl_tour.py"
+    bruhat_poset_dot = runpy.run_path(str(demo))["bruhat_poset_dot"]
+    capsys.readouterr()
+    dot = bruhat_poset_dot(wa_elements(2, 2))
     assert dot.startswith("digraph bruhat {")
     # identity under both generators, each generator under both length-2 words
     assert dot.count("->") == 6
@@ -566,7 +571,7 @@ def test_hasse_dot_matches_the_cubic_scan_on_bruhat_balls():
     nodes = sorted(wa_elements(3, 3), key=lambda g: (weyl.length(g), g.sigma, g.trans))
     labels = [f"{g.sigma}|{g.trans}" for g in nodes]
     expected = hasse_dot_oracle("bruhat", nodes, labels, weyl.bruhat_leq)
-    assert weyl.bruhat_poset_dot(nodes) == weyl.hasse_dot("bruhat", nodes, labels, weyl.bruhat_leq) == expected
+    assert weyl.hasse_dot("bruhat", nodes, labels, weyl.bruhat_leq) == expected
 
 
 def double_coset_min_oracle(g, w1, w2):
