@@ -29,8 +29,8 @@ columns moved first (`gf.vanishing_on`).
 
 Facts of the configuration alone live on `Quiver`, each computed once per
 quiver: local weak independence (`is_weakly_independent`, which every
-decomposition gate reads), the single-generator summand types
-(`summand_types`), where each non-projective type dies (`death_data`), the
+decomposition gate reads), the single-generator summand types with the
+cycle and position where each non-projective one dies (`summand_types`), the
 integer forms and kernel bounds `types_from_rank` reads (`rank_forms`,
 `kernel_bounds`), the order in which stratum ranks spread over convex hulls
 (`hull_plan`) and where each stratum rank goes in a rank vector (`pair_plan`).
@@ -147,61 +147,37 @@ class Quiver:
             raise ValueError("configuration is not locally weakly independent")
 
     @functools.cached_property
-    def summand_types(self) -> tuple[SummandType, ...]:
-        """Every single-generator summand type: projective per root, plus one
-        type per (root, cycle, death index m).  Along a chain-ordered cycle the
-        supports of v -> cycle[m] shrink strictly, so a vector dies at each m."""
-        types = []
-        everything = frozenset(self.vertices)
+    def summand_types(self) -> dict[SummandType, Optional[tuple[tuple[Vertex, ...], int]]]:
+        """Every single-generator summand type: None for the projective type
+        at each root, and the (cycle, death index m) that builds each other
+        one, whose support is the vertices hanging on the cycle before m.
+        Along a chain-ordered cycle the supports of v -> cycle[m] shrink
+        strictly, so a vector dies at each m.  Locally weakly independent
+        configurations only; a type built twice is InvariantError."""
+        self.require_weakly_independent()
+        types = {}
         for v in self.vertices:
-            types.append(SummandType(v, everything))
+            made = [(frozenset(self.vertices), None)]
             for cycle in self.cycles_at(v):
                 hang = _hang_positions(self, cycle)
-                for m in range(1, len(cycle)):
-                    support = frozenset(w for w in self.vertices if hang[w] < m)
-                    types.append(SummandType(v, support))
-        return tuple(types)
-
-    @functools.cached_property
-    def death_data(self) -> dict[SummandType, tuple[tuple[Vertex, ...], int]]:
-        """Each non-projective summand type's cycle through the root on which
-        it dies, and the death index on it."""
-        out = {}
-        for t in self.summand_types:
-            if t.is_projective(self):
-                continue
-            hits = []
-            for cycle in self.cycles_at(t.root):
-                m = next((i for i, w in enumerate(cycle) if w not in t.support), None)
-                if m is not None:
-                    if any(cycle[j] in t.support for j in range(m, len(cycle))):
-                        raise InvariantError(f"summand support revives on {cycle} after position {m}")
-                    hits.append((cycle, m))
-            if len(hits) != 1:
-                raise InvariantError(f"summand type must die on exactly one cycle, got {len(hits)}")
-            out[t] = hits[0]
-        return out
+                made += [(frozenset(w for w in self.vertices if hang[w] < m), (cycle, m)) for m in range(1, len(cycle))]
+            for support, death in made:
+                t = SummandType(v, support)
+                if t in types:
+                    raise InvariantError(f"summand type {t} is built twice")
+                types[t] = death
+        return types
 
     @functools.cached_property
     def rank_forms(self) -> tuple[tuple[tuple[SummandType, tuple], ...], tuple[tuple, ...]]:
         """(A, C), sparse integer forms over a rank vector's values x, each
         row a tuple of (index into `RankVector.entries`, coefficient).  A
-        pairs each summand type with its multiplicity form, the values of the
-        linear `multiplicities_from_rank` on the unit vectors of the pairs it
-        reads.  C is the nonzero rows of I - B.A, B the pairs that each type
-        maps onto a line, so C.x = 0 says the multiset A.x reproduces x."""
+        pairs each summand type with its `_multiplicity_form`.  C is the
+        nonzero rows of I - B.A, B the pairs that each type maps onto a line,
+        so C.x = 0 says the multiset A.x reproduces x."""
         index = self.pair_plan.index
         sparse = lambda row: tuple((j, x) for j, x in sorted(row.items()) if x)
-        a = []
-        for t in self.summand_types:
-            unit = collections.defaultdict(int)  # zero, and keeps the pairs read
-            multiplicities_from_rank(unit, t, self)
-            row = {}
-            for pair in list(unit):
-                unit[pair] = 1
-                row[index[pair]] = multiplicities_from_rank(unit, t, self)
-                unit[pair] = 0
-            a.append(sparse(row))
+        a = [sparse({index[pair]: c for pair, c in _multiplicity_form(t, self).items()}) for t in self.summand_types]
         c = {pair: collections.Counter({j: 1}) for pair, j in index.items()}
         for t, row in zip(self.summand_types, a):
             # a single-generator summand maps u -> w onto a line exactly when both
@@ -576,25 +552,34 @@ def type_multiset(summands: Sequence[Summand], quiver: Quiver, p: int) -> dict[S
     return out
 
 
+def _multiplicity_form(t: SummandType, quiver: Quiver) -> dict[tuple[Vertex, Vertex], int]:
+    """The multiplicity of the type in a rep as a form in its ranks x, pair ->
+    coefficient, from its `Quiver.summand_types` entry.  Projective at v:
+    x(v, v) less the kernel x(v, v) - x(v, u) of the map to each in-neighbour
+    u.  Dying at position m of the cycle (v, ..., z): x(v, cycle[m - 1]) -
+    x(v, cycle[m]) - x(z, cycle[m - 1]) + x(z, cycle[m]), whose last map runs
+    round the whole cycle, so is zero, when cycle[m] is z."""
+    v = t.root
+    death = quiver.summand_types[t]
+    if death is None:
+        form = {(v, u): 1 for u in quiver.in_arrows[v]}
+        form[(v, v)] = 1 - len(form)
+        return form
+    cycle, m = death
+    z = cycle[-1]
+    form = {(v, cycle[m - 1]): 1, (v, cycle[m]): -1, (z, cycle[m - 1]): -1}
+    if cycle[m] != z:
+        form[(z, cycle[m])] = 1
+    return form
+
+
 def multiplicities_from_rank(
     phi: RankVector | dict[tuple[Vertex, Vertex], int], t: SummandType, quiver: Quiver
 ) -> int:
     """Multiplicity of the summand type in any rep with rank vector phi,
-    given as a `RankVector` or its `as_dict()`."""
+    given as a `RankVector` or its `as_dict()`, by `_multiplicity_form`."""
     ranks = phi if isinstance(phi, dict) else phi.as_dict()
-    v = t.root
-    if t.is_projective(quiver):
-        x_v = ranks[(v, v)]
-        return x_v - sum(x_v - ranks[(v, u)] for u in quiver.in_arrows[v])
-    cycle, m = quiver.death_data[t]
-    n = len(cycle) - 1
-
-    def entry(i: int, j: int) -> int:
-        if not 0 <= j - i <= n:
-            return 0
-        return ranks[(cycle[i % (n + 1)], cycle[j % (n + 1)])]
-
-    return entry(0, m - 1) + entry(-1, m) - entry(0, m) - entry(-1, m - 1)
+    return sum(c * ranks[pair] for pair, c in _multiplicity_form(t, quiver).items())
 
 
 def types_from_rank(phi: RankVector, quiver: Quiver) -> Optional[dict[SummandType, int]]:
@@ -761,28 +746,6 @@ class DeformStep:
     rank: RankVector  # of rep, checked against the prediction
 
 
-def _arc_on_cycle(
-    quiver: Quiver, t: SummandType, cycle: tuple[Vertex, ...]
-) -> Optional[tuple[int, int]]:
-    """Positions (start, end_lifted) of the summand type covered on the
-    cycle, None if disjoint.
-
-    A full cover is reported as (start, start + n); a proper arc always
-    starts at the entry position of the summand's root.
-    """
-    n = len(cycle) - 1
-    covered = [w in t.support for w in cycle]
-    if not any(covered):
-        return None
-    start = cycle.index(quiver.entry_vertex(t.root, tuple(sorted(cycle))))
-    length = 0
-    while length <= n and covered[(start + length) % (n + 1)]:
-        length += 1
-    if sum(covered) != length:
-        raise InvariantError(f"support on cycle is not an arc from {cycle[start]}")
-    return (start, start + length - 1)
-
-
 def _hang_positions(quiver: Quiver, cycle: tuple[Vertex, ...]) -> dict[Vertex, int]:
     """Entry position on the cycle for every vertex of the configuration."""
     simplex = tuple(sorted(cycle))
@@ -798,27 +761,30 @@ def _deform_candidates(
     donor_rel_end) among the (summand, its type) pairs, where repl_len is the
     replaced arc's end minus its start.
 
-    The replaced summand covers a proper arc of the cycle; the donor's arc
-    must abut or overlap it, extend strictly past its end, and stay clear of
-    the replaced root (so the map from the root keeps the donor's image).
+    A non-projective type covers m positions from its root on the simplex of
+    its death cycle (`Quiver.summand_types`) and each other simplex fully or
+    not at all; a projective type covers all of them.  Only those proper
+    arcs extend or are extended.  The donor's arc must abut or overlap the
+    replaced one, extend strictly past its end, and stay clear of the
+    replaced root (so the map from the root keeps the donor's image).  A
+    type missing from the table is InvariantError.
     """
+    arcs = {}  # per simplex's vertex set: (summand, m) for each type dying there
+    for s, t in typed:
+        if t not in quiver.summand_types:
+            raise InvariantError(f"summand type {t} is not in its quiver's table")
+        if (death := quiver.summand_types[t]) is not None:
+            arcs.setdefault(frozenset(death[0]), []).append((s, death[1]))
     candidates = []
     for simplex in quiver.simplices:
         n = len(simplex) - 1
-        arcs = []
-        for s, t in typed:
-            arc = _arc_on_cycle(quiver, t, simplex)
-            if arc is not None:
-                arcs.append((s, arc))
-        for repl, (a_r, b_r) in arcs:
-            len_r = b_r - a_r
-            if len_r >= n:
-                continue  # covers the whole cycle, nothing to extend
-            for donor, (a_s, b_s) in arcs:
+        here = [(s, simplex.index(s.root), m - 1) for s, m in arcs.get(frozenset(simplex), ())]
+        for repl, a_r, len_r in here:
+            for donor, a_s, len_s in here:
                 if donor is repl:
                     continue
                 rel_start = (a_s - a_r) % (n + 1)
-                rel_end = rel_start + (b_s - a_s)
+                rel_end = rel_start + len_s
                 if rel_start == 0:
                     continue  # same start: a basis change, not a deformation
                 if rel_start > len_r + 1:
@@ -827,7 +793,7 @@ def _deform_candidates(
                     continue  # no extension
                 if rel_end > n:
                     continue  # donor wraps over the replaced root
-                priority = (-(b_s - a_s), rel_start, a_r, donor.root, repl.root)
+                priority = (-len_s, rel_start, a_r, donor.root, repl.root)
                 candidates.append(
                     (priority, repl, donor, simplex, a_r, len_r, rel_start, rel_end)
                 )
@@ -866,6 +832,11 @@ def deform_step(
 ) -> Optional[DeformStep]:
     """One rank-raising deformation; None exactly when M is projective.
 
+    On a constant dimension vector r those are exactly the points of the
+    maximal rank-vector classes, so None comes on those (`verify projective`).
+    On others a maximal class need not be projective, and its points raise
+    DeformationError, as does a `target` that no candidate stays within.
+
     Takes the candidates (replaced summand R, donor) in priority order and
     skips those whose predicted rank vector exceeds `target`.  The first one
     left replaces R's generator eps_R by eps_R + eta, where eta is the
@@ -894,7 +865,10 @@ def deform_step(
         if candidate.dims() != M.dims() or rank != expected:
             raise InvariantError("deformation missed its dimension vector or predicted ranks")
         return DeformStep(candidate, repl, (repl.root, new_vec), predicted, rank)
-    raise DeformationError("no validating deformation found for a non-projective point")
+    raise DeformationError(
+        "no validating deformation within the target, or M's class is maximal: off constant dimensions"
+        " a maximal class need not be projective"
+    )
 
 
 def deform_chain(M: SubRep, quiver: Quiver, target: RankVector) -> list[SubRep]:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from linkedgrass import admissible as adm
 from linkedgrass import cli, gf, independence
 from linkedgrass import quiver as qv
-from linkedgrass.lattice import Configuration, InvariantError, configuration
+from linkedgrass.lattice import Configuration, InvariantError, configuration, convex_closure
 from linkedgrass.verify import SHARED_EDGE_TRIANGLES, SIMPLEX_INSTANCES, WEAKLY_INDEPENDENT_INSTANCES
 
 
@@ -1137,15 +1137,27 @@ def all_summand_types_oracle(quiver):
 
 
 def test_summand_types_match_old_builder_on_configs():
+    # the table is only built on weakly independent configurations; on
+    # shared-edge-triangles the old builder lists one type twice
     assert len(CONFIG_NAMES) == 12
+    checked = 0
     for name in CONFIG_NAMES:
         quiver = config_quiver(name)
+        if not quiver.is_weakly_independent:
+            assert name == "shared-edge-triangles"
+            with pytest.raises(ValueError):
+                quiver.summand_types
+            continue
         assert list(quiver.summand_types) == all_summand_types_oracle(quiver)
         assert quiver.summand_types is quiver.summand_types
+        checked += 1
+    assert checked == 11
 
 
 def death_data_oracle(quiver, t):
-    """The per-call `_death_data` that `Quiver.death_data` replaced."""
+    """The per-call `_death_data` that `Quiver.death_data`, and then the
+    entries of `Quiver.summand_types`, replaced: the one cycle at the root
+    that the type's support leaves, and the position where it leaves."""
     hits = []
     for cycle in quiver.cycles_at(t.root):
         m = next((i for i, w in enumerate(cycle) if w not in t.support), None)
@@ -1162,14 +1174,126 @@ def test_death_data_match_old_derivation_on_configs():
         quiver = config_quiver(name)
         if not quiver.is_weakly_independent:
             continue
-        types = [t for t in quiver.summand_types if not t.is_projective(quiver)]
-        assert quiver.death_data == {t: death_data_oracle(quiver, t) for t in types}
-        assert quiver.death_data is quiver.death_data
+        for t in quiver.summand_types:
+            death = None if t.is_projective(quiver) else death_data_oracle(quiver, t)
+            assert quiver.summand_types[t] == death
         phi = qv.rank_vector(qv.generated(quiver, [(quiver.vertices[0], quiver.unit[0])], 2), quiver)
         for t in quiver.summand_types:
             assert qv.multiplicities_from_rank(phi, t, quiver) == qv.multiplicities_from_rank(phi.as_dict(), t, quiver)
         checked += 1
     assert checked > 0
+
+
+def multiplicity_oracle(ranks, t, quiver):
+    """The body `multiplicities_from_rank` had before it read its form off
+    the `Quiver.summand_types` entry: the in-arrow kernels at a projective
+    root, else four ranks along the death cycle, a map that runs past the
+    whole cycle reading zero."""
+    v = t.root
+    if t.is_projective(quiver):
+        x_v = ranks[(v, v)]
+        return x_v - sum(x_v - ranks[(v, u)] for u in quiver.in_arrows[v])
+    cycle, m = death_data_oracle(quiver, t)
+    n = len(cycle) - 1
+
+    def entry(i, j):
+        if not 0 <= j - i <= n:
+            return 0
+        return ranks[(cycle[i % (n + 1)], cycle[j % (n + 1)])]
+
+    return entry(0, m - 1) + entry(-1, m) - entry(0, m) - entry(-1, m - 1)
+
+
+def random_convex_configurations(seed, draws):
+    """Seeded random convex configurations: each draw is 2 to 4 points of
+    {0, 1, 2}^d, d in {2, 3, 4}, closed by `lattice.convex_closure`; those
+    with 2 to 7 classes are kept, without repeats, in the order drawn."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        d = rng.choice([2, 3, 4])
+        points = [tuple(rng.randrange(3) for _ in range(d)) for _ in range(rng.randint(2, 4))]
+        closed = convex_closure(configuration(points))
+        if 2 <= len(closed.vertices) <= 7 and closed not in out:
+            out.append(closed)
+    return out
+
+
+def arc_on_cycle_oracle(quiver, t, cycle):
+    """The old `_arc_on_cycle`: positions (start, end_lifted) of the summand
+    type covered on the cycle, None if disjoint.  A full cover is reported
+    as (start, start + n); a proper arc always starts at the entry position
+    of the summand's root."""
+    n = len(cycle) - 1
+    covered = [w in t.support for w in cycle]
+    if not any(covered):
+        return None
+    start = cycle.index(quiver.entry_vertex(t.root, tuple(sorted(cycle))))
+    length = 0
+    while length <= n and covered[(start + length) % (n + 1)]:
+        length += 1
+    assert sum(covered) == length, f"support on cycle is not an arc from {cycle[start]}"
+    return (start, start + length - 1)
+
+
+def deform_candidates_oracle(quiver, typed):
+    """The body `_deform_candidates` had before it read its arcs off
+    `Quiver.summand_types`: every type's arc on every simplex, whole
+    covers skipped as replaced summands."""
+    candidates = []
+    for simplex in quiver.simplices:
+        n = len(simplex) - 1
+        arcs = []
+        for s, t in typed:
+            arc = arc_on_cycle_oracle(quiver, t, simplex)
+            if arc is not None:
+                arcs.append((s, arc))
+        for repl, (a_r, b_r) in arcs:
+            len_r = b_r - a_r
+            if len_r >= n:
+                continue
+            for donor, (a_s, b_s) in arcs:
+                rel_start = (a_s - a_r) % (n + 1)
+                rel_end = rel_start + (b_s - a_s)
+                if donor is repl or rel_start == 0 or rel_start > len_r + 1 or rel_end <= len_r or rel_end > n:
+                    continue
+                priority = (-(b_s - a_s), rel_start, a_r, donor.root, repl.root)
+                candidates.append((priority, repl, donor, simplex, a_r, len_r, rel_start, rel_end))
+    candidates.sort(key=lambda c: c[0])
+    return [c[1:] for c in candidates]
+
+
+def test_summand_table_matches_the_old_derivations_on_random_configurations():
+    # the weakly independent bench configurations and random ones: the
+    # table's entries are the old death data, and the deformation
+    # candidates of `generated` points are those of the old arcs
+    quivers = [config_quiver(name) for name in CONFIG_NAMES]
+    quivers += [qv.Quiver(config) for config in random_convex_configurations(5, 150)]
+    quivers = [quiver for quiver in quivers if quiver.is_weakly_independent]
+    points = candidates = 0
+    for quiver in quivers:
+        for t, death in quiver.summand_types.items():
+            assert death == (None if t.is_projective(quiver) else death_data_oracle(quiver, t))
+        rng = random.Random(repr(quiver.config))
+        for p in (2, 3):
+            for _ in range(60):
+                seeds = [
+                    (rng.choice(quiver.vertices), tuple(rng.randrange(p) for _ in range(quiver.d)))
+                    for _ in range(rng.randint(1, 4))
+                ]
+                typed = qv._decompose_typed(qv.generated(quiver, seeds, p), quiver)
+                got = qv._deform_candidates(quiver, typed)
+                assert got == deform_candidates_oracle(quiver, typed)
+                points += 1
+                candidates += len(got)
+    assert (len(quivers), points, candidates) == (71, 8520, 467)
+
+
+def test_deform_candidates_reject_a_type_missing_from_the_table():
+    quiver = make_quiver(OMEGA3)
+    summand = qv.Summand(quiver.vertices[0], quiver.unit[0])
+    with pytest.raises(InvariantError, match="not in its quiver's table"):
+        qv._deform_candidates(quiver, [(summand, qv.SummandType(summand.root, frozenset()))])
 
 
 def types_from_rank_oracle(phi, quiver):
@@ -1239,8 +1363,10 @@ def test_rank_forms_check_rows_and_multiplicities_on_configs():
         pairs = [(u, v) for u in quiver.vertices for v in quiver.vertices]
         for _ in range(20):  # A is linear: its rows agree with the formula anywhere
             x = [rng.randint(-3, 6) for _ in pairs]
+            ranks = dict(zip(pairs, x))
             for t, row in forms:
-                assert sum(c * x[j] for j, c in row) == qv.multiplicities_from_rank(dict(zip(pairs, x)), t, quiver)
+                got = sum(c * x[j] for j, c in row)
+                assert got == qv.multiplicities_from_rank(ranks, t, quiver) == multiplicity_oracle(ranks, t, quiver)
         checked += 1
     assert checked == 11
 
@@ -1365,6 +1491,32 @@ def test_entry_vertex_check_survives_python_O():
     )
     assert result.stdout.startswith("optimize 1\nInvariantError entry vertex into ")
     assert "not unique" in result.stdout
+
+
+DUPLICATE_TYPE = """
+    import sys
+    from linkedgrass import quiver as qv
+    from linkedgrass.lattice import configuration
+
+    print("optimize", sys.flags.optimize)
+    qv._hang_positions = lambda quiver, cycle: dict.fromkeys(quiver.vertices, 0)  # all hang at the root
+    quiver = qv.Quiver(configuration([(0, 0, 0), (1, 0, 0), (1, 1, 0)]))
+    try:
+        quiver.summand_types
+    except AssertionError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_duplicate_summand_type_check_survives_python_O():
+    # every support built from a death index is then the projective one
+    src = Path(qv.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(DUPLICATE_TYPE)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.startswith("optimize 1\nInvariantError summand type ")
+    assert result.stdout.endswith(" is built twice\n")
 
 
 def map_image(quiver, u, v, rows, p):
